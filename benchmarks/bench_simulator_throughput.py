@@ -37,7 +37,6 @@ import pytest
 
 from repro.api import Simulator, paper_config
 from repro.cache import temporary_cache_dir
-from repro.cache.shared import dumps_with_workload
 from repro.cache.traces import ensure_compiled_trace
 from repro.sampling import proxy as proxy_module
 from repro.sampling.bbv import profile_workload
@@ -135,69 +134,39 @@ def test_sweep_throughput(benchmark, api_session, jobs, bench_metrics):
 
 
 # ----------------------------------------------------------------------
-# per-pass throughput: the batched functional passes vs their
-# block-by-block reference interpreters (REPRO_NO_BATCH=1)
+# per-pass throughput of the batched functional passes
 # ----------------------------------------------------------------------
 PASS_INSTRUCTIONS = 30_000
 PASS_INTERVAL = 1000
 
 
-def _record_pass(bench_metrics, benchmark, name, instructions, ref_seconds):
-    seconds = benchmark.stats.stats.min
-    ips = instructions / seconds
-    ref_ips = instructions / ref_seconds if ref_seconds else 0.0
-    speedup = round(ips / ref_ips, 2) if ref_ips else 0.0
+def _record_pass(bench_metrics, benchmark, name, instructions):
+    ips = instructions / benchmark.stats.stats.min
     benchmark.extra_info["simulated_instructions_per_second"] = ips
-    benchmark.extra_info["reference_instructions_per_second"] = ref_ips
-    benchmark.extra_info["batch_speedup"] = speedup
     bench_metrics.setdefault("per_pass", {})[name] = {
         "instructions_per_second": round(ips),
-        "reference_instructions_per_second": round(ref_ips),
-        "speedup": speedup,
     }
 
 
-def test_bbv_profile_throughput(benchmark, bench_metrics, monkeypatch):
-    """Batched BBV profiling over compiled columns vs the block walker."""
+def test_bbv_profile_throughput(benchmark, bench_metrics):
+    """BBV profiling sliced from compiled trace columns."""
     workload = get_workload("gcc")
     ensure_compiled_trace(workload, PASS_INSTRUCTIONS)
-
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    start = time.perf_counter()
-    reference = profile_workload(workload, PASS_INSTRUCTIONS, PASS_INTERVAL)
-    ref_seconds = time.perf_counter() - start
-    monkeypatch.delenv("REPRO_NO_BATCH")
-
-    batched = benchmark.pedantic(
+    benchmark.pedantic(
         lambda: profile_workload(workload, PASS_INSTRUCTIONS, PASS_INTERVAL),
         rounds=5, iterations=1, warmup_rounds=1,
     )
-    assert pickle.dumps(batched) == pickle.dumps(reference)
-    _record_pass(bench_metrics, benchmark, "bbv_profile",
-                 PASS_INSTRUCTIONS, ref_seconds)
+    _record_pass(bench_metrics, benchmark, "bbv_profile", PASS_INSTRUCTIONS)
 
 
-def test_functional_skip_throughput(benchmark, bench_metrics, monkeypatch):
-    """Batched functional skip (segment stride) vs single-stream stepping."""
+def test_functional_skip_throughput(benchmark, bench_metrics):
+    """Functional skip striding over canonical stream segments."""
     config = paper_config("CLGP+L0", l1_size_bytes=4096,
                           technology="0.045um",
                           max_instructions=PASS_INSTRUCTIONS,
                           warmup_instructions=20_000)
     workload = get_workload("gcc")
     ensure_compiled_trace(workload, PASS_INSTRUCTIONS + 20_000)
-
-    def skipped_state(target):
-        simulator = Simulator(config, workload)
-        simulator.warm_up()
-        simulator.skip_to(target)
-        return dumps_with_workload(simulator.snapshot()._state, workload)
-
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    start = time.perf_counter()
-    reference_state = skipped_state(PASS_INSTRUCTIONS)
-    ref_seconds = time.perf_counter() - start
-    monkeypatch.delenv("REPRO_NO_BATCH")
-    assert skipped_state(PASS_INSTRUCTIONS) == reference_state
 
     def setup():
         simulator = Simulator(config, workload)
@@ -208,15 +177,12 @@ def test_functional_skip_throughput(benchmark, bench_metrics, monkeypatch):
         lambda simulator: simulator.skip_to(PASS_INSTRUCTIONS),
         setup=setup, rounds=5, iterations=1, warmup_rounds=1,
     )
-    # The reference timing includes one warm-up + snapshot alongside the
-    # skip; both are small next to 30k block-by-block steps, and the
-    # recorded speedup is the conservative side of that bias anyway.
     _record_pass(bench_metrics, benchmark, "functional_skip",
-                 PASS_INSTRUCTIONS, ref_seconds)
+                 PASS_INSTRUCTIONS)
 
 
-def test_proxy_profile_throughput(benchmark, bench_metrics, monkeypatch):
-    """Batched proxy base pass + LRU replay vs the oracle interpreter."""
+def test_proxy_profile_throughput(benchmark, bench_metrics):
+    """Proxy base pass over stream segments plus the LRU replay."""
     config = paper_config("CLGP+L0", l1_size_bytes=4096,
                           technology="0.045um",
                           max_instructions=PASS_INSTRUCTIONS,
@@ -232,18 +198,8 @@ def test_proxy_profile_throughput(benchmark, bench_metrics, monkeypatch):
             workload, config, PASS_INSTRUCTIONS, PASS_INTERVAL
         )
 
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    profile_once()   # warm the warm-up artifact cache outside the timing
-    start = time.perf_counter()
-    reference = profile_once()
-    ref_seconds = time.perf_counter() - start
-    monkeypatch.delenv("REPRO_NO_BATCH")
-
-    batched = benchmark.pedantic(profile_once, rounds=5, iterations=1,
-                                 warmup_rounds=1)
-    assert pickle.dumps(batched) == pickle.dumps(reference)
-    _record_pass(bench_metrics, benchmark, "proxy_profile",
-                 PASS_INSTRUCTIONS, ref_seconds)
+    benchmark.pedantic(profile_once, rounds=5, iterations=1, warmup_rounds=1)
+    _record_pass(bench_metrics, benchmark, "proxy_profile", PASS_INSTRUCTIONS)
 
 
 @pytest.mark.parametrize("scheme", ["CLGP+L0", "base-pipelined"])
@@ -269,8 +225,8 @@ def test_sampled_vs_full(benchmark, api_session, scheme, bench_metrics,
     with temporary_cache_dir(tmp_path_factory.mktemp("unused"),
                              enabled=False):
         # Drop per-process caches first: earlier tests may have attached
-        # compiled traces to the cached workloads, and this comparison
-        # must measure the walker-backed regime regardless of test order.
+        # stored traces to the cached workloads, and this comparison must
+        # measure the store-off regime regardless of test order.
         clear_process_caches()
         # Prime every per-process cache (workloads, warm-up artifacts)
         # with an untimed full pass so the full baseline is measured as

@@ -2,8 +2,8 @@
 
 A :class:`~repro.simulator.simulator.SimulatorCheckpoint` deliberately
 *shares* the immutable workload objects (profile, CFG, basic-block
-dictionary, the memoised correct-path block stream / compiled trace)
-instead of copying them -- that is what makes snapshots cheap.  Pickling
+dictionary, the append-only compiled correct-path trace) instead of
+copying them -- that is what makes snapshots cheap.  Pickling
 such a checkpoint naively would drag the whole program description into
 every artifact file and, worse, a loaded checkpoint would reference
 *private copies* of those objects instead of the live workload's.
@@ -12,7 +12,7 @@ This module keeps the sharing across the process boundary with the
 pickle ``persistent_id`` protocol: the workload-owned objects are
 replaced by small named tokens on the way out and resolved against the
 *live* workload on the way in.  Everything those objects hold is
-deterministic per workload profile (append-only block streams, memoised
+deterministic per workload profile (append-only trace arrays, memoised
 dictionaries), so resolving against a freshly-built workload yields a
 bit-identical continuation.
 """
@@ -23,13 +23,7 @@ import io
 import pickle
 from typing import Dict
 
-from ..workloads.trace import BlockStream, ProgramWalker, Workload
-
-
-class SharedObjectUnavailable(Exception):
-    """A checkpoint references a workload object the live process lacks
-    (e.g. a compiled trace that is not attached); treat as a cache miss."""
-
+from ..workloads.trace import Workload
 
 #: Columnar-array attributes of a compiled trace; oracles alias them
 #: directly (hot path), so they are tokenized individually as well.
@@ -37,26 +31,25 @@ _TRACE_ARRAYS = ("addr", "size", "kind", "taken", "next_addr",
                  "terminator_addr")
 
 
-def _token_map(workload: Workload) -> Dict[int, str]:
-    mapping = {
-        id(workload): "workload",
-        id(workload.profile): "profile",
-        id(workload.cfg): "cfg",
-        id(workload.bbdict): "bbdict",
-    }
-    if workload._block_stream is not None:
-        mapping[id(workload._block_stream)] = "block_stream"
+def _shared_objects(workload: Workload) -> Dict[str, object]:
+    """The workload-owned objects a checkpoint shares, by token."""
     trace = workload._compiled_trace
-    if trace is not None:
-        mapping[id(trace)] = "compiled_trace"
-        for name in _TRACE_ARRAYS:
-            mapping[id(getattr(trace, name))] = f"trace:{name}"
-    return mapping
+    shared = {
+        "workload": workload,
+        "profile": workload.profile,
+        "cfg": workload.cfg,
+        "bbdict": workload.bbdict,
+        "compiled_trace": trace,
+    }
+    for name in _TRACE_ARRAYS:
+        shared[f"trace:{name}"] = getattr(trace, name)
+    return shared
 
 
 def dumps_with_workload(obj, workload: Workload) -> bytes:
     """Pickle ``obj`` with ``workload``-owned objects tokenized out."""
-    mapping = _token_map(workload)
+    mapping = {id(obj): token
+               for token, obj in _shared_objects(workload).items()}
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
     pickler.persistent_id = lambda candidate: mapping.get(id(candidate))
@@ -67,41 +60,18 @@ def dumps_with_workload(obj, workload: Workload) -> bytes:
 def loads_with_workload(data: bytes, workload: Workload):
     """Unpickle, resolving tokens against the live ``workload``.
 
-    Raises :class:`SharedObjectUnavailable` when the payload references a
-    compiled trace and the live workload has none attached (callers treat
-    that as a miss and recompute).
+    A token this version does not share (a payload written by another
+    version) raises :class:`pickle.UnpicklingError`; callers treat any
+    load failure as a corrupt artifact and recompute.
     """
+    shared = _shared_objects(workload)
 
     def resolve(token: str):
-        if token == "workload":
-            return workload
-        if token == "profile":
-            return workload.profile
-        if token == "cfg":
-            return workload.cfg
-        if token == "bbdict":
-            return workload.bbdict
-        if token == "block_stream":
-            if workload._block_stream is None:
-                workload._block_stream = BlockStream(
-                    ProgramWalker(workload.cfg, seed=workload.profile.seed)
-                )
-            return workload._block_stream
-        if token == "compiled_trace" or token.startswith("trace:"):
-            trace = workload._compiled_trace
-            if trace is None:
-                raise SharedObjectUnavailable(
-                    "checkpoint references a compiled trace that is not "
-                    "attached to the live workload"
-                )
-            if token == "compiled_trace":
-                return trace
-            name = token[len("trace:"):]
-            if name not in _TRACE_ARRAYS:
-                raise SharedObjectUnavailable(
-                    f"unknown compiled-trace column {name!r}")
-            return getattr(trace, name)
-        raise SharedObjectUnavailable(f"unknown shared-object token {token!r}")
+        try:
+            return shared[token]
+        except KeyError:
+            raise pickle.UnpicklingError(
+                f"unknown shared-object token {token!r}") from None
 
     unpickler = pickle.Unpickler(io.BytesIO(data))
     unpickler.persistent_load = resolve

@@ -13,7 +13,7 @@ miss-and-recompile, never a silently wrong instruction stream.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..workloads.trace import CompiledTrace, Workload, compile_trace
 from .keys import content_key
@@ -43,20 +43,21 @@ def trace_bucket(instructions: int) -> int:
 
 def ensure_compiled_trace(
     workload: Workload, instructions: int
-) -> Optional[CompiledTrace]:
-    """Attach a compiled trace covering ``instructions`` to ``workload``.
+) -> CompiledTrace:
+    """Back ``workload`` with a stored trace covering ``instructions``.
 
-    No-op (returns ``None``) when caching is disabled.  Otherwise the
-    trace is taken from the per-process cache, loaded from the artifact
-    store, or compiled once and published for every later process.
+    Decides persistence only: every workload already owns a trace that
+    grows on demand, so with caching disabled (or a trace that already
+    covers the budget) this returns the workload's own trace untouched.
+    Otherwise the bucket's trace is taken from the per-process cache,
+    loaded from the artifact store, or compiled once and published for
+    every later process, and attached.
     """
+    trace = workload._compiled_trace
     store = active_store()
-    if store is None:
-        return None
-    existing = workload._compiled_trace
-    if (existing is not None
-            and existing.compiled_instructions >= instructions + TRACE_MARGIN):
-        return existing
+    if (store is None
+            or trace.compiled_instructions >= instructions + TRACE_MARGIN):
+        return trace
     bucket = trace_bucket(instructions)
     memo_key = (workload.profile.name, workload.profile.seed, bucket)
     trace = _TRACES.get(memo_key)

@@ -6,7 +6,7 @@ room -- "the branch predictor goes autonomously generating predictions",
 decoupled from fetch.
 
 Because the simulator is trace-driven, the unit follows the correct path
-through a :class:`~repro.workloads.trace.CorrectPathOracle`, but honours
+through a :class:`~repro.workloads.trace.CompiledPathOracle`, but honours
 its own predictor:
 
 * when the stream predictor agrees with the oracle, the emitted fetch
@@ -33,7 +33,7 @@ from ..workloads.isa import INSTRUCTION_BYTES, BranchKind
 from ..workloads.trace import (
     MAX_STREAM_INSTRUCTIONS,
     ActualStream,
-    CorrectPathOracle,
+    CompiledPathOracle,
     Workload,
 )
 
@@ -80,7 +80,7 @@ class PredictionUnit:
     ):
         self.workload = workload
         self.bbdict: BasicBlockDictionary = workload.bbdict
-        self.oracle: CorrectPathOracle = workload.new_oracle()
+        self.oracle: CompiledPathOracle = workload.new_oracle()
         self.predictor = predictor or StreamPredictor(
             default_length=max_stream_instructions
         )

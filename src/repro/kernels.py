@@ -1,103 +1,37 @@
 """Batch kernels over :class:`~repro.workloads.trace.CompiledTrace` columns.
 
 ``CompiledTrace`` freezes correct-path walks into flat ``array`` columns
-(one entry per basic block), and PR 5's stream segmentation extends that
+(one entry per basic block), and its stream segmentation extends that
 with one entry per *fetch stream*.  This module holds the dependency-free
 primitives that consume those columns wholesale instead of block-by-block:
 
 * :func:`grouped_load_miss_counts` -- the deterministic per-load miss
-  draws of the proxy base pass, accumulated one chunk at a time instead
-  of one float at a time;
+  draws of the proxy base pass, accumulated per interval;
 * :func:`interval_block_counts` -- interval-boundary slicing of the block
   columns into per-interval basic-block vectors for BBV profiling;
 * :class:`TwoLevelLRUReplay` -- a lean two-level LRU cache replay that is
   count-equivalent to the throwaway ``Cache`` pair the proxy feature pass
-  builds per call.
+  would otherwise build per call.
 
-Numpy policy: every kernel has a pure-python implementation that is the
-reference semantics; when numpy is importable (it is an *optional*
-accelerator, never a dependency) a vectorized fast path is used instead.
-The two are bit/float-identical -- the miss draws hash 64-bit lattices
-whose wraparound arithmetic maps 1:1 onto ``uint64`` vectors, and every
-count is an exact integer -- and the differential suite in
-``tests/test_kernels.py`` holds them to that.  Set ``REPRO_NO_NUMPY=1``
-to force the fallback, and ``REPRO_NO_BATCH=1`` to disable the batched
-passes entirely (the block-by-block interpreters remain in place as the
-reference implementations).
+Each kernel is plain Python and the only implementation of its pass;
+profiles and proxy features are persisted and compared across processes,
+so ``tests/test_kernels.py`` pins their results to golden digests.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+from .backend.dcache import _hash01
 
 __all__ = [
-    "numpy_or_none",
-    "batch_disabled",
     "grouped_load_miss_counts",
     "interval_block_counts",
     "TwoLevelLRUReplay",
 ]
 
-_M64 = (1 << 64) - 1
-#: splitmix64-style lattice constants; must match ``backend.dcache._hash01``.
-_MIX_A = 0x9E3779B97F4A7C15
-_MIX_B = 0xD1B54A32D192ED03
-_MIX_C = 0xBF58476D1CE4E5B9
+#: Salt of the L2 data-miss draw; must match ``DataCacheModel``.
 _L2_SALT = 0x5A5A5A5A
-
-
-def _probe_numpy():
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - image always ships numpy
-        return None
-    return numpy
-
-
-_NP = _probe_numpy()
-
-
-def numpy_or_none():
-    """The numpy module when the fast path is enabled, else ``None``."""
-    return _NP
-
-
-def set_numpy_enabled(enabled: bool) -> bool:
-    """Toggle the numpy fast path (test hook); returns the new state."""
-    global _NP
-    _NP = _probe_numpy() if enabled else None
-    return _NP is not None
-
-
-def batch_disabled() -> bool:
-    """True when ``REPRO_NO_BATCH`` forces the block-by-block passes."""
-    return bool(os.environ.get("REPRO_NO_BATCH"))
-
-
-def _hash01(index: int, salt: int) -> float:
-    """Scalar reference draw; identical to ``backend.dcache._hash01``."""
-    x = (index * _MIX_A + salt * _MIX_B) & _M64
-    x ^= x >> 29
-    x = (x * _MIX_C) & _M64
-    x ^= x >> 32
-    return (x & 0xFFFFFFFF) / 2**32
-
-
-def _hash01_array(np, start_index: int, count: int, salt: int):
-    """Vectorized ``_hash01`` over dynamic load indices ``start..start+n``.
-
-    ``uint64`` wraparound reproduces the python ``& _M64`` masking bit for
-    bit; the salt product is pre-masked because it is a python int.
-    """
-    index = np.arange(start_index, start_index + count, dtype=np.uint64)
-    x = index * np.uint64(_MIX_A) + np.uint64((salt * _MIX_B) & _M64)
-    x ^= x >> np.uint64(29)
-    x *= np.uint64(_MIX_C)
-    x ^= x >> np.uint64(32)
-    return (x & np.uint64(0xFFFFFFFF)).astype(np.float64) / 2**32
 
 
 def grouped_load_miss_counts(
@@ -111,49 +45,20 @@ def grouped_load_miss_counts(
 
     ``chunks`` is the dynamic-order sequence of ``(group, probs)`` pairs
     -- ``probs`` being the per-LOAD miss probabilities of one contiguous
-    chunk -- exactly as the block-by-block loop would visit them; the
-    dynamic load index therefore runs ``start_index, start_index+1, ...``
+    chunk -- in dynamic order; the dynamic load index therefore runs ``start_index, start_index+1, ...``
     across the concatenation.  Returns per-group L1-D and L2 miss counts.
     """
     d_out = [0] * group_count
     dm_out = [0] * group_count
-    np = _NP
-    if np is None:
-        index = start_index
-        l2_salt = seed ^ _L2_SALT
-        for group, probs in chunks:
-            for miss_prob in probs:
-                if _hash01(index, seed) < miss_prob:
-                    d_out[group] += 1
-                    if _hash01(index, l2_salt) < l2_rate:
-                        dm_out[group] += 1
-                index += 1
-        return d_out, dm_out
-    groups: List[int] = []
-    counts: List[int] = []
-    flat: List[float] = []
+    index = start_index
+    l2_salt = seed ^ _L2_SALT
     for group, probs in chunks:
-        if probs:
-            groups.append(group)
-            counts.append(len(probs))
-            flat.extend(probs)
-    total = len(flat)
-    if total == 0:
-        return d_out, dm_out
-    miss = _hash01_array(np, start_index, total, seed) < np.array(
-        flat, dtype=np.float64
-    )
-    if miss.any():
-        group_ids = np.repeat(
-            np.array(groups, dtype=np.int64), np.array(counts, dtype=np.int64)
-        )
-        for group, value in zip(*np.unique(group_ids[miss], return_counts=True)):
-            d_out[int(group)] = int(value)
-        l2_miss = miss & (
-            _hash01_array(np, start_index, total, seed ^ _L2_SALT) < l2_rate
-        )
-        for group, value in zip(*np.unique(group_ids[l2_miss], return_counts=True)):
-            dm_out[int(group)] = int(value)
+        for miss_prob in probs:
+            if _hash01(index, seed) < miss_prob:
+                d_out[group] += 1
+                if _hash01(index, l2_salt) < l2_rate:
+                    dm_out[group] += 1
+            index += 1
     return d_out, dm_out
 
 
@@ -165,42 +70,12 @@ def interval_block_counts(
 ) -> List[Dict[int, int]]:
     """Slice the block columns into per-interval basic-block count vectors.
 
-    Equivalent to draining ``trace.iter_intervals`` over the same dynamic
-    block sequence: one dict per interval, keyed by block start address in
+    One dict per interval, keyed by block start address in
     first-occurrence order (BBV pickles hash the dict ordering, so the
-    order is part of the contract).  The columns must already cover
+    order is part of the contract).  A block execution that straddles an
+    interval boundary is split exactly.  The columns must already cover
     ``total_instructions``.
     """
-    np = _NP
-    if np is None:
-        return _interval_block_counts_python(
-            addrs, sizes, total_instructions, interval_length
-        )
-    sizes_np = np.frombuffer(sizes, dtype=np.int64)
-    addrs_np = np.frombuffer(addrs, dtype=np.int64)
-    ends = np.cumsum(sizes_np)
-    starts = ends - sizes_np
-    out: List[Dict[int, int]] = []
-    position = 0
-    while position < total_instructions:
-        end = min(position + interval_length, total_instructions)
-        first = int(np.searchsorted(ends, position, side="right"))
-        last = int(np.searchsorted(ends, end - 1, side="right"))
-        block_addrs = addrs_np[first : last + 1]
-        contrib = np.minimum(ends[first : last + 1], end) - np.maximum(
-            starts[first : last + 1], position
-        )
-        unique, first_index, inverse = np.unique(
-            block_addrs, return_index=True, return_inverse=True
-        )
-        sums = np.bincount(inverse, weights=contrib)
-        order = np.argsort(first_index, kind="stable")
-        out.append({int(unique[j]): int(sums[j]) for j in order})
-        position = end
-    return out
-
-
-def _interval_block_counts_python(addrs, sizes, total_instructions, interval_length):
     out: List[Dict[int, int]] = []
     counts: Dict[int, int] = {}
     emitted = 0
@@ -226,18 +101,18 @@ def _interval_block_counts_python(addrs, sizes, total_instructions, interval_len
 class TwoLevelLRUReplay:
     """Lean L1-I/L2 miss-count replay for the proxy feature pass.
 
-    ``proxy.functional_profile`` builds two throwaway :class:`Cache`
-    objects per call only to count fills that miss; the stamp-based LRU
-    bookkeeping dominates that loop.  Each cache set here is a plain dict
-    used as an ordered LRU (move-to-end on touch, evict the first key):
+    ``proxy.functional_profile`` only needs to count the fills that miss
+    in a throwaway :class:`Cache` pair, whose stamp-based LRU bookkeeping
+    would dominate the loop.  Each cache set here is a plain dict used
+    as an ordered LRU (move-to-end on touch, evict the first key):
     because the stamp clock in ``memory.replacement.LRUPolicy`` is
     strictly increasing, insertion order *is* stamp order, so the victim
     choice -- and therefore every hit/miss count -- is identical.  Only
     counts escape this class, never cache state, so the equivalence is
     all that matters.
 
-    The replay mirrors the exact probe/fill sequence of the interpreter
-    loop: ``contains(l1)`` then ``contains(l2)`` then ``l2.fill`` then
+    The replay mirrors the exact probe/fill sequence of a Cache pair:
+    ``contains(l1)`` then ``contains(l2)`` then ``l2.fill`` then
     ``l1.fill`` -- with the hit-path touches that implies.
     """
 
@@ -306,7 +181,7 @@ class TwoLevelLRUReplay:
             if cset is None:
                 cset = l1_sets[index] = {}
             if line in cset:
-                # L1 hit: the interpreter still calls l1.fill -> touch.
+                # L1 hit: a Cache pair still calls l1.fill -> touch.
                 del cset[line]
                 cset[line] = True
                 continue

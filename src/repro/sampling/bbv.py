@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .. import kernels
-from ..workloads.trace import CompiledTrace, IntervalRecord, Workload
+from ..workloads.trace import IntervalRecord, Workload
 
 #: Default projected dimensionality (SimPoint uses 15).
 DEFAULT_PROJECTION_DIM = 16
@@ -93,76 +93,36 @@ def profile_workload(
 ) -> BBVProfile:
     """Replay ``total_instructions`` of the correct path into a profile.
 
-    Purely functional (one walker pass, no caches or timing touched), and
-    deterministic per workload seed -- interval ``i`` of the profile is
-    exactly instructions ``[i*L, (i+1)*L)`` of any simulation run.
-
-    When the workload carries a compiled trace the intervals are sliced
-    wholesale from its columnar arrays by the batch kernels
-    (:func:`repro.kernels.interval_block_counts`) -- bit-identical to the
-    block-by-block walk, including the first-occurrence key order of each
-    interval's ``block_counts`` (pickled profile bytes depend on it).
+    Purely functional (no caches or timing touched), and deterministic
+    per workload seed -- interval ``i`` of the profile is exactly
+    instructions ``[i*L, (i+1)*L)`` of any simulation run.  The intervals
+    are sliced wholesale from the workload's compiled trace columns by
+    :func:`repro.kernels.interval_block_counts`, which keeps each
+    interval's ``block_counts`` in first-occurrence key order (pickled
+    profile bytes depend on it).
     """
+    if interval_length <= 0:
+        raise ValueError("interval_length must be positive")
     trace = workload._compiled_trace
-    if (trace is not None and total_instructions > 0 and interval_length > 0
-            and not kernels.batch_disabled()):
-        intervals = _compiled_intervals(
-            trace, total_instructions, interval_length
-        )
-    else:
-        intervals = tuple(
-            workload.iter_intervals(interval_length, total_instructions)
-        )
+    trace.cover(total_instructions)
+    counts = kernels.interval_block_counts(
+        trace.addr, trace.size, total_instructions, interval_length
+    )
     return BBVProfile(
         workload=workload.name,
         seed=workload.profile.seed,
         interval_length=interval_length,
         total_instructions=total_instructions,
-        intervals=intervals,
+        intervals=tuple(
+            IntervalRecord(
+                index=i,
+                start_instruction=i * interval_length,
+                length=min(
+                    interval_length, total_instructions - i * interval_length
+                ),
+                block_counts=block_counts,
+            )
+            for i, block_counts in enumerate(counts)
+        ),
     )
 
-
-def _ensure_block_coverage(trace: CompiledTrace, total_instructions: int) -> None:
-    """Extend the trace columns until they cover ``total_instructions``."""
-    np = kernels.numpy_or_none()
-    if np is None:
-        covered = 0
-        index = 0
-        size_a = trace.size
-        while covered < total_instructions:
-            if index >= len(size_a):
-                trace.ensure(index + 255)
-            covered += size_a[index]
-            index += 1
-        return
-    while True:
-        # Views are created fresh each round: ensure() reallocates the
-        # backing arrays as it appends.
-        covered = int(np.frombuffer(trace.size, dtype=np.int64).sum())
-        if covered >= total_instructions:
-            return
-        blocks = len(trace.size)
-        mean = max(1.0, covered / max(1, blocks))
-        deficit = int((total_instructions - covered) / mean) + 16
-        trace.ensure(blocks + deficit)
-
-
-def _compiled_intervals(
-    trace: CompiledTrace, total_instructions: int, interval_length: int
-) -> Tuple[IntervalRecord, ...]:
-    """Interval records sliced from the compiled block columns."""
-    _ensure_block_coverage(trace, total_instructions)
-    counts = kernels.interval_block_counts(
-        trace.addr, trace.size, total_instructions, interval_length
-    )
-    return tuple(
-        IntervalRecord(
-            index=i,
-            start_instruction=i * interval_length,
-            length=min(
-                interval_length, total_instructions - i * interval_length
-            ),
-            block_counts=block_counts,
-        )
-        for i, block_counts in enumerate(counts)
-    )

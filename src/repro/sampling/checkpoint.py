@@ -48,11 +48,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple, Union
 
 from ..cache.keys import content_key, stable_repr
-from ..cache.shared import (
-    SharedObjectUnavailable,
-    dumps_with_workload,
-    loads_with_workload,
-)
+from ..cache.shared import dumps_with_workload, loads_with_workload
 from ..cache.store import ArtifactStore, active_store
 from ..simulator.config import SimulationConfig
 from ..simulator.simulator import Simulator, SimulatorCheckpoint
@@ -205,10 +201,6 @@ class CheckpointStore:
             return None
         try:
             state = loads_with_workload(data, workload)
-        except SharedObjectUnavailable:
-            # References a compiled trace this process lacks: still
-            # usable by other processes, so leave it on disk.
-            return None
         except Exception:
             disk.stats.corrupt += 1
             disk.discard("checkpoint", disk_key)
@@ -216,20 +208,6 @@ class CheckpointStore:
         checkpoint = SimulatorCheckpoint(state)
         self._checkpoints[key] = checkpoint
         return checkpoint
-
-    def peek_warm_checkpoint(
-        self, config: SimulationConfig, workload: Workload
-    ) -> Optional[SimulatorCheckpoint]:
-        """The cached warm checkpoint, or ``None`` without building one.
-
-        A one-shot sweep visits each (configuration, benchmark) once, so
-        eagerly snapshotting warm state it will never restore again is
-        pure overhead; the sampled runner peeks and falls back to a fresh
-        ``Simulator`` + ``warm_up()`` (functionally identical state) when
-        nothing is cached.
-        """
-        key = (_config_key(config), workload.name, workload.profile.seed)
-        return self._checkpoints.get(key)
 
     def warm_checkpoint_if_revisited(
         self, config: SimulationConfig, workload: Workload
@@ -336,10 +314,6 @@ class CheckpointStore:
             return None
         try:
             state = loads_with_workload(data, workload)
-        except SharedObjectUnavailable:
-            # References a compiled trace this process lacks: still
-            # usable by other processes, so leave it on disk.
-            return None
         except Exception:
             disk.stats.corrupt += 1
             disk.discard("positioned", disk_key)
@@ -463,10 +437,6 @@ class CheckpointStore:
             return None
         try:
             state = loads_with_workload(data, workload)
-        except SharedObjectUnavailable:
-            # References a compiled trace this process lacks: still
-            # usable by other processes, so leave it on disk.
-            return None
         except Exception:
             disk.stats.corrupt += 1
             disk.discard("frontier", disk_key)

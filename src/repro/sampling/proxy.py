@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .. import kernels
-from ..backend.dcache import _hash01
 from ..frontend.stream_predictor import StreamPredictor
 from ..memory.hierarchy import MemoryHierarchy
 from ..simulator.config import SimulationConfig
@@ -147,90 +146,11 @@ def _base_pass(
         line_size=config.line_size,
     )
     predictor = artifacts.predictor.clone()
-    if workload._compiled_trace is not None and not kernels.batch_disabled():
-        result = _base_pass_batched(
-            workload, config, predictor, total_instructions, interval_length
-        )
-    else:
-        result = _base_pass_generic(
-            workload, config, predictor, total_instructions, interval_length
-        )
-    _BASE_CACHE[key] = result
-    return result
-
-
-def _base_pass_generic(
-    workload: Workload,
-    config: SimulationConfig,
-    predictor: StreamPredictor,
-    total_instructions: int,
-    interval_length: int,
-) -> tuple:
-    """Block-by-block reference walk (kept for trace-less workloads and
-    as the differential baseline for the batched path)."""
-    oracle = workload.new_oracle()
-    load_miss_probs = workload.bbdict.load_miss_probs
-    seed = workload.profile.seed
-    l2_data_rate = workload.profile.l2_data_miss_rate
-    history = 0
-    load_index = 0
-    consumed = 0
-    count = -(-total_instructions // interval_length)      # ceil division
-    rows = [dict(m=0, d=0, dm=0) for _ in range(count)]
-    spans: List[List[Tuple[int, int]]] = [[] for _ in range(count)]
-    while consumed < total_instructions:
-        addr = oracle.current_address()
-        actual = oracle.peek_stream(config.max_stream_instructions)
-        prediction = predictor.predict(addr, history)
-        predictor.train(addr, history, actual)
-        take = min(actual.length, total_instructions - consumed)
-        # A prediction is one event; it belongs to the interval where the
-        # stream starts.  Loads and line spans are split exactly at
-        # interval boundaries (like trace.iter_intervals) so per-interval
-        # counts stay exact even when a stream straddles a boundary.
-        if (prediction.length != actual.length
-                or prediction.next_addr != actual.next_addr):
-            rows[consumed // interval_length]["m"] += 1
-        done = 0
-        while done < take:
-            index = (consumed + done) // interval_length
-            boundary = (index + 1) * interval_length
-            chunk = min(take - done, boundary - (consumed + done))
-            chunk_addr = addr + done * INSTRUCTION_BYTES
-            row = rows[index]
-            for miss_prob in load_miss_probs(chunk_addr, chunk):
-                if _hash01(load_index, seed) < miss_prob:
-                    row["d"] += 1
-                    if _hash01(load_index, seed ^ 0x5A5A5A5A) < l2_data_rate:
-                        row["dm"] += 1
-                load_index += 1
-            spans[index].append((chunk_addr, chunk))
-            done += chunk
-        if actual.length <= take:
-            history = StreamPredictor.fold_history(
-                history, actual.next_addr, actual.ends_taken
-            )
-        oracle.advance(take)
-        consumed += take
-    return (rows, spans)
-
-
-def _base_pass_batched(
-    workload: Workload,
-    config: SimulationConfig,
-    predictor: StreamPredictor,
-    total_instructions: int,
-    interval_length: int,
-) -> tuple:
-    """:func:`_base_pass_generic` over the canonical stream segmentation.
-
-    The walk strides over pre-segmented streams (no ``peek_stream``
-    re-derivation); the miss-draw loop is deferred entirely -- chunks
-    record their probability tuples in dynamic order, and one call to
-    :func:`repro.kernels.grouped_load_miss_counts` accumulates every
-    interval's L1-D/L2 counts at the end.  Bit-identical to the generic
-    pass (``tests/test_kernels.py`` holds both paths together).
-    """
+    # The walk strides over the canonical stream segmentation (no
+    # ``peek_stream`` re-derivation); the miss-draw loop is deferred
+    # entirely -- chunks record their probability tuples in dynamic
+    # order, and one call to :func:`repro.kernels.grouped_load_miss_counts`
+    # accumulates every interval's L1-D/L2 counts at the end.
     segments = workload._compiled_trace.segments(
         config.max_stream_instructions
     )
@@ -259,6 +179,10 @@ def _base_pass_batched(
         predicted_length, predicted_next = predict_pair(addr, history)
         train(addr, history, length, next_addr, kind_l[i])
         take = min(length, total_instructions - consumed)
+        # A prediction is one event; it belongs to the interval where the
+        # stream starts.  Loads and line spans are split exactly at
+        # interval boundaries so per-interval counts stay exact even when
+        # a stream straddles a boundary.
         if predicted_length != length or predicted_next != next_addr:
             rows[consumed // interval_length]["m"] += 1
         done = 0
@@ -281,7 +205,9 @@ def _base_pass_batched(
     for row, d, dm in zip(rows, d_counts, dm_counts):
         row["d"] = d
         row["dm"] = dm
-    return (rows, spans)
+    result = (rows, spans)
+    _BASE_CACHE[key] = result
+    return result
 
 
 def functional_profile(

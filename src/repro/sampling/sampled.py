@@ -7,13 +7,15 @@ and reports work unchanged.  The flow per (configuration, benchmark):
 
 1. profile the workload's correct path into basic-block vectors and pick
    K representative intervals with weights (cached per benchmark),
-2. build one simulator, warm it up once, checkpoint it (cached per
-   configuration x benchmark),
-3. for each selected interval, in start order: restore the previous
-   checkpoint, functionally fast-forward to the interval start
-   (:meth:`Simulator.skip_to` -- predictor keeps training, caches keep
-   filling), checkpoint again so the next interval only skips the delta,
-   then run the interval timed,
+2. cut the selection into contiguous segments and, per segment in start
+   order, restore the deepest checkpoint at or before its start (the
+   warm state, cached per configuration x benchmark, or the post-skip
+   state an earlier segment published), functionally fast-forward to the
+   segment start (:meth:`Simulator.skip_to` -- predictor keeps training,
+   caches keep filling), checkpoint again so the next segment only skips
+   the delta, then run the segment's intervals timed -- in-process, or
+   fanned across the worker pool with ``interval_jobs``,
+3. take each interval's counters as the delta over its timed stretch,
 4. combine the per-interval results into one weighted estimate
    (:func:`repro.simulator.stats.weighted_aggregate`).
 
@@ -149,118 +151,36 @@ def _measure_intervals(
     spec: SamplingSpec,
     store: CheckpointStore,
 ):
-    """Simulate the selected intervals; returns (interval results, weights).
+    """Simulate the selected intervals in-process; returns (interval
+    results, weights).
 
-    Adjacent intervals continue one timed stretch; distant ones are
-    reached by restoring the warm jump base and functionally skipping.
+    The serial walk is the parallel path run in order: each contiguous
+    segment is measured by :func:`_measure_segment`, and a jumped segment
+    publishes its post-skip state, so the next one resumes from that
+    prefix instead of skipping from the warm state.
     """
-    simulator = Simulator(config, workload)
-    cursor = None        # jump base: a checkpoint at the furthest warm point
-    cursor_offset = 0    # instruction offset of `cursor` (0 = warm state)
+    segments = _segments(selection.intervals)
+    persistent = store.artifact_store() is not None
     interval_results: List[SimulationResult] = []
-    weights: List[float] = []
-    position: Optional[int] = None   # correct-path offset simulated so far
-    segment_after: Optional[SimulationResult] = None
-    segment_target = 0               # cumulative run target in this segment
-    intervals = selection.intervals              # sorted by start
-    # A "jump" is any interval that does not continue the previous timed
-    # segment; checkpoints are only worth taking when another jump will
-    # come back for them.
-    jump_flags = [
-        i == 0 and interval.start_instruction != 0
-        or i > 0 and interval.start_instruction
-        != intervals[i - 1].start_instruction + intervals[i - 1].length
-        for i, interval in enumerate(intervals)
-    ]
-    for i, interval in enumerate(intervals):
-        if position is not None and interval.start_instruction == position:
-            # Adjacent to the previous measured interval: keep the timed
-            # run going -- no checkpoint restore, no discarded warm-up,
-            # and the machine state is the exact full-run state.
-            before = segment_after
-            segment_target += interval.length
-            after = simulator.run(segment_target)
-        elif position is None and interval.start_instruction == 0:
-            # First interval at the very beginning (always true for
-            # stratified selections: interval 0 represents itself):
-            # plain warm-up, exactly like a full run starts.
-            simulator.warm_up()
-            before = None
-            segment_target = interval.length
-            after = simulator.run(segment_target)
-        else:
-            # Jump: reset to the deepest warm state at or before the
-            # target, functionally fast-forward the remaining prefix,
-            # and refill the pipeline with a timed-but-discarded warm
-            # stretch.
-            warm_len = min(spec.detail_warmup, interval.start_instruction)
-            skip_target = interval.start_instruction - warm_len
-            # Prefer the deepest usable prefix: a positioned checkpoint
-            # published by an earlier run (possibly under a different
-            # budget or interval selection) beats re-skipping from this
-            # run's own cursor -- and on the first jump, from the warm
-            # checkpoint -- whenever its offset is strictly deeper.
-            # Skips are split-invariant, so every path lands in the same
-            # state.
-            positioned = None
-            if cursor is None or cursor_offset < skip_target:
-                positioned = store.positioned_checkpoint(
-                    config, workload, skip_target, min_offset=cursor_offset)
-            if positioned is not None:
-                cursor_offset, cursor = positioned
-                simulator.restore(cursor)
-            elif cursor is not None:
-                simulator.restore(cursor)
-            else:
-                cursor = store.jump_base_checkpoint(config, workload)
-                if cursor is not None:
-                    simulator.restore(cursor)
-                elif position is None:
-                    # Nothing measured yet: the simulator is pristine.
-                    simulator.warm_up()
-                else:
-                    # Nothing cached: a fresh warmed simulator is the
-                    # same state, minus the cost of snapshotting state
-                    # this one-shot run would never restore again.
-                    simulator = Simulator(config, workload)
-                    simulator.warm_up()
-            simulator.skip_to(skip_target)
-            if any(jump_flags[i + 1:]) or store.artifact_store() is not None:
-                # Checkpoint ahead of the interval: the next jump of this
-                # run restores here and only skips the delta, and -- when
-                # the artifact store is live -- any later run whose skip
-                # targets land at or beyond this offset resumes from it
-                # instead of from offset 0 (skips are split-invariant, so
-                # the continuation is bit-identical either way).  A cursor
-                # already sitting exactly at the target (a positioned hit
-                # at this very offset) IS that state: re-snapshotting it
-                # would deep-copy the whole machine for nothing, so only
-                # the (presence-checked, usually no-op) publish runs.
-                if cursor is None or cursor_offset != skip_target:
-                    cursor = simulator.snapshot()
-                    cursor_offset = skip_target
-                store.publish_positioned(config, workload, skip_target,
-                                         cursor)
-            before = simulator.run(warm_len) if warm_len else None
-            segment_target = warm_len + interval.length
-            after = simulator.run(segment_target)
-        interval_results.append(result_delta(after, before))
-        weights.append(interval.weight)
-        segment_after = after
-        position = interval.start_instruction + interval.length
-    return interval_results, weights
+    for n, indices in enumerate(segments):
+        # A post-skip snapshot is worth its deep copy only when a later
+        # segment -- or, through the store, a later run -- restores it.
+        interval_results += _measure_segment(
+            config, workload, selection, spec, indices, store,
+            publish=persistent or n + 1 < len(segments))
+    return interval_results, [interval.weight
+                              for interval in selection.intervals]
 
 
 def _segments(intervals) -> List[Tuple[int, ...]]:
     """Partition a sorted interval selection into maximal contiguous runs.
 
-    Two intervals belong to the same segment exactly when the serial walk
-    in :func:`_measure_intervals` would take its *adjacent* branch for the
-    second one (``start == previous start + previous length``): within a
-    segment one timed stretch covers every interval, across segments the
-    walk restores a checkpoint and functionally skips.  Segments are
-    therefore the independent units of a sampled run -- each element is a
-    tuple of indices into ``intervals``.
+    Two intervals belong to the same segment exactly when the second
+    continues the first (``start == previous start + previous length``):
+    within a segment one timed stretch covers every interval, across
+    segments the walk restores a checkpoint and functionally skips.
+    Segments are therefore the independent units of a sampled run -- each
+    element is a tuple of indices into ``intervals``.
     """
     segments: List[Tuple[int, ...]] = []
     current = [0]
@@ -284,19 +204,22 @@ def _measure_segment(
     spec: SamplingSpec,
     indices: Sequence[int],
     store: CheckpointStore,
+    *,
+    publish: bool,
 ) -> List[SimulationResult]:
     """Measure one contiguous segment of selected intervals.
 
-    Mirrors the per-branch logic of :func:`_measure_intervals` exactly:
-    the first interval either starts at instruction 0 (plain warm-up,
-    like a full run) or is a jump (restore the deepest usable prefix --
-    a positioned checkpoint published through the artifact store, else
+    The first interval either starts at instruction 0 (plain warm-up,
+    like a full run) or is a jump: restore the deepest usable prefix --
+    a positioned checkpoint published by an earlier segment or run, else
     the warm jump base -- then functionally skip the remaining delta and
-    refill the pipeline with a timed-but-discarded warm stretch); every
+    refill the pipeline with a timed-but-discarded warm stretch.  Every
     subsequent interval continues the one timed run.  Functional skips
     are split-invariant and restore/warm-up states are bit-identical by
-    construction, so the returned deltas equal the corresponding slice
-    of the serial walk bit for bit, whichever process measures them.
+    construction, so the returned deltas are the same bit for bit
+    whichever prefix was restored and whichever process measures them.
+    ``publish`` records the post-skip state of a jump as a positioned
+    checkpoint for later segments and runs.
     """
     intervals = selection.intervals
     first = intervals[indices[0]]
@@ -321,9 +244,8 @@ def _measure_segment(
             else:
                 simulator.warm_up()
         simulator.skip_to(skip_target)
-        if store.artifact_store() is not None \
-                and cursor_offset != skip_target and skip_target > 0:
-            # Publish the post-skip state so sibling segments (and later
+        if publish and cursor_offset != skip_target and skip_target > 0:
+            # Publish the post-skip state so later segments (and later
             # runs) resume from this prefix instead of skipping from 0.
             store.publish_positioned(config, workload, skip_target,
                                      simulator.snapshot())
@@ -364,7 +286,7 @@ def _execute_segment(task) -> Tuple[SimulationResult, ...]:
             f"interval(s) but segment references {task.indices!r}; "
             "selection diverged across processes")
     return tuple(_measure_segment(task.config, workload, selection, spec,
-                                  task.indices, store))
+                                  task.indices, store, publish=True))
 
 
 def _measure_intervals_parallel(
@@ -378,7 +300,7 @@ def _measure_intervals_parallel(
 ):
     """Fan the selection's contiguous segments across the shared pool.
 
-    Returns ``(interval results, weights)`` bit-identical to
+    Returns ``(interval results, weights)`` bit-identical to the serial
     :func:`_measure_intervals`, or ``None`` when intra-run parallelism
     is unavailable -- fewer than two segments, already inside a pool
     worker (daemonic workers cannot nest pools), no persistent artifact

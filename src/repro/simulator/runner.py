@@ -183,9 +183,9 @@ def _execute_single(
     if cached is not None:
         return cached
     workload = get_workload(benchmark)
-    # With the artifact cache enabled the correct-path walk replays from
-    # a compiled trace (persisted once per workload); disabled, the
-    # walker-backed stream produces the bit-identical sequence.
+    # With the artifact cache enabled the compiled trace is persisted
+    # once per workload and loaded by every later process; disabled, the
+    # workload's own trace compiles the same walk in memory.
     ensure_compiled_trace(
         workload, max(total, config.resolved_warmup_instructions())
     )

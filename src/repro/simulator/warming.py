@@ -32,11 +32,10 @@ from typing import Dict, List, Optional, Tuple
 from ..cache.keys import content_key
 from ..cache.store import active_store
 from ..frontend.stream_predictor import StreamPredictor
-from ..kernels import batch_disabled
 from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
 from ..workloads.isa import INSTRUCTION_BYTES, BranchKind, span_lines
-from ..workloads.trace import ActualStream, CompiledPathOracle, Workload
+from ..workloads.trace import ActualStream, Workload
 
 
 @dataclass
@@ -258,26 +257,21 @@ def functional_advance(
                 prediction._skip_partial = (
                     oracle.consumed_instructions, actual, consumed + take
                 )
-    # Batched stride: when the oracle replays a compiled trace and the
-    # cursor sits exactly on a canonical stream boundary, consume whole
-    # pre-segmented streams straight from the segment columns -- no
-    # peek_stream re-derivation, no per-block dict work, O(1) cursor
-    # jumps.  A cursor left mid-stream by the timed loop realigns after
-    # the next taken-ended stream (see StreamSegments), so at most a few
-    # generic iterations run before the batched path takes over.
-    batchable = (
-        isinstance(oracle, CompiledPathOracle) and not batch_disabled()
-    )
+    # Batched stride: once the cursor sits exactly on a canonical stream
+    # boundary, consume whole pre-segmented streams straight from the
+    # segment columns -- no peek_stream re-derivation, no per-block dict
+    # work, O(1) cursor jumps.  A cursor left mid-stream by the timed loop
+    # realigns after the next taken-ended stream (see StreamSegments), so
+    # the per-stream loop below only runs those few realigning streams.
+    segments = oracle.segments(prediction.max_stream)
     while oracle.consumed_instructions < target_instructions:
-        if batchable:
-            segments = oracle.segments(prediction.max_stream)
-            index = segments.aligned_index(oracle.consumed_instructions)
-            if index is not None:
-                loads += _advance_segments(
-                    prediction, hierarchy, segments, index,
-                    target_instructions, fill_caches, line_size,
-                )
-                break
+        index = segments.aligned_index(oracle.consumed_instructions)
+        if index is not None:
+            loads += _advance_segments(
+                prediction, hierarchy, segments, index,
+                target_instructions, fill_caches, line_size,
+            )
+            break
         addr = oracle.current_address()
         actual = oracle.peek_stream(prediction.max_stream)
         predictor.train(addr, prediction.history, actual)
@@ -312,13 +306,13 @@ def _advance_segments(
 ) -> int:
     """Consume canonical streams from segment ``index`` up to the target.
 
-    Performs exactly the per-stream work of the generic loop in
+    Performs exactly the per-stream work of the realigning loop in
     :func:`functional_advance` -- predictor training, RAS/history
     updates, load counting and cache fills -- but reads every stream from
     the shared :class:`~repro.workloads.trace.StreamSegments` columns and
     moves the oracle cursor once at the end.  Returns the skipped load
     count; always reaches the target (cutting the final stream and
-    recording ``_skip_partial`` exactly like the generic path).
+    recording ``_skip_partial`` exactly like the realigning loop).
     """
     oracle = prediction.oracle
     ras = prediction.ras
@@ -377,7 +371,7 @@ def _advance_segments(
             i += 1
         else:
             # The stream straddles the target: consume only the prefix
-            # and remember the cut stream, as the generic path does.
+            # and remember the cut stream, as the realigning loop does.
             take = remaining
             loads += bbdict.loads_for(addr, take)
             if fill_caches:
@@ -401,37 +395,3 @@ def _advance_segments(
     prediction.history = history
     return loads
 
-
-def functional_warmup(
-    workload: Workload,
-    predictor: StreamPredictor,
-    hierarchy: Optional[MemoryHierarchy],
-    instructions: int,
-    max_stream_instructions: int = 64,
-    warm_caches: bool = True,
-) -> int:
-    """Uncached, in-place warm-up (kept for tests and simple callers).
-
-    Trains ``predictor`` and fills the caches directly; returns the number
-    of instructions replayed.
-    """
-    if instructions <= 0:
-        return 0
-    oracle = workload.new_oracle()
-    history = 0
-    replayed = 0
-    line_size = hierarchy.line_size if hierarchy is not None else 64
-    while replayed < instructions:
-        addr = oracle.current_address()
-        actual = oracle.peek_stream(max_stream_instructions)
-        predictor.train(addr, history, actual)
-        history = StreamPredictor.fold_history(
-            history, actual.next_addr, actual.ends_taken
-        )
-        if warm_caches and hierarchy is not None:
-            for line in span_lines(addr, actual.length, line_size):
-                hierarchy.l2.fill(line)
-                hierarchy.l1.fill(line)
-        oracle.advance(actual.length)
-        replayed += actual.length
-    return replayed

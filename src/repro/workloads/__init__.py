@@ -13,7 +13,7 @@ from .spec2000 import (
 )
 from .trace import (
     ActualStream,
-    CorrectPathOracle,
+    CompiledPathOracle,
     DynamicBlock,
     ProgramWalker,
     Workload,
@@ -24,8 +24,8 @@ __all__ = [
     "BasicBlock",
     "BasicBlockDictionary",
     "BranchKind",
+    "CompiledPathOracle",
     "ControlFlowGraph",
-    "CorrectPathOracle",
     "DEFAULT_MIX",
     "DynamicBlock",
     "Function",

@@ -1,16 +1,23 @@
 """Dynamic execution of synthetic programs (trace production).
 
-Two layers:
+Three layers:
 
-* :class:`ProgramWalker` -- executes the CFG block by block along the
-  *correct* path (the committed path): it resolves conditional branch
-  outcomes with a seeded RNG, maintains the real call stack for returns,
-  and yields :class:`DynamicBlock` records.  Given the same profile/seed
-  the walk is identical across simulator configurations, so every fetch
-  engine is evaluated on exactly the same dynamic instruction stream
-  (mirroring trace-driven simulation in the paper).
+* :class:`ProgramWalker` -- the trace compiler.  It executes the CFG
+  block by block along the *correct* path (the committed path): it
+  resolves conditional branch outcomes with a seeded RNG, maintains the
+  real call stack for returns, and yields :class:`DynamicBlock` records.
+  Given the same profile/seed the walk is identical across simulator
+  configurations, so every fetch engine is evaluated on exactly the same
+  dynamic instruction stream (mirroring trace-driven simulation in the
+  paper).
 
-* :class:`CorrectPathOracle` -- a buffered cursor over the walker used by
+* :class:`CompiledTrace` -- the walk frozen into flat columnar arrays.
+  Every :class:`Workload` owns one: it starts empty and grows on demand,
+  or is replaced by a stored prefix (:mod:`repro.cache.traces`).
+  :class:`StreamSegments` cuts it into canonical fetch streams for the
+  batched functional passes.
+
+* :class:`CompiledPathOracle` -- the cursor over a compiled trace used by
   the decoupled front-end.  It can *peek* the upcoming fetch stream
   (sequential instructions up to and including the next taken control
   transfer), *advance* by a number of instructions (possibly stopping in
@@ -23,8 +30,8 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from .bbdict import BasicBlockDictionary
 from .cfg import ControlFlowGraph
@@ -100,7 +107,7 @@ class ProgramWalker:
 
     def snapshot(self) -> tuple:
         """Capture the walker state so an identical continuation can be
-        forked later (used by BlockStream's bounded shared prefix)."""
+        forked later (a compiled trace resumes its walk from it)."""
         return (
             self._pc,
             tuple(self._call_stack),
@@ -187,122 +194,20 @@ class IntervalRecord:
     block_counts: Dict[int, int]
 
 
-def iter_intervals(
-    walker: ProgramWalker,
-    interval_length: int,
-    total_instructions: int,
-) -> Iterator[IntervalRecord]:
-    """Walk the correct path and yield per-interval basic-block vectors.
-
-    The walk is the same deterministic correct path every simulation of
-    the workload executes, so interval ``i`` of the profile corresponds
-    exactly to instructions ``[i*L, (i+1)*L)`` of a timed run.  The final
-    interval may be shorter when ``total_instructions`` is not a multiple
-    of ``interval_length``.
-    """
-    if interval_length <= 0:
-        raise ValueError("interval_length must be positive")
-    if total_instructions <= 0:
-        return
-    emitted = 0
-    fill = 0
-    index = 0
-    counts: Dict[int, int] = {}
-    while emitted < total_instructions:
-        block = walker.next_block()
-        addr = block.addr
-        size = block.size
-        while size > 0 and emitted < total_instructions:
-            take = min(size, interval_length - fill,
-                       total_instructions - emitted)
-            counts[addr] = counts.get(addr, 0) + take
-            fill += take
-            emitted += take
-            size -= take
-            if fill == interval_length or emitted == total_instructions:
-                yield IntervalRecord(
-                    index=index,
-                    start_instruction=emitted - fill,
-                    length=fill,
-                    block_counts=counts,
-                )
-                index += 1
-                counts = {}
-                fill = 0
-
-
-class BlockStream:
-    """Lazily-materialised dynamic block sequence with a bounded prefix.
-
-    The correct-path walk is deterministic per profile seed, so the block
-    sequence can be computed once and *shared* between every oracle of a
-    workload (each simulation run, the warm-up walk, ...).  Sharing turns
-    the per-run walker cost (RNG draws, CFG lookups, block construction)
-    into a one-time cost per workload.
-
-    Only the first ``shared_limit`` blocks are retained (enough for the
-    warm-up walk plus typical runs); memory stays bounded no matter how
-    many instructions a run simulates.  Beyond the limit, :meth:`get`
-    returns ``None`` and the caller continues on a private walker forked
-    from :meth:`fork_tail_walker` -- the continuation is bit-identical to
-    simply walking further.
-    """
-
-    #: Retained blocks (~5 instructions each, so ~330k instructions).
-    DEFAULT_SHARED_LIMIT = 1 << 16
-
-    def __init__(self, walker: ProgramWalker,
-                 shared_limit: int = DEFAULT_SHARED_LIMIT):
-        self._walker = walker
-        self._blocks: List[DynamicBlock] = []
-        self.shared_limit = shared_limit
-        self._tail_state: Optional[tuple] = None
-
-    def get(self, index: int) -> Optional[DynamicBlock]:
-        """Block at ``index``, or ``None`` when past the shared prefix."""
-        blocks = self._blocks
-        if index < len(blocks):
-            return blocks[index]
-        if index >= self.shared_limit:
-            self._materialise(self.shared_limit)
-            return None
-        self._materialise(index + 1)
-        return blocks[index]
-
-    def _materialise(self, count: int) -> None:
-        blocks = self._blocks
-        next_block = self._walker.next_block
-        while len(blocks) < count:
-            blocks.append(next_block())
-        if len(blocks) >= self.shared_limit and self._tail_state is None:
-            self._tail_state = self._walker.snapshot()
-
-    def fork_tail_walker(self) -> ProgramWalker:
-        """A private walker positioned right after the shared prefix."""
-        self._materialise(self.shared_limit)
-        return ProgramWalker.from_snapshot(self._walker._cfg, self._tail_state)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-
 class CompiledTrace:
-    """A correct-path walk frozen into compact columnar arrays.
+    """A prefix of a correct-path walk frozen into compact columnar arrays.
 
-    Compiling replaces the per-process RNG walk (seeded branch draws, CFG
-    lookups, :class:`DynamicBlock` construction) with six flat ``array``
-    columns -- one machine word (or byte) per dynamic block -- that can
-    be pickled to disk once and replayed by every later process.  A
-    compiled trace is purely derived data: compiling workload ``W`` for
-    ``N`` instructions and walking ``W`` block by block produce the same
-    sequence, so array-backed replay is bit-identical to the walk (see
-    ``tests/test_artifact_cache.py``).
+    Six flat ``array`` columns -- one machine word (or byte) per dynamic
+    block -- replace the per-block RNG walk (seeded branch draws, CFG
+    lookups, :class:`DynamicBlock` construction) on every hot path, and
+    can be pickled to disk once and replayed by every later process.
 
-    ``tail_state`` is the walker snapshot taken right after the last
-    compiled block; a consumer that runs past the compiled prefix
-    continues on a private walker forked from it, extending the arrays
-    in place -- deterministic, so every consumer sees the same sequence
-    however far it reads.
+    The arrays cover the first ``compiled_instructions`` of the walk;
+    ``tail_state`` is the walker snapshot right after the last block.
+    :meth:`ensure` grows the arrays in place from there on demand --
+    deterministic, so every consumer sees the same sequence however far
+    it reads, and a trace that started empty (:meth:`empty`) replays
+    exactly what a stored prefix of the same walk does.
     """
 
     __slots__ = (
@@ -340,6 +245,20 @@ class CompiledTrace:
         # canonical stream segmentations, keyed by stream cap.
         self._segments: Dict[int, "StreamSegments"] = {}
 
+    @classmethod
+    def empty(
+        cls, profile: WorkloadProfile, cfg: ControlFlowGraph
+    ) -> "CompiledTrace":
+        """A trace of no blocks yet, positioned at the start of the walk."""
+        trace = cls(
+            profile.name, profile.seed, 0,
+            array("q"), array("q"), array("b"), array("b"),
+            array("q"), array("q"),
+            ProgramWalker(cfg, seed=profile.seed).snapshot(),
+        )
+        trace.bind(cfg)
+        return trace
+
     def __len__(self) -> int:
         return len(self.size)
 
@@ -356,30 +275,35 @@ class CompiledTrace:
         return segments
 
     def bind(self, cfg: ControlFlowGraph) -> None:
-        """Attach the CFG needed to extend past the compiled prefix."""
+        """Attach the CFG the walk continues on past the arrays."""
         self._cfg = cfg
 
     def ensure(self, index: int) -> None:
         """Materialise blocks up to and including ``index``."""
-        if index < len(self.size):
-            return
+        if index >= len(self.size):
+            self._grow(index + 1, 0)
+
+    def cover(self, instructions: int) -> None:
+        """Materialise blocks until the arrays cover ``instructions``."""
+        if instructions > self.compiled_instructions:
+            self._grow(0, instructions)
+
+    def _grow(self, blocks: int, instructions: int) -> None:
+        """Walk on until the arrays hold ``blocks`` blocks and cover
+        ``instructions`` instructions."""
         walker = self._tail_walker
         if walker is None:
-            if self._cfg is None:
-                raise RuntimeError(
-                    "compiled trace is not bound to a CFG; call "
-                    "Workload.attach_compiled_trace first"
-                )
             walker = ProgramWalker.from_snapshot(self._cfg, self._tail_state)
             self._tail_walker = walker
         next_block = walker.next_block
+        size = self.size
         append_addr = self.addr.append
-        append_size = self.size.append
+        append_size = size.append
         append_kind = self.kind.append
         append_taken = self.taken.append
         append_next = self.next_addr.append
         append_term = self.terminator_addr.append
-        while index >= len(self.size):
+        while len(size) < blocks or walker.instructions_executed < instructions:
             block = next_block()
             append_addr(block.addr)
             append_size(block.size)
@@ -387,9 +311,11 @@ class CompiledTrace:
             append_taken(1 if block.taken else 0)
             append_next(block.next_addr)
             append_term(block.terminator_addr)
+        self.compiled_instructions = walker.instructions_executed
 
     # -- pickling (the live CFG / tail walker never leave the process) --
     def __getstate__(self) -> dict:
+        walker = self._tail_walker
         return {
             "name": self.name,
             "seed": self.seed,
@@ -400,7 +326,8 @@ class CompiledTrace:
             "taken": self.taken,
             "next_addr": self.next_addr,
             "terminator_addr": self.terminator_addr,
-            "tail_state": self._tail_state,
+            "tail_state": (walker.snapshot() if walker is not None
+                           else self._tail_state),
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -413,32 +340,10 @@ class CompiledTrace:
 
 def compile_trace(workload: "Workload", instructions: int) -> CompiledTrace:
     """Walk ``workload``'s correct path once and freeze >= ``instructions``
-    of it into a :class:`CompiledTrace` (the same seeded walk every oracle
-    of the workload replays)."""
-    walker = ProgramWalker(workload.cfg, seed=workload.profile.seed)
-    addr = array("q")
-    size = array("q")
-    kind = array("b")
-    taken = array("b")
-    next_addr = array("q")
-    terminator_addr = array("q")
-    while walker.instructions_executed < instructions:
-        block = walker.next_block()
-        addr.append(block.addr)
-        size.append(block.size)
-        kind.append(block.kind)
-        taken.append(1 if block.taken else 0)
-        next_addr.append(block.next_addr)
-        terminator_addr.append(block.terminator_addr)
-    trace = CompiledTrace(
-        name=workload.profile.name,
-        seed=workload.profile.seed,
-        compiled_instructions=walker.instructions_executed,
-        addr=addr, size=size, kind=kind, taken=taken,
-        next_addr=next_addr, terminator_addr=terminator_addr,
-        tail_state=walker.snapshot(),
-    )
-    trace.bind(workload.cfg)
+    of it into a new :class:`CompiledTrace` (the prefix the artifact
+    cache publishes)."""
+    trace = CompiledTrace.empty(workload.profile, workload.cfg)
+    trace.cover(instructions)
     return trace
 
 
@@ -457,7 +362,7 @@ class StreamSegments:
     (e.g. a mispredict redirect stopping mid-stream in the timed loop)
     realign after the next *taken*-ended stream, because a capped stream
     never ends exactly at a taken block's terminator (``peek_stream``
-    extends through it) -- so every taken-block end the generic walk
+    extends through it) -- so every taken-block end a per-stream step
     stops at is also a boundary of the from-zero segmentation.
 
     Each segment row records, besides the :class:`ActualStream` fields,
@@ -602,13 +507,16 @@ class StreamSegments:
 
 
 class CompiledPathOracle:
-    """Array-backed drop-in for :class:`CorrectPathOracle`.
+    """Cursor over the correct-path walk of a :class:`CompiledTrace`.
 
-    Replays a :class:`CompiledTrace` with the same public API and the
-    same semantics (``current_address`` / ``peek_stream`` / ``advance`` /
-    ``consumed_instructions``) but reads the columnar arrays directly:
-    no RNG draws, no CFG lookups and no :class:`DynamicBlock` objects on
-    the timed or functional hot paths.
+    The front-end uses it to (a) learn what the correct path actually does
+    (for comparing against branch predictions and for training the
+    predictor) and (b) know where to resume after a misprediction
+    resolves.  The cursor is a ``(block index, instruction offset)`` pair
+    into the trace's columnar arrays, so the front-end can stop mid-block
+    when a predicted stream is shorter than the actual one, and no RNG
+    draws, CFG lookups or :class:`DynamicBlock` objects sit on the timed
+    or functional hot paths.
     """
 
     __slots__ = (
@@ -635,18 +543,24 @@ class CompiledPathOracle:
         self._consumed_instructions = 0
         self.max_stream_instructions = max_stream_instructions
 
-    # -- public API (mirrors CorrectPathOracle) -------------------------
+    # -- public API ------------------------------------------------------
     @property
     def consumed_instructions(self) -> int:
+        """Total correct-path instructions the front-end has moved past."""
         return self._consumed_instructions
 
     def current_address(self) -> int:
+        """Address of the next correct-path instruction to be fetched."""
         index = self._index
         if index >= len(self._size):
             self._trace.ensure(index)
         return self._addr[index] + self._offset * INSTRUCTION_BYTES
 
     def peek_stream(self, max_instructions: Optional[int] = None) -> ActualStream:
+        """The actual stream that begins at :meth:`current_address`.
+
+        Does not move the cursor.
+        """
         cap = max_instructions or self.max_stream_instructions
         addr_a, size_a, taken_a = self._addr, self._size, self._taken
         ensure = self._trace.ensure
@@ -711,6 +625,8 @@ class CompiledPathOracle:
         self._consumed_instructions = consumed_instructions
 
     def advance(self, n_instructions: int) -> None:
+        """Move the cursor forward by ``n_instructions`` along the correct
+        path (used after emitting a fetch block for those instructions)."""
         if n_instructions < 0:
             raise ValueError("cannot advance by a negative amount")
         size_a = self._size
@@ -734,150 +650,24 @@ class CompiledPathOracle:
         self._consumed_instructions += n_instructions
 
 
-class CorrectPathOracle:
-    """Buffered cursor over the correct-path dynamic block stream.
-
-    The front-end uses it to (a) learn what the correct path actually does
-    (for comparing against branch predictions and for training the
-    predictor) and (b) know where to resume after a misprediction
-    resolves.  The cursor is a ``(block index, instruction offset)`` pair
-    into a (possibly shared) :class:`BlockStream`, so the front-end can
-    stop mid-block when a predicted stream is shorter than the actual one.
-    """
-
-    def __init__(self, source,
-                 max_stream_instructions: int = MAX_STREAM_INSTRUCTIONS):
-        if isinstance(source, BlockStream):
-            self._stream = source
-        else:   # a ProgramWalker (the historical constructor signature)
-            self._stream = BlockStream(source)
-        self._index = 0          # index of the current block in the stream
-        self._offset = 0         # instruction offset within the current block
-        self._consumed_instructions = 0
-        self.max_stream_instructions = max_stream_instructions
-        # Private continuation past the stream's bounded shared prefix: a
-        # forked walker plus a compacted window (memory stays O(window)
-        # however long the run is).
-        self._tail_walker: Optional[ProgramWalker] = None
-        self._tail_base = 0
-        self._tail_window: List[DynamicBlock] = []
-
-    # -- materialisation helpers ---------------------------------------
-    def _ensure(self, index: int) -> DynamicBlock:
-        block = self._stream.get(index)
-        if block is not None:
-            return block
-        if self._tail_walker is None:
-            self._tail_walker = self._stream.fork_tail_walker()
-            self._tail_base = self._stream.shared_limit
-        relative = index - self._tail_base
-        window = self._tail_window
-        next_block = self._tail_walker.next_block
-        while len(window) <= relative:
-            window.append(next_block())
-        return window[relative]
-
-    def _compact_tail(self) -> None:
-        """Drop fully-consumed blocks from the private continuation window."""
-        consumed = self._index - self._tail_base
-        if consumed > 128:
-            drop = consumed - 64
-            del self._tail_window[:drop]
-            self._tail_base += drop
-
-    # -- public API ------------------------------------------------------
-    @property
-    def consumed_instructions(self) -> int:
-        """Total correct-path instructions the front-end has moved past."""
-        return self._consumed_instructions
-
-    def current_address(self) -> int:
-        """Address of the next correct-path instruction to be fetched."""
-        block = self._ensure(self._index)
-        return block.addr + self._offset * INSTRUCTION_BYTES
-
-    def peek_stream(self, max_instructions: Optional[int] = None) -> ActualStream:
-        """The actual stream that begins at :meth:`current_address`.
-
-        Does not move the cursor.
-        """
-        cap = max_instructions or self.max_stream_instructions
-        start = self.current_address()
-        length = 0
-        idx = self._index
-        off = self._offset
-        while True:
-            block = self._ensure(idx)
-            available = block.size - off
-            remaining = cap - length
-            if available >= remaining and not (
-                block.taken and available <= remaining
-            ):
-                # The cap ends the stream inside (or exactly at the end of)
-                # this block without reaching a taken terminator.
-                length += remaining
-                end_addr = block.addr + (off + remaining) * INSTRUCTION_BYTES
-                return ActualStream(
-                    start=start, length=length, next_addr=end_addr,
-                    ends_taken=False, terminator_kind=BranchKind.NONE,
-                    terminator_addr=end_addr - INSTRUCTION_BYTES,
-                )
-            length += available
-            if block.taken:
-                return ActualStream(
-                    start=start, length=length, next_addr=block.next_addr,
-                    ends_taken=True, terminator_kind=block.kind,
-                    terminator_addr=block.terminator_addr,
-                )
-            if length >= cap:
-                end_addr = block.addr + block.size * INSTRUCTION_BYTES
-                return ActualStream(
-                    start=start, length=length, next_addr=end_addr,
-                    ends_taken=False, terminator_kind=BranchKind.NONE,
-                    terminator_addr=end_addr - INSTRUCTION_BYTES,
-                )
-            idx += 1
-            off = 0
-
-    def advance(self, n_instructions: int) -> None:
-        """Move the cursor forward by ``n_instructions`` along the correct
-        path (used after emitting a fetch block for those instructions)."""
-        if n_instructions < 0:
-            raise ValueError("cannot advance by a negative amount")
-        remaining = n_instructions
-        while remaining > 0:
-            block = self._ensure(self._index)
-            available = block.size - self._offset
-            if remaining < available:
-                self._offset += remaining
-                remaining = 0
-            else:
-                remaining -= available
-                self._index += 1
-                self._offset = 0
-        self._consumed_instructions += n_instructions
-        if self._tail_walker is not None:
-            self._compact_tail()
-
-
 @dataclass
 class Workload:
-    """A fully-built workload: program, dictionary, and trace machinery."""
+    """A fully-built workload: program, dictionary, and correct-path trace."""
 
     profile: WorkloadProfile
     cfg: ControlFlowGraph
     bbdict: BasicBlockDictionary
-    #: Shared correct-path block stream, materialised lazily and reused by
-    #: every oracle (the walk is deterministic per seed).
-    _block_stream: Optional[BlockStream] = None
-    #: Optional compiled trace (loaded from the artifact cache); when
-    #: attached, oracles replay its columnar arrays instead of walking.
-    _compiled_trace: Optional[CompiledTrace] = None
+    #: The correct-path walk every oracle of this workload replays.  It
+    #: starts empty and grows on demand; the artifact cache may swap in a
+    #: stored prefix of the same walk (:meth:`attach_compiled_trace`).
+    _compiled_trace: CompiledTrace = field(init=False)
+
+    def __post_init__(self) -> None:
+        self._compiled_trace = CompiledTrace.empty(self.profile, self.cfg)
 
     def attach_compiled_trace(self, trace: CompiledTrace) -> None:
         """Route every future oracle through ``trace`` (must belong to
-        this workload's profile/seed; the replay is bit-identical to the
-        walker-backed stream)."""
+        this workload's profile/seed, so it replays the same walk)."""
         if (trace.name, trace.seed) != (self.profile.name, self.profile.seed):
             raise ValueError(
                 f"compiled trace for {trace.name!r}/seed {trace.seed} does "
@@ -887,27 +677,10 @@ class Workload:
         trace.bind(self.cfg)
         self._compiled_trace = trace
 
-    def new_oracle(self):
+    def new_oracle(self) -> CompiledPathOracle:
         """A fresh correct-path oracle (identical stream for identical
         profile seeds, regardless of simulator configuration)."""
-        if self._compiled_trace is not None:
-            return CompiledPathOracle(self._compiled_trace)
-        if self._block_stream is None:
-            self._block_stream = BlockStream(
-                ProgramWalker(self.cfg, seed=self.profile.seed)
-            )
-        return CorrectPathOracle(self._block_stream)
-
-    def iter_intervals(
-        self, interval_length: int, total_instructions: int
-    ) -> Iterator[IntervalRecord]:
-        """Per-interval basic-block vectors of this workload's correct path.
-
-        Uses a private walker (same seed as every simulation run), so the
-        shared block stream's memory stays untouched by profiling.
-        """
-        walker = ProgramWalker(self.cfg, seed=self.profile.seed)
-        return iter_intervals(walker, interval_length, total_instructions)
+        return CompiledPathOracle(self._compiled_trace)
 
     @property
     def name(self) -> str:

@@ -18,6 +18,8 @@ Four contracts:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -39,13 +41,15 @@ from repro.cache.shared import dumps_with_workload, loads_with_workload
 from repro.sampling import SamplingSpec
 from repro.sampling.sampled import _execute_sampled
 from repro.sampling.checkpoint import CheckpointStore
-from repro.simulator.runner import clear_process_caches
+from repro.simulator.runner import _execute_single, clear_process_caches
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.workloads.generator import WorkloadProfile
+from repro.workloads.isa import BranchKind
 from repro.workloads.trace import (
+    ActualStream,
     CompiledPathOracle,
-    CorrectPathOracle,
+    ProgramWalker,
     build_workload,
     compile_trace,
 )
@@ -192,22 +196,32 @@ class TestArtifactStore:
 # ----------------------------------------------------------------------
 class TestCompiledTrace:
     def test_replay_is_bit_identical_to_the_walk(self):
-        plain = build_workload(MEDIUM_PROFILE)
         compiled = build_workload(MEDIUM_PROFILE)
         # Small prefix on purpose: forces the tail-walker extension path.
         compiled.attach_compiled_trace(compile_trace(compiled, 2000))
-        reference = plain.new_oracle()
         replayed = compiled.new_oracle()
-        assert isinstance(reference, CorrectPathOracle)
         assert isinstance(replayed, CompiledPathOracle)
+        walker = ProgramWalker(compiled.cfg, seed=MEDIUM_PROFILE.seed)
+        while walker.instructions_executed < 6000:
+            block = walker.next_block()
+            assert replayed.current_address() == block.addr
+            assert replayed.peek_stream(block.size) == ActualStream(
+                start=block.addr, length=block.size,
+                next_addr=block.next_addr, ends_taken=block.taken,
+                terminator_kind=(block.kind if block.taken
+                                 else BranchKind.NONE),
+                terminator_addr=block.terminator_addr,
+            )
+            replayed.advance(block.size)
+        # A trace that started empty replays the stored prefix exactly.
+        fresh = build_workload(MEDIUM_PROFILE).new_oracle()
+        stored = compiled.new_oracle()
         for cap in (None, 1, 7, 64, 64, 13, None, 128):
-            assert reference.current_address() == replayed.current_address()
-            a, b = reference.peek_stream(cap), replayed.peek_stream(cap)
+            assert fresh.current_address() == stored.current_address()
+            a, b = fresh.peek_stream(cap), stored.peek_stream(cap)
             assert a == b
-            reference.advance(a.length)
-            replayed.advance(a.length)
-        assert (reference.consumed_instructions
-                == replayed.consumed_instructions)
+            fresh.advance(a.length)
+            stored.advance(a.length)
 
     def test_simulation_results_identical(self):
         config = make_sim_config(engine="clgp", max_instructions=2000)
@@ -251,9 +265,33 @@ class TestCompiledTrace:
     def test_disabled_cache_attaches_nothing(self, tmp_path):
         with temporary_cache_dir(tmp_path / "cache", enabled=False):
             workload = build_workload(MEDIUM_PROFILE)
-            assert ensure_compiled_trace(workload, 5000) is None
-            assert workload._compiled_trace is None
+            own = workload._compiled_trace
+            assert ensure_compiled_trace(workload, 5000) is own
+            assert workload._compiled_trace is own
             assert not (tmp_path / "cache").exists()
+
+    def test_store_off_runs_match_store_on(self, tmp_path):
+        """Without a store the oracle still replays a compiled trace (grown
+        in memory), and full and sampled runs are byte-identical to the
+        same runs through a store."""
+        config = make_sim_config(engine="clgp", max_instructions=6000)
+        spec = SamplingSpec(max_intervals=4)
+
+        def runs():
+            clear_process_caches()
+            full = _execute_single(config, "gcc")
+            sampled = _sampled_once(config, spec)
+            return [json.dumps(dataclasses.asdict(result), sort_keys=True)
+                    for result in (full, sampled)]
+
+        with temporary_cache_dir(tmp_path / "off", enabled=False):
+            workload = build_workload(MEDIUM_PROFILE)
+            assert isinstance(workload.new_oracle(), CompiledPathOracle)
+            store_off = runs()
+        with temporary_cache_dir(tmp_path / "on"):
+            store_on = runs()
+        assert store_off == store_on
+        assert not (tmp_path / "off").exists()
 
 
 # ----------------------------------------------------------------------

@@ -234,13 +234,6 @@ class TestCheckpointStore:
         b = store.warm_checkpoint(config, medium_workload)
         assert a is b
 
-    def test_peek_does_not_build(self, medium_workload):
-        store = CheckpointStore()
-        config = make_sim_config(max_instructions=1000)
-        assert store.peek_warm_checkpoint(config, medium_workload) is None
-        built = store.warm_checkpoint(config, medium_workload)
-        assert store.peek_warm_checkpoint(config, medium_workload) is built
-
     def test_revisit_builds_on_second_request(self, medium_workload):
         store = CheckpointStore()
         config = make_sim_config(max_instructions=1000)

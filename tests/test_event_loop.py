@@ -5,6 +5,10 @@ cycle stretches and replays the skipped per-cycle stall counters in bulk.
 These tests pin down its core contract: for every engine, every field of
 ``SimulationResult`` -- and the engine's full stall breakdown -- must be
 bit-identical to the straight per-cycle loop (``loop="cycle"``).
+
+One known exception is pinned as a strict xfail: ``Simulator.run``
+fast-forwards after the tick that commits the budget, so a run whose
+budget commits just before an idle stretch ends that stretch late.
 """
 
 import dataclasses
@@ -12,6 +16,8 @@ import random
 
 import pytest
 
+from repro.simulator.presets import paper_config
+from repro.simulator.runner import get_workload
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.workloads.generator import WorkloadProfile
@@ -89,6 +95,18 @@ class TestEventLoopDeterminism:
         _, cycle_result = _run(config, tiny_workload, "cycle")
         _, event_result = _run(config, tiny_workload, "event")
         assert cycle_result.cycles == event_result.cycles <= 400
+        _assert_identical(cycle_result, event_result)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Simulator.run calls _fast_forward after the tick that commits the "
+        "budget, so the event loop ends one idle stretch late (68,315 vs "
+        "68,292 cycles); a fix changes Figure-5 results"))
+    def test_identical_when_budget_commits_before_idle_stretch(self):
+        config = paper_config("base-pipelined", l1_size_bytes=256,
+                              technology="0.045um", max_instructions=30_000)
+        workload = get_workload("eon")
+        _, cycle_result = _run(config, workload, "cycle")
+        _, event_result = _run(config, workload, "event")
         _assert_identical(cycle_result, event_result)
 
     def test_step_driven_matches_run_loop(self, medium_workload):

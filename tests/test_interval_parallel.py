@@ -166,6 +166,20 @@ class TestParallelMatchesSerial:
                                store=CheckpointStore(artifacts=None))
         assert_identical(serial, parallel)
 
+    def test_store_off_serial_walk_resumes_previous_segment(self):
+        # The serial walk runs the segment path in order: each jump
+        # restores the post-skip state the previous segment published,
+        # and with no store nothing is snapshotted for the last segment.
+        store = CheckpointStore(artifacts=None)
+        run_sampled("gcc", ALL_JUMPED, store=store)
+        config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+        selection = get_selection(get_workload("gcc"), TOTAL, ALL_JUMPED,
+                                  store=store, config=config)
+        later = len(_segments(selection.intervals)) - 1
+        assert later >= 2
+        assert store.positioned_hits == later
+        assert store.positioned_publishes == later
+
     def test_worker_kill_chaos_still_identical(self):
         # Killed workers are retried; a terminally failed segment drops
         # the whole run to the serial walk.  Either way the result must

@@ -1,25 +1,24 @@
-"""Differential suite for the batch kernels (:mod:`repro.kernels`).
+"""Tests for the batch kernels (:mod:`repro.kernels`) and the batched
+functional passes built on them.
 
-Every batch kernel must be *bit-identical* to the block-by-block
-reference interpreter it replaces -- numpy fast path and pure-python
-fallback alike -- because profiles, proxy features and checkpoints are
-persisted and compared across processes by their serialized bytes.
-The tests here therefore compare pickled bytes and exact dict key
-order, not just values, between:
-
-* the numpy path and the pure-python fallback of every kernel,
-* the batched BBV / proxy / functional-skip passes and the original
-  block-by-block interpreters (toggled via ``REPRO_NO_BATCH``).
+The kernels are the only implementation of the BBV, proxy and
+functional-skip passes, and their results are persisted and compared
+across processes, so the end-to-end tests pin them to golden digests.
+The digests were captured when the block-by-block interpreters these
+passes replaced still existed and agreed with them bit for bit (numpy
+fast path and pure-python kernels alike).  A digest hashes canonical
+ints -- interval records in key order, feature counts, machine state --
+never pickle bytes.
 """
 
-import pickle
+import dataclasses
+import hashlib
+import json
 import random
-from array import array
 
 import pytest
 
 from repro import kernels
-from repro.cache.shared import dumps_with_workload
 from repro.cache.traces import ensure_compiled_trace
 from repro.memory.cache import Cache
 from repro.sampling import proxy as proxy_module
@@ -28,67 +27,14 @@ from repro.simulator.config import SimulationConfig
 from repro.simulator.runner import clear_process_caches, get_workload
 from repro.simulator.simulator import Simulator
 
-needs_numpy = pytest.mark.skipif(
-    kernels.numpy_or_none() is None, reason="numpy unavailable"
-)
 
-
-@pytest.fixture
-def numpy_fallback():
-    """Force the pure-python kernels for the duration of a test."""
-    kernels.set_numpy_enabled(False)
-    try:
-        yield
-    finally:
-        kernels.set_numpy_enabled(True)
-
-
-def _with_fallback(fn, *args):
-    kernels.set_numpy_enabled(False)
-    try:
-        return fn(*args)
-    finally:
-        kernels.set_numpy_enabled(True)
-
-
-# ----------------------------------------------------------------------
-# the hash lattice behind the deterministic miss draws
-# ----------------------------------------------------------------------
-@needs_numpy
-def test_hash_lattice_matches_scalar():
-    np = kernels.numpy_or_none()
-    for salt in (0, 7, 977 ^ 0x5A5A5A5A, 2**31 - 1, 2**63 + 11):
-        for start in (0, 1, 977, 10**12):
-            vec = kernels._hash01_array(np, start, 257, salt)
-            ref = [kernels._hash01(start + i, salt) for i in range(257)]
-            assert vec.tolist() == ref
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
 # grouped_load_miss_counts (proxy base pass)
 # ----------------------------------------------------------------------
-def _random_chunks(rng, group_count):
-    chunks = []
-    for _ in range(rng.randint(5, 40)):
-        group = rng.randrange(group_count)
-        probs = tuple(rng.random() for _ in range(rng.randint(0, 12)))
-        chunks.append((group, probs))
-    return chunks
-
-
-@needs_numpy
-def test_grouped_load_miss_counts_numpy_matches_python():
-    rng = random.Random(1234)
-    for _trial in range(12):
-        group_count = rng.randint(1, 9)
-        chunks = _random_chunks(rng, group_count)
-        args = (chunks, group_count, rng.randrange(10**6),
-                rng.randrange(2**32), rng.random())
-        fast = kernels.grouped_load_miss_counts(*args)
-        slow = _with_fallback(kernels.grouped_load_miss_counts, *args)
-        assert fast == slow
-
-
 def test_grouped_load_miss_counts_empty_and_certain():
     for l2_rate in (0.0, 1.0):
         d, dm = kernels.grouped_load_miss_counts(
@@ -99,42 +45,10 @@ def test_grouped_load_miss_counts_empty_and_certain():
 
 
 # ----------------------------------------------------------------------
-# interval_block_counts (BBV slicing)
-# ----------------------------------------------------------------------
-def _random_columns(rng, blocks):
-    addrs = array("q")
-    sizes = array("q")
-    for _ in range(blocks):
-        # A small address pool guarantees repeats, exercising both the
-        # count aggregation and the first-occurrence key ordering.
-        addrs.append(0x1000 + 4 * rng.randrange(0, 64))
-        sizes.append(rng.randint(1, 24))
-    return addrs, sizes
-
-
-@needs_numpy
-def test_interval_block_counts_numpy_matches_python():
-    rng = random.Random(99)
-    for _trial in range(10):
-        addrs, sizes = _random_columns(rng, rng.randint(40, 200))
-        covered = sum(sizes)
-        total = rng.randint(1, covered)
-        length = rng.choice([1, 7, 64, 257, covered])
-        fast = kernels.interval_block_counts(addrs, sizes, total, length)
-        slow = _with_fallback(
-            kernels.interval_block_counts, addrs, sizes, total, length
-        )
-        # Key *order* is part of the contract (profile pickles depend
-        # on it), so compare item lists, not just dict equality.
-        assert [list(d.items()) for d in fast] \
-            == [list(d.items()) for d in slow]
-
-
-# ----------------------------------------------------------------------
 # TwoLevelLRUReplay vs a real Cache pair
 # ----------------------------------------------------------------------
 def _reference_replay(l1, l2, lines):
-    """The exact probe/fill sequence of the proxy feature interpreter."""
+    """The probe/fill sequence the replay models, on real caches."""
     i1 = i2 = 0
     for line in lines:
         if not l1.contains(line):
@@ -185,21 +99,34 @@ def test_fill_span_matches_fill_sequence():
 # ----------------------------------------------------------------------
 # end-to-end: batched BBV profiling == the block-by-block walker
 # ----------------------------------------------------------------------
-BBV_CASES = [(10_000, 1000), (9_999, 257), (500, 1000)]
+BBV_GOLDEN = {
+    ("gzip", 10_000, 1000): "077a16fb05d5c2ae",
+    ("gzip", 9_999, 257): "cca9b1f6c3098b85",
+    ("gzip", 500, 1000): "ff1065c6e8e492ea",
+    ("mcf", 10_000, 1000): "fa07739d86464d49",
+    ("mcf", 9_999, 257): "64af29eef282a09f",
+    ("mcf", 500, 1000): "810e43cd68906157",
+}
+
+
+def _bbv_canonical(profile):
+    return (profile.workload, profile.seed, profile.interval_length,
+            profile.total_instructions,
+            [(r.index, r.start_instruction, r.length,
+              tuple(r.block_counts.items())) for r in profile.intervals])
 
 
 @pytest.mark.parametrize("workload_name", ["gzip", "mcf"])
-def test_bbv_profile_batched_matches_walker(workload_name, monkeypatch):
+def test_bbv_profile_batched_matches_walker(workload_name):
+    """Interval records, including each interval's first-occurrence key
+    order, match what the block-by-block walker produced."""
+    clear_process_caches()
     workload = get_workload(workload_name)
-    for total, length in BBV_CASES:
-        ensure_compiled_trace(workload, total)
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        reference = profile_workload(workload, total, length)
-        monkeypatch.delenv("REPRO_NO_BATCH")
-        batched = profile_workload(workload, total, length)
-        assert pickle.dumps(batched) == pickle.dumps(reference)
-        fallback = _with_fallback(profile_workload, workload, total, length)
-        assert pickle.dumps(fallback) == pickle.dumps(reference)
+    for (name, total, length), golden in BBV_GOLDEN.items():
+        if name == workload_name:
+            ensure_compiled_trace(workload, total)
+            profile = profile_workload(workload, total, length)
+            assert _digest(_bbv_canonical(profile)) == golden
 
 
 # ----------------------------------------------------------------------
@@ -213,59 +140,72 @@ PROXY_CONFIGS = [
                      l1_size_bytes=1024, l1_associativity=1,
                      max_instructions=4000, warmup_instructions=3000),
 ]
+PROXY_GOLDEN = ["a9ecf4d2a6caaa52", "d4b27ff0169a6545"]
 
 
-def _proxy_profile(config, total, length):
+@pytest.mark.parametrize("config,golden", zip(PROXY_CONFIGS, PROXY_GOLDEN),
+                         ids=["l1-4096", "l1-1024-direct"])
+def test_functional_profile_batched_matches_generic(config, golden):
+    """Per-interval proxy features match the generic oracle pass's."""
+    total, length = 6000, 500
     clear_process_caches()
     workload = get_workload("gzip")
     ensure_compiled_trace(
         workload, max(total, config.resolved_warmup_instructions())
     )
-    return proxy_module.functional_profile(workload, config, total, length)
-
-
-@pytest.mark.parametrize("config", PROXY_CONFIGS,
-                         ids=["l1-4096", "l1-1024-direct"])
-def test_functional_profile_batched_matches_generic(config, monkeypatch):
-    total, length = 6000, 500
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    reference = _proxy_profile(config, total, length)
-    monkeypatch.delenv("REPRO_NO_BATCH")
-    batched = _proxy_profile(config, total, length)
-    assert pickle.dumps(batched) == pickle.dumps(reference)
-    fallback = _with_fallback(_proxy_profile, config, total, length)
-    assert pickle.dumps(fallback) == pickle.dumps(reference)
+    profile = proxy_module.functional_profile(workload, config, total, length)
+    assert _digest((profile.workload, profile.seed, profile.interval_length,
+                    profile.total_instructions,
+                    [dataclasses.astuple(f) for f in profile.features])) \
+        == golden
 
 
 # ----------------------------------------------------------------------
 # end-to-end: batched functional skip == the single-stream stepper
 # ----------------------------------------------------------------------
-def test_functional_skip_batched_matches_generic(monkeypatch):
-    """Snapshot *bytes* after every skip -- and the timed continuation --
-    must be identical with and without the batched segment stride."""
-    config = SimulationConfig(engine="clgp", technology="0.045um",
-                              l1_size_bytes=4096, max_instructions=4000,
-                              warmup_instructions=3000)
+SKIP_GOLDEN = {1300: "d545895243f5c9a1", 2900: "acde950414638946",
+               6001: "bdcf4357b4c63292"}
+SKIP_RUN_GOLDEN = "fcf50f122abdc3fc"
 
-    def states(batched):
-        if batched:
-            monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        clear_process_caches()
-        workload = get_workload("gzip")
-        ensure_compiled_trace(workload, 20_000)
-        sim = Simulator(config, workload)
-        sim.warm_up()
-        blobs = []
-        # Successive targets land mid-block, mid-stream and far past the
-        # already-compiled prefix; each snapshot must match byte for byte.
-        for target in (1300, 2900, 6001):
-            sim.skip_to(target)
-            blobs.append(dumps_with_workload(sim.snapshot()._state, workload))
-        return blobs, sim.run(500)
 
-    generic_blobs, generic_result = states(batched=False)
-    batched_blobs, batched_result = states(batched=True)
-    assert batched_blobs == generic_blobs
-    assert batched_result == generic_result
+def _machine_state(sim):
+    """Everything a functional skip touches, as canonical ints."""
+    prediction = sim.prediction
+    partial = prediction._skip_partial
+    if partial is not None:
+        position, actual, consumed = partial
+        partial = (position, dataclasses.astuple(actual), consumed)
+    tables = [
+        [[(e.tag, e.length, e.next_addr, int(e.terminator_kind), e.confidence)
+          for e in bucket] for bucket in table._sets]
+        for table in (prediction.predictor.base_table,
+                      prediction.predictor.history_table)
+    ]
+    caches = [
+        (sorted((i, sorted(s)) for i, s in cache._sets.items()),
+         dataclasses.astuple(cache.stats))
+        for cache in (sim.hierarchy.l1, sim.hierarchy.l2)
+    ]
+    oracle = prediction.oracle
+    return (oracle.consumed_instructions, oracle.current_address(),
+            prediction.history, prediction.ras.snapshot(), partial, tables,
+            caches, sim.backend.dcache._load_index)
+
+
+def test_functional_skip_batched_matches_generic():
+    """Machine state after every skip -- and the timed continuation --
+    match the single-stream stepper's."""
+    config = PROXY_CONFIGS[0]
+    clear_process_caches()
+    workload = get_workload("gzip")
+    ensure_compiled_trace(workload, 20_000)
+    sim = Simulator(config, workload)
+    sim.warm_up()
+    # Successive targets land mid-block, mid-stream and far past the
+    # already-compiled prefix.
+    for target, golden in SKIP_GOLDEN.items():
+        sim.skip_to(target)
+        assert _digest(_machine_state(sim)) == golden
+    result = sim.run(500)
+    assert _digest(json.dumps(dataclasses.asdict(result), sort_keys=True)) \
+        == SKIP_RUN_GOLDEN

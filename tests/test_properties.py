@@ -19,9 +19,9 @@ from repro.frontend.ras import ReturnAddressStack
 from repro.frontend.stream_predictor import StreamPredictor, _StreamTable
 from repro.memory.cache import Cache
 from repro.memory.port import AccessPort
-from repro.workloads.generator import WorkloadProfile, generate_program
+from repro.workloads.generator import WorkloadProfile
 from repro.workloads.isa import BranchKind, INSTRUCTION_BYTES
-from repro.workloads.trace import CorrectPathOracle, ProgramWalker, ActualStream
+from repro.workloads.trace import ActualStream, ProgramWalker, build_workload
 
 # ----------------------------------------------------------------------
 # caches
@@ -185,10 +185,26 @@ def test_ras_capacity_and_lifo(ops, capacity):
 def test_oracle_stream_contiguity(seed, advances):
     profile = WorkloadProfile(name="prop", footprint_kb=4, num_functions=3,
                               seed=seed)
-    cfg = generate_program(profile)
-    oracle = CorrectPathOracle(ProgramWalker(cfg, seed=seed))
+    workload = build_workload(profile)
+    oracle = workload.new_oracle()
+    # The walker's records, as (start position, block), for checking the
+    # oracle's cursor against the walk it replays.
+    walker = ProgramWalker(workload.cfg, seed=seed)
+    records = []
+    walked = 0
+
+    def address_at(position):
+        nonlocal walked
+        while walked <= position:
+            block = walker.next_block()
+            records.append((walked, block))
+            walked += block.size
+        start, block = next(r for r in reversed(records) if r[0] <= position)
+        return block.addr + (position - start) * INSTRUCTION_BYTES
+
     for n in advances:
         before = oracle.current_address()
+        assert before == address_at(oracle.consumed_instructions)
         stream = oracle.peek_stream()
         assert stream.start == before
         step = min(n, stream.length)
@@ -197,6 +213,8 @@ def test_oracle_stream_contiguity(seed, advances):
             assert oracle.current_address() == before + step * INSTRUCTION_BYTES
         else:
             assert oracle.current_address() == stream.next_addr
+        assert oracle.current_address() \
+            == address_at(oracle.consumed_instructions)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.simulator.testing import make_sim_config
 # ----------------------------------------------------------------------
 class TestIntervalIterator:
     def test_intervals_cover_the_budget_exactly(self, medium_workload):
-        intervals = list(medium_workload.iter_intervals(1000, 5500))
+        intervals = profile_workload(medium_workload, 5500, 1000).intervals
         assert [iv.length for iv in intervals] == [1000, 1000, 1000, 1000,
                                                    1000, 500]
         assert [iv.start_instruction for iv in intervals] == [
@@ -32,13 +32,13 @@ class TestIntervalIterator:
             assert sum(interval.block_counts.values()) == interval.length
 
     def test_iteration_is_deterministic(self, medium_workload):
-        a = list(medium_workload.iter_intervals(500, 3000))
-        b = list(medium_workload.iter_intervals(500, 3000))
+        a = profile_workload(medium_workload, 3000, 500).intervals
+        b = profile_workload(medium_workload, 3000, 500).intervals
         assert [iv.block_counts for iv in a] == [iv.block_counts for iv in b]
 
     def test_rejects_bad_interval_length(self, medium_workload):
         with pytest.raises(ValueError):
-            list(medium_workload.iter_intervals(0, 1000))
+            profile_workload(medium_workload, 1000, 0)
 
 
 class TestBBVProfile:

@@ -1,12 +1,15 @@
-"""Tests for dynamic execution: ProgramWalker and CorrectPathOracle."""
+"""Tests for dynamic execution: ProgramWalker and the correct-path
+oracle (CompiledPathOracle) that replays its walk."""
 
 import pytest
 
 from repro.workloads.isa import INSTRUCTION_BYTES, BranchKind
 from repro.workloads.trace import (
-    CorrectPathOracle,
+    ActualStream,
+    CompiledPathOracle,
     ProgramWalker,
     build_workload,
+    compile_trace,
 )
 from repro.workloads.generator import WorkloadProfile
 
@@ -59,8 +62,29 @@ class TestProgramWalker:
 
 
 class TestCorrectPathOracle:
-    def _oracle(self, workload, seed=1):
-        return CorrectPathOracle(ProgramWalker(workload.cfg, seed=seed))
+    def _oracle(self, workload, max_stream_instructions=64):
+        # A short compiled prefix: reads past it grow the trace on demand.
+        return CompiledPathOracle(compile_trace(workload, 100),
+                                  max_stream_instructions)
+
+    def test_cursor_replays_the_walker_records(self, tiny_workload):
+        """Block by block, the oracle reports exactly the walker's records:
+        a stream capped at a block's size is that block."""
+        oracle = self._oracle(tiny_workload)
+        walker = ProgramWalker(tiny_workload.cfg,
+                               seed=tiny_workload.profile.seed)
+        for _ in range(500):
+            block = walker.next_block()
+            assert oracle.current_address() == block.addr
+            assert oracle.peek_stream(block.size) == ActualStream(
+                start=block.addr, length=block.size,
+                next_addr=block.next_addr, ends_taken=block.taken,
+                terminator_kind=(block.kind if block.taken
+                                 else BranchKind.NONE),
+                terminator_addr=block.terminator_addr,
+            )
+            oracle.advance(block.size)
+        assert oracle.consumed_instructions == walker.instructions_executed
 
     def test_current_address_starts_at_entry(self, tiny_workload):
         oracle = self._oracle(tiny_workload)
@@ -116,9 +140,7 @@ class TestCorrectPathOracle:
             oracle.advance(-1)
 
     def test_max_stream_cap_respected(self, tiny_workload):
-        oracle = CorrectPathOracle(
-            ProgramWalker(tiny_workload.cfg, seed=3), max_stream_instructions=8
-        )
+        oracle = self._oracle(tiny_workload, max_stream_instructions=8)
         for _ in range(50):
             stream = oracle.peek_stream()
             assert stream.length <= 8

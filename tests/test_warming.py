@@ -6,7 +6,6 @@ from repro.simulator.warming import (
     apply_warmup,
     clear_warmup_cache,
     compute_warmup,
-    functional_warmup,
     get_warmup_artifacts,
 )
 
@@ -45,24 +44,27 @@ class TestComputeWarmup:
 
 class TestFunctionalWarmup:
     def test_in_place_training(self, tiny_workload):
-        predictor = StreamPredictor()
         hierarchy = MemoryHierarchy(HierarchyConfig())
-        replayed = functional_warmup(tiny_workload, predictor, hierarchy, 1500)
-        assert replayed >= 1500
+        artifacts = compute_warmup(tiny_workload, 1500)
+        predictor = apply_warmup(artifacts, hierarchy)
+        assert artifacts.instructions >= 1500
         assert predictor.base_table.occupancy() > 0
         assert hierarchy.l1.occupancy() > 0
 
     def test_zero_budget_is_noop(self, tiny_workload):
-        predictor = StreamPredictor()
-        assert functional_warmup(tiny_workload, predictor, None, 0) == 0
+        artifacts = compute_warmup(tiny_workload, 0)
+        assert artifacts.instructions == 0
+        assert artifacts.line_trace == []
+        hierarchy = MemoryHierarchy(HierarchyConfig())
+        predictor = apply_warmup(artifacts, hierarchy)
         assert predictor.base_table.occupancy() == 0
+        assert hierarchy.l1.occupancy() == 0
 
     def test_improves_prediction_accuracy(self, tiny_workload):
         """A warmed predictor must predict the start of the correct path
         much better than a cold one."""
         cold = StreamPredictor()
-        warm = StreamPredictor()
-        functional_warmup(tiny_workload, warm, None, 4000)
+        warm = apply_warmup(compute_warmup(tiny_workload, 4000), None)
 
         def count_hits(predictor):
             oracle = tiny_workload.new_oracle()
