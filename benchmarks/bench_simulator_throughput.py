@@ -295,10 +295,12 @@ def test_interval_parallel_latency(benchmark, api_session, bench_metrics,
     from repro.sampling import SamplingSpec, get_selection
     from repro.sampling.checkpoint import DEFAULT_STORE
     from repro.sampling.sampled import _segments
+    from repro.simulator import runner
 
     # Pool dispatch is the thing under test: the overhead-aware planner
     # must not inline the segment tasks however small the box.
-    monkeypatch.setenv("REPRO_NO_INLINE_FALLBACK", "1")
+    monkeypatch.setattr(runner, "_plan_prefers_inline",
+                        lambda tasks, jobs: False)
     instructions = max(40_000, bench_instruction_budget(40_000))
     spec = SamplingSpec(max_intervals=4, method="kmeans")
     config = paper_config("CLGP+L0", l1_size_bytes=4096,

@@ -56,11 +56,7 @@ from ..analysis.report import (
     format_speedups,
 )
 from ..analysis.tables import table1, table2, table3
-from ..cache.store import (
-    cache_enabled,
-    configure as configure_cache,
-    get_store,
-)
+from ..cache.store import cache_enabled, get_store
 from ..faults import FaultPlan
 from ..memory.hierarchy import FETCH_SOURCES
 from ..sampling.sampled import SamplingSpec, get_selection
@@ -145,6 +141,5 @@ __all__ = [
     "table3",
     # artifact cache inspection
     "cache_enabled",
-    "configure_cache",
     "get_store",
 ]

@@ -23,9 +23,12 @@ Submissions execute on a background thread over the one task executor
 (:func:`repro.simulator.runner.iter_task_results`); handles stream
 per-task progress events (count, benchmark, wall-clock seconds, artifact
 cache hits), block on :meth:`RunHandle.result`, and can be cancelled.
-Submissions whose effective cache/fault policy is identical run
-concurrently (the shared pool and the workers' in-memory caches are
-reused across them); conflicting policy scopes take turns.
+Each submission runs under its own execution context
+(:mod:`repro.context`): the submitting thread's context, overridden by
+the session's ``cache_dir``/``cache``, overridden by the submission's
+:class:`~repro.api.spec.ExecutionOptions`.  Nothing process-wide is
+configured, so submissions of any policy run concurrently (the shared
+pool and the workers' in-memory caches are reused across them).
 """
 
 from __future__ import annotations
@@ -35,19 +38,13 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..cache.results import (
-    configure_result_cache,
-    restore_result_configuration,
-    snapshot_result_configuration,
-)
-from ..cache.store import configure, restore_configuration, snapshot_configuration
-from ..faults import configure_faults, restore_faults, snapshot_faults
+from ..context import ExecutionContext, current_context, use_context
 from ..simulator.plan import ExperimentPlan, PlanResults, SimTask, TaskFailure
 from ..simulator.runner import (
     get_workload,
     iter_task_results,
     resolve_jobs,
-    shutdown_pool,
+    shutdown_idle_pool,
 )
 from ..workloads.spec2000 import SPECINT2000_NAMES
 from ..workloads.trace import Workload
@@ -55,110 +52,6 @@ from .spec import DEFAULT_OPTIONS, ExecutionOptions, ExperimentSpec
 
 #: Handle states; ``done``/``failed``/``cancelled`` are terminal.
 RUN_STATUSES = ("queued", "running", "done", "failed", "cancelled")
-
-
-class _ExecutionGate:
-    """Admission control for executions sharing process-global policy.
-
-    The artifact-store / result-cache / fault configuration behind every
-    execution is process-level state, so executions whose *effective*
-    policy differs must not overlap -- but executions with an identical
-    policy scope (the same cache dir/enable, result-cache and fault
-    overrides) can run concurrently: the configuration they would apply
-    is the same.  This gate therefore admits any number of executions of
-    one policy scope at a time and serializes across scopes, which is
-    what lets many :class:`Session` submissions (and the experiment
-    service built on them) keep >=2 runs in flight.
-
-    The scope's configuration is applied exactly once -- when the first
-    execution of a scope enters -- and the pre-scope state is restored
-    when the last one leaves, so a finishing execution can never revert
-    the store out from under a still-running sibling.
-
-    The gate also speaks the lock protocol (``with gate:`` /
-    ``acquire``/``release``): an exclusive hold keeps *all* executions
-    out, which :meth:`Session.close` uses to wait for in-flight runs and
-    tests use to hold submissions queued.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._active = 0
-        self._scope: Optional[tuple] = None
-        self._restore: Optional[Callable[[], None]] = None
-        self._exclusive = 0
-        #: Exclusive acquirers currently blocked in :meth:`acquire`.
-        #: ``enter_scope`` waits on this too (writer preference): a
-        #: steady stream of same-scope submissions -- exactly the
-        #: experiment-service workload -- must not starve ``close()``
-        #: or a cross-scope execution waiting its turn.
-        self._exclusive_waiting = 0
-
-    # -- lock protocol (exclusive: no execution may be inside) ---------
-    def acquire(self) -> bool:
-        with self._cond:
-            self._exclusive_waiting += 1
-            try:
-                while self._active or self._exclusive:
-                    self._cond.wait()
-                self._exclusive += 1
-            finally:
-                self._exclusive_waiting -= 1
-                self._cond.notify_all()
-        return True
-
-    def release(self) -> None:
-        with self._cond:
-            self._exclusive -= 1
-            self._cond.notify_all()
-
-    def __enter__(self) -> "_ExecutionGate":
-        self.acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
-
-    # -- shared, policy-scoped entry -----------------------------------
-    def enter_scope(self, scope: tuple,
-                    apply: Callable[[], Optional[Callable[[], None]]]) -> None:
-        """Join ``scope``, waiting out exclusive holders and executions
-        of any *other* scope.  ``apply`` runs (under the gate) only for
-        the first execution of the scope and returns the restore
-        callback invoked when the last execution leaves."""
-        with self._cond:
-            while self._exclusive or self._exclusive_waiting \
-                    or (self._active and self._scope != scope):
-                self._cond.wait()
-            if self._active == 0:
-                self._scope = scope
-                try:
-                    self._restore = apply()
-                except BaseException:
-                    self._scope = None
-                    self._cond.notify_all()
-                    raise
-            self._active += 1
-
-    def leave_scope(self) -> None:
-        with self._cond:
-            self._active -= 1
-            if self._active == 0:
-                restore, self._restore = self._restore, None
-                self._scope = None
-                if restore is not None:
-                    restore()
-                self._cond.notify_all()
-
-    def idle(self) -> bool:
-        """Whether no execution is currently inside the gate."""
-        with self._cond:
-            return self._active == 0
-
-
-#: The process-wide gate every execution passes through: identical
-#: cache-policy scopes overlap, conflicting scopes serialize.
-_EXECUTION_GATE = _ExecutionGate()
 
 
 class RunCancelled(RuntimeError):
@@ -264,11 +157,13 @@ class RunHandle:
     """
 
     def __init__(self, session: "Session", plan: ExperimentPlan,
-                 options: ExecutionOptions, jobs: int) -> None:
+                 options: ExecutionOptions, jobs: int,
+                 context: ExecutionContext) -> None:
         self._session = session
         self._plan = plan
         self._options = options
         self._jobs = jobs
+        self._context = context
         self._status = "queued"
         self._completed = 0
         self._total = len(plan)
@@ -384,9 +279,11 @@ class Session:
       = all cores, ``1`` = inline).  The shared multiprocessing pool is
       reused across submissions and torn down by :meth:`close` /
       ``__exit__``.
-    * ``cache_dir`` / ``cache`` -- artifact-cache root and enable flag;
-      applied for the session's lifetime and restored on close
-      (``None`` inherits environment/defaults).
+    * ``cache_dir`` / ``cache`` -- artifact-cache root and enable flag
+      for the session's own submissions (``None`` inherits the
+      submitting thread's context, then environment/defaults); the
+      caller's context is never changed -- :meth:`context` runs a block
+      under the session's settings.
     * the workload registry -- :meth:`workload` builds (once per process)
       and returns any registered synthetic benchmark.
     """
@@ -397,25 +294,11 @@ class Session:
         self._jobs = jobs
         self._closed = False
         self._used_pool = False
-        # Executions pass through the process-wide gate: submissions
-        # whose effective cache/result-cache/fault policy is identical
-        # run concurrently (the server's scheduler needs >=2 in-flight
-        # runs); only *conflicting* policy scopes serialize, so one
-        # session can never redirect another's store mid-run.  An
-        # exclusive hold of the gate (``with session._exec_lock:``)
-        # still keeps every execution out.
-        self._exec_lock = _EXECUTION_GATE
         self._cache_dir = cache_dir
         self._cache = cache
-        self._cache_snapshot = None
-        if cache_dir is not None or cache is not None:
-            # Apply eagerly so ambient reads inside `with Session(...)`
-            # (e.g. `repro-clgp cache ls --cache-dir X`) see the
-            # session's store; every execution re-applies these settings
-            # itself, so a concurrently-constructed session cannot
-            # redirect this session's runs.
-            self._cache_snapshot = snapshot_configuration()
-            configure(cache_dir=cache_dir, enabled=cache)
+        #: Executor threads of submissions not yet joined by close().
+        self._threads: List[threading.Thread] = []
+        self._lock = threading.Lock()
 
     # -- lifecycle --------------------------------------------------------
     def __enter__(self) -> "Session":
@@ -433,21 +316,26 @@ class Session:
         return self._jobs
 
     def close(self) -> None:
-        """Finish outstanding submissions, shut the shared pool down (if
-        this session fanned out and no other session is mid-run), and
-        restore the cache configuration."""
-        if self._closed:
-            return
-        with self._exec_lock:   # exclusive: wait for running executions
+        """Finish this session's outstanding submissions, then shut the
+        shared pool down if this session fanned out and no run of any
+        session is fanned out on it (atexit reaps a pool left alive)."""
+        with self._lock:
+            if self._closed:
+                return
             self._closed = True
-        if self._used_pool and self._exec_lock.idle():
-            # Another session's concurrent run may still be fanned out
-            # over the shared pool; leave it alive for them (atexit
-            # reaps it) instead of tearing their sweep down.
-            shutdown_pool()
-        if self._cache_snapshot is not None:
-            restore_configuration(self._cache_snapshot)
-            self._cache_snapshot = None
+            threads, self._threads = self._threads, []
+        for thread in threads:
+            thread.join()
+        if self._used_pool:
+            shutdown_idle_pool()
+
+    def context(self):
+        """Context manager running the block under the calling thread's
+        execution context overridden by this session's ``cache_dir``/
+        ``cache``, resolved (the CLI runs each command in one, so
+        ``cache ls --cache-dir X`` addresses X)."""
+        return use_context(current_context().override(
+            cache_dir=self._cache_dir, cache=self._cache).resolved())
 
     # -- observability ------------------------------------------------------
     def cache_counters(self) -> Dict[str, object]:
@@ -466,12 +354,14 @@ class Session:
         from ..cache.store import cache_enabled, get_store
         from ..simulator.runner import supervisor_stats
 
-        store = get_store()
+        with self.context():
+            store = get_store()
+            enabled = cache_enabled()
         return {
             "store": {
                 "root": str(store.root),
                 "schema_version": store.version,
-                "enabled": cache_enabled(),
+                "enabled": enabled,
                 "read_only": store.read_only(),
                 "total_bytes": store.total_size(),
                 "kinds": {kind: {"files": count, "bytes": size}
@@ -503,12 +393,9 @@ class Session:
         """Submit a spec (or a hand-built plan) for execution.
 
         Returns immediately with a :class:`RunHandle`; execution happens
-        on a background thread, concurrently with other submissions that
-        share the same cache/fault policy (conflicting policies take
-        turns through the process-wide execution gate).
+        on a background thread, concurrently with every other submission,
+        under this submission's resolved execution context.
         """
-        if self._closed:
-            raise RuntimeError("session is closed")
         if options is None:
             options = DEFAULT_OPTIONS
         if isinstance(spec, ExperimentSpec):
@@ -525,13 +412,25 @@ class Session:
         plan = self._with_interval_jobs(plan, options, jobs)
         if jobs > 1 and len(plan) > 1:
             self._used_pool = True
-        handle = RunHandle(self, plan, options, jobs)
-        handle._emit("submitted")
+        context = current_context().override(
+            cache_dir=self._cache_dir, cache=self._cache,
+        ).override(
+            cache_dir=options.cache_dir, cache=options.cache,
+            result_cache=options.result_cache, faults=options.faults,
+        ).resolved()
+        handle = RunHandle(self, plan, options, jobs, context)
         thread = threading.Thread(
             target=self._execute, args=(handle,),
             name=f"repro-api-{plan.name or 'run'}", daemon=True,
         )
-        thread.start()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("session is closed")
+            self._threads = [alive for alive in self._threads
+                             if alive.is_alive()]
+            self._threads.append(thread)
+            handle._emit("submitted")
+            thread.start()
         return handle
 
     def _with_interval_jobs(self, plan: ExperimentPlan,
@@ -618,49 +517,9 @@ class Session:
         import time
 
         options = handle._options
-        # The policy scope is everything this execution would apply to
-        # the process-global configuration: session cache settings,
-        # per-call overrides, result-replay policy and chaos plan.
-        # Identical scopes share the gate (and hence run concurrently);
-        # conflicting scopes take turns.
-        scope = (self._cache_dir, self._cache, options.cache_dir,
-                 options.cache, options.result_cache, options.faults)
-
-        def apply() -> Optional[Callable[[], None]]:
-            # Runs once, for the first execution of the scope; the
-            # returned restore hook runs when the last one leaves, so a
-            # finishing sibling can never revert the store mid-run.
-            if all(value is None for value in scope):
-                return None
-            cache_snapshot = snapshot_configuration()
-            result_snapshot = snapshot_result_configuration()
-            faults_snapshot = snapshot_faults()
-            if self._cache_dir is not None or self._cache is not None:
-                configure(cache_dir=self._cache_dir, enabled=self._cache)
-            if options.cache_dir is not None or options.cache is not None:
-                configure(cache_dir=options.cache_dir,
-                          enabled=options.cache)
-            if options.result_cache is not None:
-                configure_result_cache(options.result_cache)
-            if options.faults is not None:
-                configure_faults(options.faults)
-
-            def restore() -> None:
-                restore_faults(faults_snapshot)
-                restore_result_configuration(result_snapshot)
-                restore_configuration(cache_snapshot)
-
-            return restore
-
-        self._exec_lock.enter_scope(scope, apply)
-        try:
+        with use_context(handle._context):
             if handle._cancel.is_set():
                 handle._finish("cancelled")
-                return
-            if self._closed:
-                handle._error = RuntimeError(
-                    "session closed before the run started")
-                handle._finish("failed")
                 return
             handle._status = "running"
             handle._emit("started")
@@ -727,8 +586,6 @@ class Session:
             except BaseException as exc:   # surfaced via handle.result()
                 handle._error = exc
                 handle._finish("failed")
-        finally:
-            self._exec_lock.leave_scope()
 
 
 # ----------------------------------------------------------------------

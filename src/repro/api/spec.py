@@ -160,7 +160,8 @@ class ExecutionOptions:
     ``REPRO_MAX_RETRIES``/2); ``faults`` injects deterministic chaos for
     this submission only -- a :class:`~repro.faults.FaultPlan` or a spec
     string such as ``"worker_kill:0.1,artifact_corrupt:0.05,seed:7"``
-    (``None`` inherits the ambient ``REPRO_FAULTS``).
+    (``None`` inherits the submitting thread's execution context, then
+    ``REPRO_FAULTS``).
     """
 
     jobs: Optional[int] = None

@@ -2,14 +2,16 @@
 
 Public surface:
 
-* :func:`repro.cache.store.active_store` / :func:`configure` /
-  :data:`SCHEMA_VERSION` -- the content-addressed on-disk store,
+* :func:`repro.cache.store.active_store` / :func:`get_store` /
+  :data:`SCHEMA_VERSION` -- the content-addressed on-disk store, chosen
+  by the execution context (:mod:`repro.context`;
+  :func:`temporary_cache_dir` runs a block against another root),
 * :func:`repro.cache.keys.content_key` / :func:`stable_repr` -- stable,
   process-independent artifact keys,
 * :func:`repro.cache.traces.ensure_compiled_trace` -- compiled
   correct-path traces,
 * :mod:`repro.cache.results` -- full-run result caching
-  (:func:`result_cache_enabled` / :func:`configure_result_cache`),
+  (:func:`result_cache_enabled`),
 * :mod:`repro.cache.shared` -- workload-aware checkpoint pickling.
 """
 
@@ -17,7 +19,6 @@ from .keys import content_key, stable_repr
 from .results import (
     ENV_RESULT_CACHE_DISABLE,
     RESULT_CACHE_STATS,
-    configure_result_cache,
     reset_result_stats,
     result_cache_enabled,
 )
@@ -31,12 +32,8 @@ from .store import (
     GcReport,
     active_store,
     cache_enabled,
-    configure,
     frame_digest,
     get_store,
-    reset_configuration,
-    restore_configuration,
-    snapshot_configuration,
     temporary_cache_dir,
     unframe_digest,
 )
@@ -55,17 +52,12 @@ __all__ = [
     "active_store",
     "cache_enabled",
     "clear_trace_cache",
-    "configure",
-    "configure_result_cache",
     "content_key",
     "ensure_compiled_trace",
     "frame_digest",
     "get_store",
-    "reset_configuration",
     "reset_result_stats",
-    "restore_configuration",
     "result_cache_enabled",
-    "snapshot_configuration",
     "stable_repr",
     "temporary_cache_dir",
     "trace_bucket",

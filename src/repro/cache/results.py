@@ -16,10 +16,12 @@ enabled** and separately switchable, because replaying a final result is
 a stronger policy than replaying intermediate artifacts (there is no
 simulation left to observe):
 
-* ``REPRO_RESULT_CACHE_DISABLE=1`` -- environment-level opt-out,
-* :func:`configure_result_cache` -- process-wide override (the CLI's
-  ``--no-result-cache``; ``repro.api.ExecutionOptions(result_cache=...)``
-  scopes it per submission),
+* the execution context's ``result_cache`` (:mod:`repro.context`) --
+  the CLI's ``--no-result-cache`` and
+  ``repro.api.ExecutionOptions(result_cache=...)`` set it per
+  submission,
+* ``REPRO_RESULT_CACHE_DISABLE=1`` -- the opt-out when the context
+  leaves it unset,
 * disabling the artifact cache itself (``--no-cache``) disables result
   replay with it.
 
@@ -37,16 +39,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
+from ..context import current_context
 from .keys import content_key, stable_repr
 from .store import active_store
 
 #: Artifact kind under which full-run results are stored.
 RESULT_KIND = "result"
 
-#: Environment-level opt-out (the CLI flag maps onto
-#: :func:`configure_result_cache`).
+#: Environment-level opt-out, for contexts that leave replay unset.
 ENV_RESULT_CACHE_DISABLE = "REPRO_RESULT_CACHE_DISABLE"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -65,32 +66,15 @@ class ResultCacheStats:
 #: Process-wide counters (reset by tests via :func:`reset_result_stats`).
 RESULT_CACHE_STATS = ResultCacheStats()
 
-_override_enabled: Optional[bool] = None
-
-
-def configure_result_cache(enabled: Optional[bool]) -> None:
-    """Process-wide override; ``None`` lets the environment/default decide."""
-    global _override_enabled
-    _override_enabled = enabled
-
 
 def result_cache_enabled() -> bool:
     """Whether full-run results may be replayed instead of resimulated."""
-    if _override_enabled is not None:
-        return _override_enabled
+    enabled = current_context().result_cache
+    if enabled is not None:
+        return enabled
     return os.environ.get(
         ENV_RESULT_CACHE_DISABLE, ""
     ).strip().lower() not in _TRUTHY
-
-
-def snapshot_result_configuration() -> Optional[bool]:
-    """The current override, for :func:`restore_result_configuration`."""
-    return _override_enabled
-
-
-def restore_result_configuration(snapshot: Optional[bool]) -> None:
-    global _override_enabled
-    _override_enabled = snapshot
 
 
 def reset_result_stats() -> None:

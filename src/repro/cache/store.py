@@ -32,12 +32,16 @@ the store those artifacts live in:
   and every ``.tmp`` file seen under the exclusive lock is provably
   orphaned.  Locking is best-effort: where ``fcntl`` is unavailable the
   store degrades to today's lockless behaviour.
-* **Configuration** -- the default root is ``.repro-cache/`` in the
-  working directory, overridable with ``REPRO_CACHE_DIR`` or
-  :func:`configure` (the CLI's ``--cache-dir``); caching is disabled
-  entirely with ``REPRO_CACHE_DISABLE=1`` or ``configure(enabled=False)``
-  (the CLI's ``--no-cache``), in which case :func:`active_store` returns
-  ``None`` and every caller falls back to plain recomputation.
+* **Configuration** -- the store a run uses comes from its execution
+  context (:mod:`repro.context`): the root is the context's
+  ``cache_dir`` (a session's or the CLI's ``--cache-dir``), else
+  ``REPRO_CACHE_DIR``, else ``.repro-cache/`` in the working directory;
+  the context's ``cache=False`` (``--no-cache``) or
+  ``REPRO_CACHE_DISABLE=1`` disables caching entirely, in which case
+  :func:`active_store` returns ``None`` and every caller falls back to
+  plain recomputation.  One :class:`ArtifactStore` serves each root for
+  the life of the process, so concurrent runs on different roots each
+  keep their own.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import faults
+from ..context import current_context, use_context
 
 try:
     import fcntl
@@ -86,7 +91,8 @@ SCHEMA_VERSION = 4
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Environment overrides (the CLI flags map onto :func:`configure`).
+#: Environment fallbacks for an execution context that leaves the
+#: store root or enable flag unset.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_DISABLE = "REPRO_CACHE_DISABLE"
 
@@ -719,67 +725,36 @@ class ArtifactStore:
 
 
 # ----------------------------------------------------------------------
-# process-wide store resolution
+# store resolution from the execution context
 # ----------------------------------------------------------------------
-_override_dir: Optional[str] = None
-_override_enabled: Optional[bool] = None
-_active: Optional[ArtifactStore] = None
-
-
-def configure(cache_dir: Optional[str] = None,
-              enabled: Optional[bool] = None) -> None:
-    """Set process-wide overrides (the CLI's ``--cache-dir``/``--no-cache``).
-
-    ``None`` leaves the respective setting untouched (environment
-    variables and defaults keep deciding).
-    """
-    global _override_dir, _override_enabled, _active
-    if cache_dir is not None:
-        _override_dir = str(cache_dir)
-        _active = None
-    if enabled is not None:
-        _override_enabled = enabled
-
-
-def snapshot_configuration() -> tuple:
-    """The current process-wide overrides, for :func:`restore_configuration`
-    (``repro.api.Session`` scopes its cache policy with these)."""
-    return _override_dir, _override_enabled
-
-
-def restore_configuration(snapshot: tuple) -> None:
-    """Reinstate overrides captured by :func:`snapshot_configuration`."""
-    global _override_dir, _override_enabled, _active
-    _override_dir, _override_enabled = snapshot
-    _active = None
-
-
-def reset_configuration() -> None:
-    """Drop every override (tests; environment/defaults apply again)."""
-    global _override_dir, _override_enabled, _active
-    _override_dir = None
-    _override_enabled = None
-    _active = None
+#: One store per root, shared by every run that uses the root.
+_STORES: Dict[str, ArtifactStore] = {}
+_STORES_LOCK = threading.Lock()
 
 
 def cache_enabled() -> bool:
-    if _override_enabled is not None:
-        return _override_enabled
+    enabled = current_context().cache
+    if enabled is not None:
+        return enabled
     return os.environ.get(ENV_CACHE_DISABLE, "").strip().lower() not in _TRUTHY
 
 
 def resolved_cache_dir() -> str:
-    return _override_dir or os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
+    return (current_context().cache_dir or os.environ.get(ENV_CACHE_DIR)
+            or DEFAULT_CACHE_DIR)
 
 
 def get_store() -> ArtifactStore:
-    """The store at the currently-configured root (even when disabled --
+    """The store at the context's root (even when caching is disabled --
     ``cache path``/``cache clear`` still need to address it)."""
-    global _active
     root = resolved_cache_dir()
-    if _active is None or str(_active.root) != root:
-        _active = ArtifactStore(root)
-    return _active
+    store = _STORES.get(root)
+    if store is None:
+        with _STORES_LOCK:
+            store = _STORES.get(root)
+            if store is None:
+                store = _STORES[root] = ArtifactStore(root)
+    return store
 
 
 def active_store() -> Optional[ArtifactStore]:
@@ -790,14 +765,8 @@ def active_store() -> Optional[ArtifactStore]:
 
 @contextlib.contextmanager
 def temporary_cache_dir(path, enabled: bool = True):
-    """Context manager routing the process-wide store at ``path`` (tests
-    and the cold-vs-warm benchmark)."""
-    global _override_dir, _override_enabled, _active
-    saved = (_override_dir, _override_enabled, _active)
-    _override_dir = str(path)
-    _override_enabled = enabled
-    _active = None
-    try:
+    """Run the block against the store at ``path`` (tests and the
+    cold-vs-warm benchmarks)."""
+    with use_context(current_context().override(cache_dir=path,
+                                                cache=enabled)):
         yield get_store()
-    finally:
-        _override_dir, _override_enabled, _active = saved

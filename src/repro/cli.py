@@ -542,20 +542,19 @@ def _cmd_serve(session: Session, args: argparse.Namespace) -> int:
     import contextlib
     import signal
 
-    from .cache.results import configure_result_cache
-    from .faults import configure_faults
+    from .context import current_context, use_context
     from .service.server import ExperimentServer
 
-    if args.faults:
-        try:
-            # Process-wide for the server's lifetime: serve is the one
-            # command where chaos must also cover the HTTP boundary
-            # (the request_drop site fires before any Session exists).
-            configure_faults(args.faults)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-    if args.no_result_cache:
-        configure_result_cache(False)
+    try:
+        # The server's whole event loop runs under this context (asyncio
+        # tasks copy it): serve is the one command where chaos must also
+        # cover the HTTP boundary, where the request_drop site fires
+        # before any submission exists.
+        context = current_context().override(
+            result_cache=False if args.no_result_cache else None,
+            faults=args.faults or None)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
     async def run() -> int:
         server = ExperimentServer(
@@ -581,7 +580,8 @@ def _cmd_serve(session: Session, args: argparse.Namespace) -> int:
         return 0
 
     try:
-        return asyncio.run(run())
+        with use_context(context):
+            return asyncio.run(run())
     except KeyboardInterrupt:   # signal handlers unavailable (rare)
         return 0
 
@@ -695,7 +695,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
-        with session:
+        with session, session.context():
             return args.func(session, args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,13 +31,13 @@ probability below 1.0 retries converge; a corrupted artifact's identity
 never changes, so it stays corrupted for the whole run and every read
 must degrade to recompute.
 
-Configuration mirrors the artifact cache: the ``REPRO_FAULTS``
-environment variable (e.g.
-``REPRO_FAULTS=worker_kill:0.1,artifact_corrupt:0.05,io_delay:20ms,seed:7``),
-a process-wide :func:`configure_faults` override (the CLI's ``--faults``;
-``ExecutionOptions(faults=...)`` scopes it per submission), and
-``_worker_init`` forwarding so pool workers inject the same plan as the
-parent.
+Configuration mirrors the artifact cache: the plan is the execution
+context's ``faults`` (:mod:`repro.context`; the CLI's ``--faults`` and
+``ExecutionOptions(faults=...)`` set it per submission), else the
+``REPRO_FAULTS`` environment variable (e.g.
+``REPRO_FAULTS=worker_kill:0.1,artifact_corrupt:0.05,io_delay:20ms,seed:7``).
+Pool workers run every chunk under the dispatching run's resolved
+context, so they inject the same plan as the parent.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
+
+from .context import current_context
 
 #: Environment variable holding the ambient fault plan.
 ENV_FAULTS = "REPRO_FAULTS"
@@ -182,40 +184,20 @@ def resolve_plan(
 
 
 # ----------------------------------------------------------------------
-# process-wide plan resolution (mirrors cache/store configuration)
+# plan resolution from the execution context
 # ----------------------------------------------------------------------
-_override_plan: Optional[FaultPlan] = None
-_env_cache: Optional[tuple] = None   # (raw env string, parsed plan)
 _IN_WORKER = False
 
 
-def configure_faults(plan: Union[FaultPlan, str, None]) -> None:
-    """Set the process-wide fault plan (``None`` = environment decides)."""
-    global _override_plan
-    _override_plan = resolve_plan(plan)
-
-
-def snapshot_faults() -> Optional[FaultPlan]:
-    """The current override, for :func:`restore_faults` (session scoping)."""
-    return _override_plan
-
-
-def restore_faults(snapshot: Optional[FaultPlan]) -> None:
-    global _override_plan
-    _override_plan = snapshot
-
-
 def active_plan() -> FaultPlan:
-    """The fault plan in effect (override first, then ``REPRO_FAULTS``)."""
-    global _env_cache
-    if _override_plan is not None:
-        return _override_plan
+    """The fault plan in effect: the context's, else ``REPRO_FAULTS``
+    (runs resolve their context once, so only unresolved callers parse
+    the environment on every call)."""
+    plan = current_context().faults
+    if plan is not None:
+        return plan
     raw = os.environ.get(ENV_FAULTS, "")
-    if not raw.strip():
-        return NO_FAULTS
-    if _env_cache is None or _env_cache[0] != raw:
-        _env_cache = (raw, FaultPlan.parse(raw))
-    return _env_cache[1]
+    return FaultPlan.parse(raw) if raw.strip() else NO_FAULTS
 
 
 def mark_worker(value: bool = True) -> None:

@@ -45,7 +45,7 @@ old artifacts into plain cache misses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from ..cache.keys import content_key, stable_repr
 from ..cache.shared import dumps_with_workload, loads_with_workload
@@ -115,19 +115,13 @@ def frontier_key(config: SimulationConfig) -> str:
 class CheckpointStore:
     """Cache of warm checkpoints, selections and profiles.
 
-    ``artifacts`` selects the persistent tier: the default resolves
-    :func:`repro.cache.store.active_store` at each use (so the CLI's
-    ``--no-cache``/``--cache-dir`` apply), an explicit
-    :class:`~repro.cache.store.ArtifactStore` pins one, and ``None``
-    keeps the store memory-only (the pre-persistence behaviour).
+    The persistent tier is :func:`repro.cache.store.active_store`,
+    resolved at each use from the calling run's execution context (so a
+    session's or the CLI's ``--no-cache``/``--cache-dir`` apply); with
+    caching off the store is memory-only.
     """
 
-    _DEFAULT = object()
-
-    def __init__(
-        self, artifacts: Union[ArtifactStore, None, object] = _DEFAULT
-    ) -> None:
-        self._artifacts = artifacts
+    def __init__(self) -> None:
         self._checkpoints: Dict[Tuple, SimulatorCheckpoint] = {}
         self._selections: Dict[Tuple, IntervalSelection] = {}
         self._profiles: Dict[Tuple, FunctionalProfile] = {}
@@ -147,12 +141,6 @@ class CheckpointStore:
         self.frontier_hits = 0
         self.frontier_misses = 0
         self.frontier_publishes = 0
-
-    def artifact_store(self) -> Optional[ArtifactStore]:
-        """The persistent tier in effect, or ``None`` (memory only)."""
-        if self._artifacts is CheckpointStore._DEFAULT:
-            return active_store()
-        return self._artifacts
 
     # -- warm simulator state ------------------------------------------
     def warm_checkpoint(
@@ -175,7 +163,7 @@ class CheckpointStore:
         simulator.warm_up()
         checkpoint = simulator.snapshot()
         self._checkpoints[key] = checkpoint
-        disk = self.artifact_store()
+        disk = active_store()
         if disk is not None:
             # The store digest-frames every payload (schema v4), so a
             # rotted checkpoint is rejected on read instead of replaying
@@ -190,7 +178,7 @@ class CheckpointStore:
         self, key: Tuple, workload: Workload
     ) -> Optional[SimulatorCheckpoint]:
         """The persisted warm checkpoint for ``key``, or ``None``."""
-        disk = self.artifact_store()
+        disk = active_store()
         if disk is None:
             return None
         disk_key = content_key("warm-checkpoint", *key)
@@ -282,7 +270,7 @@ class CheckpointStore:
         key = (position_key(config), workload.name, workload.profile.seed)
         memo = self._positioned.get(key, {})
         candidates = {off for off in memo if min_offset < off <= max_offset}
-        disk = self.artifact_store()
+        disk = active_store()
         if disk is not None:
             index = disk.get("positioned-index",
                              content_key("positioned-index", *key))
@@ -341,7 +329,7 @@ class CheckpointStore:
         key = (position_key(config), workload.name, workload.profile.seed)
         self._positioned.setdefault(key, {})[offset] = checkpoint
         self.positioned_publishes += 1
-        disk = self.artifact_store()
+        disk = active_store()
         if disk is None:
             return
         disk_key = content_key("positioned-checkpoint", *key, offset)
@@ -386,7 +374,7 @@ class CheckpointStore:
         key = (frontier_key(config), workload.name, workload.profile.seed)
         memo = self._frontier.get(key, {})
         candidates = {off for off in memo if 0 < off < max_offset}
-        disk = self.artifact_store()
+        disk = active_store()
         if disk is not None:
             index = disk.get("frontier-index",
                              content_key("frontier-index", *key))
@@ -414,14 +402,15 @@ class CheckpointStore:
         Checked *before* snapshotting at the end of a full run: repeated
         identical runs (bench rounds, sweeps re-entered per scheme) would
         otherwise pay the snapshot-and-pickle cost every time for a
-        checkpoint that is already published.
+        checkpoint that is already published.  With a live store only the
+        store answers: the memo may hold a frontier published to another
+        root (one process serves runs on several stores), and that store
+        must still receive it.
         """
         key = (frontier_key(config), workload.name, workload.profile.seed)
-        if offset in self._frontier.get(key, {}):
-            return True
-        disk = self.artifact_store()
+        disk = active_store()
         if disk is None:
-            return False
+            return offset in self._frontier.get(key, {})
         index = disk.get("frontier-index", content_key("frontier-index", *key))
         return isinstance(index, (list, tuple)) and offset in index
 
@@ -464,7 +453,7 @@ class CheckpointStore:
         key = (frontier_key(config), workload.name, workload.profile.seed)
         self._frontier.setdefault(key, {})[offset] = checkpoint
         self.frontier_publishes += 1
-        disk = self.artifact_store()
+        disk = active_store()
         if disk is None:
             return
         disk_key = content_key("frontier-checkpoint", *key, offset)
@@ -490,7 +479,7 @@ class CheckpointStore:
         value = memo.get(key)
         if value is not None:
             return value
-        disk = self.artifact_store()
+        disk = active_store()
         disk_key = content_key(kind, *key) if disk is not None else None
         if disk is not None:
             loaded = disk.get(kind, disk_key)

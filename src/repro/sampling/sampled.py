@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..cache.keys import content_key, stable_repr
+from ..cache.store import active_store
 from ..cache.traces import ensure_compiled_trace
 from ..simulator.config import SimulationConfig
 from ..simulator.simulator import Simulator
@@ -160,7 +161,7 @@ def _measure_intervals(
     prefix instead of skipping from the warm state.
     """
     segments = _segments(selection.intervals)
-    persistent = store.artifact_store() is not None
+    persistent = active_store() is not None
     interval_results: List[SimulationResult] = []
     for n, indices in enumerate(segments):
         # A post-skip snapshot is worth its deep copy only when a later
@@ -314,7 +315,7 @@ def _measure_intervals_parallel(
         return None
     if faults.in_worker():
         return None
-    if store.artifact_store() is None:
+    if active_store() is None:
         return None
     segments = _segments(selection.intervals)
     if len(segments) < 2:
@@ -413,7 +414,7 @@ def _execute_sampled(
     # means the timed loop actually runs.
     from ..cache.results import result_cache_enabled
 
-    disk = store.artifact_store()
+    disk = active_store()
     measured = None
     measurement_key = None
     selection_fingerprint = content_key("selection-fp", selection)

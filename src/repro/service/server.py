@@ -43,6 +43,7 @@ peer address); it drives fair scheduling, quotas, and the deterministic
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import dataclasses
 import itertools
 import threading
@@ -669,6 +670,9 @@ class ServerThread:
 
     def start(self, timeout: float = 10.0) -> "ServerThread":
         ready = threading.Event()
+        # The loop thread, and every task on it, runs under the caller's
+        # execution context (a new thread would start with an empty one).
+        context = contextvars.copy_context()
 
         def run() -> None:
             loop = asyncio.new_event_loop()
@@ -682,8 +686,8 @@ class ServerThread:
             finally:
                 loop.close()
 
-        self._thread = threading.Thread(target=run, name="repro-service",
-                                        daemon=True)
+        self._thread = threading.Thread(target=context.run, args=(run,),
+                                        name="repro-service", daemon=True)
         self._thread.start()
         if not ready.wait(timeout):
             raise RuntimeError("service failed to start in time")

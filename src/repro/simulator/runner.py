@@ -58,6 +58,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .. import faults
 from ..cache.traces import ensure_compiled_trace
+from ..context import current_context, use_context
 from ..workloads.spec2000 import DEFAULT_MIX, SPECINT2000_NAMES, profile_for
 from ..workloads.trace import Workload, build_workload
 from .config import SimulationConfig
@@ -265,7 +266,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 # ----------------------------------------------------------------------
 _POOL: Optional[multiprocessing.pool.Pool] = None
 _POOL_PROCESSES = 0
-_POOL_CACHE_STATE: Optional[tuple] = None
 #: Parent-side handle of the worker start-event queue (one per pool).
 _POOL_EVENTS = None
 #: Worker-side handle of the same queue, installed by ``_worker_init``.
@@ -274,9 +274,8 @@ _WORKER_EVENTS = None
 #: because ``_shared_pool`` may call ``shutdown_pool`` while holding it.
 _POOL_GUARD = threading.RLock()
 #: Supervisors currently fanned out over the shared pool.  A cancelled
-#: run only tears the pool down when it is the sole user -- with the
-#: execution gate admitting same-policy sessions concurrently, another
-#: supervisor's sweep may still be in flight on the same workers.
+#: run only tears the pool down when it is the sole user -- runs of any
+#: session may be in flight concurrently on the same workers.
 _POOL_USERS = 0
 
 #: chunk_id -> the dispatching supervisor's in-flight entry.  Worker
@@ -288,46 +287,24 @@ _PICKUP_LOCK = threading.Lock()
 _PICKUP_ENTRIES: Dict[int, dict] = {}
 
 
-def _worker_init(cache_dir: str, cache_on: bool, result_cache_on: bool,
-                 fault_plan=None, events=None) -> None:
-    """Apply the parent's resolved artifact-cache settings in a worker.
-
-    ``configure()``/``--no-cache`` state lives in module globals, which
-    spawn-start platforms do not inherit (and forked workers freeze at
-    fork time); passing the resolved values through the pool initializer
-    keeps every worker on the parent's store (and on the parent's
-    result-replay policy).  The active fault plan rides along for the
-    same reason -- chaos must inject identically in every worker -- and
-    ``events`` is the sentinel queue workers announce chunk pickups on.
-    """
-    from ..cache.results import configure_result_cache
-    from ..cache.store import configure
-
+def _worker_init(events) -> None:
+    """Mark a new pool worker and hand it the sentinel queue it announces
+    chunk pickups on.  Policy does not live here: every chunk carries the
+    dispatching run's resolved execution context (cache, result replay,
+    faults), so one pool serves runs of any policy."""
     global _WORKER_EVENTS
-    configure(cache_dir=cache_dir, enabled=cache_on)
-    configure_result_cache(result_cache_on)
-    faults.configure_faults(fault_plan)
     faults.mark_worker()
     _WORKER_EVENTS = events
 
 
 def _shared_pool(processes: int) -> multiprocessing.pool.Pool:
-    from ..cache.results import result_cache_enabled
-    from ..cache.store import cache_enabled, resolved_cache_dir
-
-    global _POOL, _POOL_PROCESSES, _POOL_CACHE_STATE, _POOL_EVENTS
+    global _POOL, _POOL_PROCESSES, _POOL_EVENTS
     with _POOL_GUARD:
-        cache_state = (resolved_cache_dir(), cache_enabled(),
-                       result_cache_enabled(), faults.active_plan())
-        if _POOL is not None and (_POOL_CACHE_STATE != cache_state
-                                  or (_POOL_PROCESSES != processes
-                                      and _POOL_USERS == 0)):
-            # A stale cache state always rebuilds (the execution gate
-            # serializes conflicting policy scopes, so the pool is idle
-            # then).  A size mismatch alone only rebuilds an *idle*
-            # pool: ``processes`` is just an upper bound
-            # (min(jobs, len(chunks)) differs per run), and tearing the
-            # pool down while a sibling is fanned out would kill its
+        if _POOL is not None and _POOL_PROCESSES != processes \
+                and _POOL_USERS == 0:
+            # Only an *idle* pool resizes: ``processes`` is just an upper
+            # bound (min(jobs, len(chunks)) differs per run), and tearing
+            # the pool down while a sibling is fanned out would kill its
             # chunks mid-sweep -- its respawn would then kill ours in
             # turn, ping-ponging until retry budgets burn out.
             shutdown_pool()
@@ -336,10 +313,9 @@ def _shared_pool(processes: int) -> multiprocessing.pool.Pool:
             _POOL = multiprocessing.Pool(
                 processes=processes,
                 initializer=_worker_init,
-                initargs=cache_state + (_POOL_EVENTS,),
+                initargs=(_POOL_EVENTS,),
             )
             _POOL_PROCESSES = processes
-            _POOL_CACHE_STATE = cache_state
         return _POOL
 
 
@@ -352,17 +328,24 @@ def shutdown_pool() -> None:
     abandoned simulations take (the behaviour ``with Pool(...)`` used to
     provide via its ``__exit__``).
     """
-    global _POOL, _POOL_PROCESSES, _POOL_CACHE_STATE, _POOL_EVENTS
+    global _POOL, _POOL_PROCESSES, _POOL_EVENTS
     with _POOL_GUARD:
         if _POOL is not None:
             _POOL.terminate()
             _POOL.join()
             _POOL = None
             _POOL_PROCESSES = 0
-            _POOL_CACHE_STATE = None
         if _POOL_EVENTS is not None:
             _POOL_EVENTS.close()
             _POOL_EVENTS = None
+
+
+def shutdown_idle_pool() -> None:
+    """Tear the shared pool down unless a supervisor is fanned out on it
+    (``Session.close``: another session's run may still be using it)."""
+    with _POOL_GUARD:
+        if _POOL_USERS == 0:
+            shutdown_pool()
 
 
 atexit.register(shutdown_pool)
@@ -427,7 +410,8 @@ def _timed_task(
 
 def _run_supervised_chunk(payload) -> tuple:
     """Pool worker: run one dispatched chunk of (index, attempt, task)
-    items and return per-task outcomes.
+    items under the dispatching run's execution context and return
+    per-task outcomes.
 
     All tasks of a chunk share one benchmark, so the worker builds (or
     loads from the artifact store) that benchmark's program, compiled
@@ -442,16 +426,18 @@ def _run_supervised_chunk(payload) -> tuple:
     A task that raises becomes an ``("err", ...)`` outcome rather than
     poisoning the chunk: its chunk-mates' finished work still returns.
     """
-    chunk_id, items = payload
+    chunk_id, context, items = payload
     if _WORKER_EVENTS is not None:
         _WORKER_EVENTS.put((chunk_id, os.getpid()))
-    faults.maybe_kill_worker(items[0][0], items[0][1])
-    outcomes = []
-    for index, _attempt, task in items:
-        try:
-            outcomes.append(("ok", _timed_task(index, task)))
-        except Exception as exc:
-            outcomes.append(("err", index, f"{type(exc).__name__}: {exc}"))
+    with use_context(context):
+        faults.maybe_kill_worker(items[0][0], items[0][1])
+        outcomes = []
+        for index, _attempt, task in items:
+            try:
+                outcomes.append(("ok", _timed_task(index, task)))
+            except Exception as exc:
+                outcomes.append(("err", index,
+                                 f"{type(exc).__name__}: {exc}"))
     return chunk_id, outcomes
 
 
@@ -555,13 +541,10 @@ def _plan_prefers_inline(
     available) exceeds dispatch overhead plus -- when no pool exists
     yet -- the spawn cost.  Small sweeps at small budgets therefore run
     inline even with ``jobs>1``, which is also the only way ``jobs=2``
-    can avoid losing to ``jobs=1`` on a single-CPU host.  Disabled by
-    ``REPRO_NO_INLINE_FALLBACK=1`` (tests that assert pool behaviour)
-    and whenever a fault plan is active: chaos must exercise the real
+    can avoid losing to ``jobs=1`` on a single-CPU host.  Disabled
+    whenever a fault plan is active: chaos must exercise the real
     supervised pool path it is designed to test.
     """
-    if os.environ.get("REPRO_NO_INLINE_FALLBACK"):
-        return False
     if faults.active_plan() is not faults.NO_FAULTS:
         return False
     effective = _effective_parallelism(jobs)
@@ -713,7 +696,9 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
     vanished worker pids, and fires deferred (backed-off) re-dispatches.
     Worker-loss attribution comes from the sentinel pickup events: a
     chunk whose worker died is re-dispatched (its already-yielded tasks
-    excluded) while ``multiprocessing.Pool`` replaces the worker.  With
+    excluded) while ``multiprocessing.Pool`` replaces the worker.  Every
+    chunk carries the caller's execution context, resolved once here, so
+    the workers read the caller's store, replay policy and faults.  With
     ``task_timeout`` chunks are singletons, so cancelling a stuck task
     is exactly one ``SIGKILL`` of its worker; a deadline overrun is
     terminal (a deterministic simulation that blew its deadline once
@@ -725,6 +710,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
     else:
         chunks = _affine_chunks(tasks, jobs)
     global _POOL_USERS
+    context = current_context().resolved()
     processes = min(jobs, len(chunks))
     with _POOL_GUARD:
         pool = _shared_pool(processes)
@@ -754,7 +740,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
         for resubmission in (False, True):
             try:
                 pool.apply_async(_run_supervised_chunk,
-                                 ((chunk_id, payload),),
+                                 ((chunk_id, context, payload),),
                                  callback=on_done, error_callback=on_error)
                 break
             except Exception:
@@ -907,9 +893,9 @@ def _supervise(tasks, chunks, cancel, task_timeout, max_retries,
             with _POOL_GUARD:
                 if _POOL_USERS == 1:
                     # Sole user: kill outstanding chunks with the pool.
-                    # With concurrent same-policy supervisors the pool
-                    # stays up for the others; this run's chunks finish
-                    # as no-ops (completions are simply not consumed).
+                    # With concurrent supervisors the pool stays up for
+                    # the others; this run's chunks finish as no-ops
+                    # (completions are simply not consumed).
                     shutdown_pool()
             return
         now = time.monotonic()

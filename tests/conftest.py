@@ -54,19 +54,16 @@ def _isolated_artifact_cache(tmp_path_factory):
     ``.repro-cache/``; tests that exercise the store itself use their own
     explicit directories on top.
     """
-    from repro.cache import reset_configuration
     from repro.cache.store import ENV_CACHE_DIR
 
     cache_dir = tmp_path_factory.mktemp("repro-cache")
     previous = os.environ.get(ENV_CACHE_DIR)
     os.environ[ENV_CACHE_DIR] = str(cache_dir)
-    reset_configuration()
     yield
     if previous is None:
         os.environ.pop(ENV_CACHE_DIR, None)
     else:
         os.environ[ENV_CACHE_DIR] = previous
-    reset_configuration()
 
 
 @pytest.fixture(scope="session")

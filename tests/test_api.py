@@ -104,7 +104,8 @@ class TestSessionLifecycle:
     def test_context_manager_shuts_down_pool(self, monkeypatch):
         # Force the pool path: this fast plan is small enough that the
         # overhead-aware planner would otherwise run it inline.
-        monkeypatch.setenv("REPRO_NO_INLINE_FALLBACK", "1")
+        monkeypatch.setattr(runner_module, "_plan_prefers_inline",
+                            lambda tasks, jobs: False)
         with Session(jobs=2) as session:
             session.run(fast_spec(benchmarks=("gzip", "mcf")))
             assert runner_module._POOL is not None
@@ -122,14 +123,24 @@ class TestSessionLifecycle:
         session.close()
         session.close()
 
-    def test_cache_overrides_restored_on_close(self, tmp_path):
+    def test_session_never_changes_the_callers_context(self, tmp_path):
         from repro.cache import cache_enabled, get_store
+        from repro.context import current_context
 
+        before = current_context()
         before_root = str(get_store().root)
-        with Session(cache_dir=str(tmp_path / "api-cache"), cache=False):
-            assert str(get_store().root) == str(tmp_path / "api-cache")
-            assert not cache_enabled()
-        assert str(get_store().root) == before_root
+        with Session(cache_dir=str(tmp_path / "api-cache"),
+                     cache=False) as session:
+            session.run(fast_spec())
+            assert current_context() is before
+            assert str(get_store().root) == before_root
+            assert cache_enabled()
+            with session.context():
+                assert str(get_store().root) == str(tmp_path / "api-cache")
+                assert not cache_enabled()
+            assert current_context() is before
+        assert current_context() is before
+        assert not (tmp_path / "api-cache").exists()
 
     def test_workload_registry(self):
         with Session() as session:
@@ -208,21 +219,40 @@ class TestRunHandle:
         assert len(result) == 1
 
 
+@pytest.fixture
+def held_runs(monkeypatch):
+    """An event that holds every submission before its first task: the
+    executor's task stream waits on it, so a test can observe or cancel
+    a run that has not started working yet."""
+    from repro.api import session as session_module
+
+    release = threading.Event()
+    real = session_module.iter_task_results
+
+    def held(*args, **kwargs):
+        assert release.wait(30), "held run never released"
+        yield from real(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "iter_task_results", held)
+    yield release
+    release.set()
+
+
 class TestCancellation:
-    def test_cancel_mid_run_stops_remaining_tasks(self):
+    def test_cancel_mid_run_stops_remaining_tasks(self, held_runs):
         spec = fast_spec(benchmarks=("gzip", "mcf", "eon", "gcc"))
         with Session() as session:
-            # Attach the listener while the execution lock keeps the run
-            # queued: with warm result replay a task can finish in
-            # microseconds, so attaching after submit() would race the
-            # whole run.  Cancel then fires from the executor thread
-            # after the first finished task, deterministically (listeners
-            # run synchronously between tasks).
-            with session._exec_lock:
-                handle = session.submit(spec)
-                handle.add_listener(
-                    lambda event: handle.cancel()
-                    if event.kind == "task" else None)
+            # Attach the listener while the run is held: with warm result
+            # replay a task can finish in microseconds, so attaching after
+            # an unheld submit() would race the whole run.  Cancel then
+            # fires from the executor thread after the first finished
+            # task, deterministically (listeners run synchronously
+            # between tasks).
+            handle = session.submit(spec)
+            handle.add_listener(
+                lambda event: handle.cancel()
+                if event.kind == "task" else None)
+            held_runs.set()
             with pytest.raises(RunCancelled):
                 handle.result()
         assert handle.status() == "cancelled"
@@ -231,12 +261,11 @@ class TestCancellation:
         assert handle.event_log[-1].kind == "cancelled"
         assert handle.cancel() is False   # already finished
 
-    def test_cancel_before_start(self):
+    def test_cancel_before_start(self, held_runs):
         with Session() as session:
-            # Hold the execution lock so the submission stays queued.
-            with session._exec_lock:
-                handle = session.submit(fast_spec())
-                assert handle.cancel() is True
+            handle = session.submit(fast_spec())
+            assert handle.cancel() is True
+            held_runs.set()
             with pytest.raises(RunCancelled):
                 handle.result()
         assert handle.status() == "cancelled"

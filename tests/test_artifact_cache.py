@@ -71,15 +71,10 @@ MEDIUM_PROFILE = WorkloadProfile(
 
 
 @pytest.fixture(autouse=True)
-def _reset_cache_overrides():
-    """CLI --cache-dir/--no-cache/--no-result-cache set process-wide
-    overrides, and store-routed runs attach compiled traces to the
-    per-process workload cache; make sure neither leaks across tests."""
+def _reset_process_caches():
+    """Store-routed runs attach compiled traces to the per-process
+    workload cache; make sure that never leaks across tests."""
     yield
-    from repro.cache import configure_result_cache, reset_configuration
-
-    reset_configuration()
-    configure_result_cache(None)
     clear_process_caches()
 
 
@@ -493,11 +488,11 @@ class TestResultCache:
             assert warm == cold
 
     def test_disabled_result_cache_stores_and_replays_nothing(self, tmp_path):
-        from repro.cache import configure_result_cache
+        from repro.context import current_context, use_context
 
         with temporary_cache_dir(tmp_path / "cache") as disk:
-            configure_result_cache(False)
-            self._run_once()
+            with use_context(current_context().override(result_cache=False)):
+                self._run_once()
             assert disk.describe().get("result", (0, 0))[0] == 0
 
     def test_result_key_binds_config_workload_and_budget(self):

@@ -10,23 +10,25 @@ without hanging and produce results bit-identical to a fault-free run.
 
 import errno
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import faults
 from repro.cache import ArtifactStore, temporary_cache_dir
 from repro.cache.store import frame_digest, unframe_digest
+from repro.context import current_context, use_context
 from repro.faults import (
     NO_FAULTS,
     FaultPlan,
     active_plan,
-    configure_faults,
     corrupt_artifact,
     maybe_kill_worker,
     resolve_plan,
-    restore_faults,
-    snapshot_faults,
 )
 from repro.simulator.config import SimulationConfig
 from repro.simulator.plan import (
@@ -51,14 +53,18 @@ def fast_config(**kw):
     return SimulationConfig(**base)
 
 
+def chaos(spec: str):
+    """Run the block under the fault plan ``spec``."""
+    return use_context(current_context().override(faults=spec))
+
+
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
-    """Fault plans and supervisor counters are process-wide; never let a
-    chaos test leak its configuration into the next one."""
+    """Supervisor counters, the pool and the in-memory caches are
+    process-wide; never let a chaos test leak them into the next one."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
     yield
-    configure_faults(None)
     reset_supervisor_stats()
     shutdown_pool()
     clear_process_caches()
@@ -128,16 +134,13 @@ class TestPlanResolution:
 
     def test_override_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker_kill:0.3")
-        configure_faults("worker_kill:0.9")
-        assert active_plan().worker_kill == 0.9
-        configure_faults(None)
+        with chaos("worker_kill:0.9"):
+            assert active_plan().worker_kill == 0.9
         assert active_plan().worker_kill == 0.3
 
     def test_snapshot_restore(self):
-        snapshot = snapshot_faults()
-        configure_faults("io_delay:5ms")
-        assert active_plan().io_delay == 0.005
-        restore_faults(snapshot)
+        with chaos("io_delay:5ms"):
+            assert active_plan().io_delay == 0.005
         assert active_plan() == NO_FAULTS
 
 
@@ -154,20 +157,20 @@ class TestDecisions:
         assert a != faults._decision(7, "artifact_corrupt", 3, 1)
 
     def test_corrupt_artifact_is_deterministic_per_key(self):
-        configure_faults("artifact_corrupt:1.0,seed:3")
         payload = bytes(range(256)) * 8
-        once = corrupt_artifact("trace", "k1", payload)
-        assert once == corrupt_artifact("trace", "k1", payload)
-        assert once != payload
-        assert corrupt_artifact("trace", "k2", payload) != payload
+        with chaos("artifact_corrupt:1.0,seed:3"):
+            once = corrupt_artifact("trace", "k1", payload)
+            assert once == corrupt_artifact("trace", "k1", payload)
+            assert once != payload
+            assert corrupt_artifact("trace", "k2", payload) != payload
 
     def test_corrupt_artifact_noop_without_plan(self):
         payload = b"untouched"
         assert corrupt_artifact("trace", "k1", payload) == payload
 
     def test_kill_is_noop_outside_workers(self):
-        configure_faults("worker_kill:1.0")
-        maybe_kill_worker(0, 1)   # would os._exit if worker-gated wrongly
+        with chaos("worker_kill:1.0"):
+            maybe_kill_worker(0, 1)   # would os._exit if worker-gated wrongly
 
 
 # ----------------------------------------------------------------------
@@ -185,16 +188,16 @@ class TestChaosExecution:
         baseline = run_tasks(self._tasks(), jobs=2)
         shutdown_pool()
         reset_supervisor_stats()
-        configure_faults("worker_kill:0.7,seed:1")
-        chaotic = run_tasks(self._tasks(), jobs=2, max_retries=10)
+        with chaos("worker_kill:0.7,seed:1"):
+            chaotic = run_tasks(self._tasks(), jobs=2, max_retries=10)
         assert chaotic == baseline
         stats = supervisor_stats()
         assert stats.retries > 0
         assert stats.worker_losses > 0
 
     def test_certain_kills_exhaust_retries_without_hanging(self):
-        configure_faults("worker_kill:1.0,seed:1")
-        with pytest.raises(TaskFailureError) as excinfo:
+        with chaos("worker_kill:1.0,seed:1"), \
+                pytest.raises(TaskFailureError) as excinfo:
             run_tasks(self._tasks(count=2), jobs=2, max_retries=1)
         failures = excinfo.value.failures
         assert failures
@@ -269,8 +272,8 @@ class TestArtifactCorruptionChaos:
         with temporary_cache_dir(tmp_path / "clean"):
             clear_process_caches()
             clean = _execute_single(config, "gzip", 1500)
-        configure_faults("artifact_corrupt:1.0,seed:5")
-        with temporary_cache_dir(tmp_path / "chaos") as disk:
+        with chaos("artifact_corrupt:1.0,seed:5"), \
+                temporary_cache_dir(tmp_path / "chaos") as disk:
             clear_process_caches()
             first = _execute_single(config, "gzip", 1500)
             clear_process_caches()
@@ -279,10 +282,10 @@ class TestArtifactCorruptionChaos:
         assert first == second == clean
 
     def test_io_delay_only_slows_io(self, tmp_path):
-        configure_faults("io_delay:1ms")
         store = ArtifactStore(tmp_path / "cache")
-        store.put("kindA", "key", [1, 2, 3])
-        assert store.get("kindA", "key") == [1, 2, 3]
+        with chaos("io_delay:1ms"):
+            store.put("kindA", "key", [1, 2, 3])
+            assert store.get("kindA", "key") == [1, 2, 3]
 
 
 # ----------------------------------------------------------------------
@@ -354,14 +357,13 @@ class TestStoreFaultSites:
 
     def test_write_crash_leaves_tmp_without_publishing(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
-        configure_faults("write_crash:1.0,seed:3")
-        store.put("kindA", "key", [1, 2])
+        with chaos("write_crash:1.0,seed:3"):
+            store.put("kindA", "key", [1, 2])
         assert store.stats.crashed_writes == 1
         assert store.stats.stores == 0
         assert not store.path_for("kindA", "key").exists()
         assert len(list((tmp_path / "cache").rglob(".*.tmp"))) == 1
         # The next gc pass reaps (and reports) the stranded temp file.
-        configure_faults(None)
         report = store.gc(10 ** 9)
         assert report.tmp_files_removed == 1
         assert not list((tmp_path / "cache").rglob(".*.tmp"))
@@ -369,16 +371,15 @@ class TestStoreFaultSites:
     def test_io_error_site_fails_reads_and_degrades_writes(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
         store.put("kindA", "key", [1])
-        configure_faults("io_error:1.0,seed:1")
-        with pytest.warns(RuntimeWarning, match="cache stats"):
-            assert store.get("kindA", "key") is None
-        assert store.stats.read_errors == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            store.put("kindA", "other", [2])
-        assert store.stats.write_errors == 1
-        assert store.read_only()        # write faults raise ENOSPC
-        configure_faults(None)
+        with chaos("io_error:1.0,seed:1"):
+            with pytest.warns(RuntimeWarning, match="cache stats"):
+                assert store.get("kindA", "key") is None
+            assert store.stats.read_errors == 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                store.put("kindA", "other", [2])
+            assert store.stats.write_errors == 1
+            assert store.read_only()        # write faults raise ENOSPC
         # A read fault is not corruption: the artifact itself is intact.
         assert store.get("kindA", "key") == [1]
 
@@ -514,3 +515,43 @@ class TestCliFaults:
         captured = capsys.readouterr()
         assert "worker-lost" in captured.err
         assert "failed" in captured.err
+
+
+class TestChaosSweep:
+    """The chaos invariant end to end, in fresh processes that read the
+    plan from ``REPRO_FAULTS``: a figure sweep under seeded worker kills,
+    artifact corruption, store I/O errors and mid-publish writer crashes
+    prints the fault-free stdout byte for byte, reports its retries on
+    stderr, and leaves a store that ``cache fsck --repair`` returns to
+    clean."""
+
+    FIGURE = ["figure", "5", "--instructions", "4000",
+              "--benchmarks", "gzip,mcf", "--jobs", "2", "--max-retries", "10"]
+    FAULTS = ("worker_kill:0.2,artifact_corrupt:0.1,io_error:0.1,"
+              "write_crash:0.2,seed:7")
+
+    @staticmethod
+    def _figure(args, fault_spec=""):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_FAULTS"] = fault_spec
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    def test_chaos_sweep_matches_fault_free_and_repairs_clean(
+            self, tmp_path):
+        from repro.cli import main
+
+        clean = self._figure(
+            self.FIGURE + ["--cache-dir", str(tmp_path / "clean")])
+        assert clean.returncode == 0, clean.stderr
+        store = str(tmp_path / "chaos")
+        chaos = self._figure(self.FIGURE + ["--cache-dir", store],
+                             self.FAULTS)
+        assert chaos.returncode == 0, chaos.stderr
+        assert chaos.stdout == clean.stdout
+        assert "task retr" in chaos.stderr
+        assert main(["cache", "fsck", "--repair", "--cache-dir", store]) == 0
+        assert main(["cache", "fsck", "--cache-dir", store]) == 0

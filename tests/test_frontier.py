@@ -12,10 +12,13 @@ turn it back into a replay.
 
 import pytest
 
+from repro.cache.keys import content_key
 from repro.cache.store import temporary_cache_dir
+from repro.context import current_context, use_context
 from repro.sampling.checkpoint import DEFAULT_STORE, frontier_key
 from repro.simulator.config import SimulationConfig
 from repro.simulator.runner import _execute_single, clear_process_caches
+from repro.workloads.spec2000 import profile_for
 
 
 def fast_config(**overrides):
@@ -101,3 +104,19 @@ class TestFrontierFastForward:
             resumed = _execute_single(config, "gzip", 3000)
             assert DEFAULT_STORE.frontier_hits == hits + 1
             assert resumed == reference
+
+    def test_frontier_reaches_a_second_store(self, tmp_path):
+        """One process serves runs on several stores: a frontier already
+        in the in-memory memo must still be published to the store of a
+        later run of the same configuration."""
+        config = fast_config(max_instructions=3000)
+        index_key = content_key("frontier-index", frontier_key(config),
+                                "gzip", profile_for("gzip").seed)
+        with use_context(current_context().override(result_cache=False)):
+            with temporary_cache_dir(tmp_path / "a") as first:
+                _execute_single(config, "gzip", 3000)
+            with temporary_cache_dir(tmp_path / "b") as second:
+                _execute_single(config, "gzip", 3000)
+        published = first.get("frontier-index", index_key)
+        assert published
+        assert second.get("frontier-index", index_key) == published

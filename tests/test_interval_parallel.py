@@ -16,9 +16,9 @@ import pickle
 import pytest
 
 from repro.api import ExecutionOptions, ExperimentSpec, Session
-from repro.cache import configure_result_cache
+from repro.cache import active_store
 from repro.cache.keys import content_key, stable_repr
-from repro.faults import configure_faults, restore_faults, snapshot_faults
+from repro.context import current_context, use_context
 from repro.sampling import SamplingSpec, get_selection
 from repro.sampling.checkpoint import CheckpointStore
 from repro.sampling.sampled import (
@@ -31,6 +31,7 @@ from repro.service import codec
 from repro.service.client import RetryLater, ServiceClient
 from repro.service.codec import CodecError
 from repro.service.scheduler import FairScheduler
+from repro.simulator import runner
 from repro.simulator.plan import SimTask
 from repro.simulator.runner import get_workload, shutdown_pool
 from repro.simulator.testing import make_sim_config
@@ -61,16 +62,28 @@ def assert_identical(serial, parallel):
     assert pickle.dumps(serial) == pickle.dumps(parallel)
 
 
+def under(**policy):
+    """Run the block under the current context overridden by ``policy``."""
+    return use_context(current_context().override(**policy))
+
+
+@pytest.fixture
+def pool_path(monkeypatch):
+    """Force the pool: the overhead-aware planner would otherwise run
+    these small segment plans inline."""
+    monkeypatch.setattr(runner, "_plan_prefers_inline",
+                        lambda tasks, jobs: False)
+
+
 @pytest.fixture(autouse=True)
 def _fresh_measurements():
     """Disable measurement replay so both runs of a pair really measure
     (the artifact store is shared session-wide), and leave no pool
     behind for unrelated tests."""
-    configure_result_cache(False)
     try:
-        yield
+        with under(result_cache=False):
+            yield
     finally:
-        configure_result_cache(None)
         shutdown_pool()
 
 
@@ -111,14 +124,12 @@ class TestSegments:
 # differential: parallel == serial, bit for bit
 # ----------------------------------------------------------------------
 class TestParallelMatchesSerial:
-    def test_mixed_segments(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_INLINE_FALLBACK", "1")
+    def test_mixed_segments(self, pool_path):
         serial = run_sampled("gcc", MIXED)
         parallel = run_sampled("gcc", MIXED, interval_jobs=4)
         assert_identical(serial, parallel)
 
-    def test_all_jumped_segments(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_INLINE_FALLBACK", "1")
+    def test_all_jumped_segments(self, pool_path):
         serial = run_sampled("gcc", ALL_JUMPED)
         parallel = run_sampled("gcc", ALL_JUMPED, interval_jobs=2)
         assert_identical(serial, parallel)
@@ -150,31 +161,31 @@ class TestParallelMatchesSerial:
     def test_store_disabled_falls_back_to_serial(self):
         # Workers share warm/positioned checkpoints through the artifact
         # store; without one the parallel path declines gracefully.
-        memory_only = CheckpointStore(artifacts=None)
-        config = make_sim_config(engine="clgp", max_instructions=TOTAL)
-        workload = get_workload("gcc")
-        ensure_compiled_trace(
-            workload, max(TOTAL, config.resolved_warmup_instructions()))
-        selection = get_selection(workload, TOTAL, MIXED,
-                                  store=memory_only, config=config)
-        assert _measure_intervals_parallel(
-            config, workload, selection, MIXED, memory_only, TOTAL, 4,
-        ) is None
-        serial = run_sampled("gcc", MIXED,
-                             store=CheckpointStore(artifacts=None))
-        parallel = run_sampled("gcc", MIXED, interval_jobs=4,
-                               store=CheckpointStore(artifacts=None))
+        with under(cache=False):
+            memory_only = CheckpointStore()
+            config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+            workload = get_workload("gcc")
+            ensure_compiled_trace(
+                workload, max(TOTAL, config.resolved_warmup_instructions()))
+            selection = get_selection(workload, TOTAL, MIXED,
+                                      store=memory_only, config=config)
+            assert _measure_intervals_parallel(
+                config, workload, selection, MIXED, memory_only, TOTAL, 4,
+            ) is None
+            serial = run_sampled("gcc", MIXED)
+            parallel = run_sampled("gcc", MIXED, interval_jobs=4)
         assert_identical(serial, parallel)
 
     def test_store_off_serial_walk_resumes_previous_segment(self):
         # The serial walk runs the segment path in order: each jump
         # restores the post-skip state the previous segment published,
         # and with no store nothing is snapshotted for the last segment.
-        store = CheckpointStore(artifacts=None)
-        run_sampled("gcc", ALL_JUMPED, store=store)
-        config = make_sim_config(engine="clgp", max_instructions=TOTAL)
-        selection = get_selection(get_workload("gcc"), TOTAL, ALL_JUMPED,
-                                  store=store, config=config)
+        store = CheckpointStore()
+        with under(cache=False):
+            run_sampled("gcc", ALL_JUMPED, store=store)
+            config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+            selection = get_selection(get_workload("gcc"), TOTAL,
+                                      ALL_JUMPED, store=store, config=config)
         later = len(_segments(selection.intervals)) - 1
         assert later >= 2
         assert store.positioned_hits == later
@@ -185,12 +196,10 @@ class TestParallelMatchesSerial:
         # the whole run to the serial walk.  Either way the result must
         # match the clean serial run bit for bit.
         serial = run_sampled("gcc", ALL_JUMPED)
-        snapshot = snapshot_faults()
         try:
-            configure_faults("worker_kill:0.5,seed:3")
-            parallel = run_sampled("gcc", ALL_JUMPED, interval_jobs=2)
+            with under(faults="worker_kill:0.5,seed:3"):
+                parallel = run_sampled("gcc", ALL_JUMPED, interval_jobs=2)
         finally:
-            restore_faults(snapshot)
             shutdown_pool()
         assert_identical(serial, parallel)
 
@@ -214,18 +223,17 @@ class TestReplayGuard:
     ])
     def test_bad_weights_force_remeasure(self, corrupt):
         spec = SamplingSpec(max_intervals=3)
-        store = CheckpointStore()
-        configure_result_cache(None)  # replay on for this test
-        clean = run_sampled("gcc", spec, store=store)
-        config = make_sim_config(engine="clgp", max_instructions=TOTAL)
-        workload = get_workload("gcc")
-        disk = store.artifact_store()
-        key = self._measurement_key(config, workload, spec)
-        payload = disk.get("measurement", key)
-        assert payload is not None and len(payload["weights"]) == 3
-        disk.put("measurement", key,
-                 dict(payload, weights=corrupt(list(payload["weights"]))))
-        again = run_sampled("gcc", spec, store=CheckpointStore())
+        with under(result_cache=True):   # replay on for this test
+            clean = run_sampled("gcc", spec)
+            config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+            workload = get_workload("gcc")
+            disk = active_store()
+            key = self._measurement_key(config, workload, spec)
+            payload = disk.get("measurement", key)
+            assert payload is not None and len(payload["weights"]) == 3
+            disk.put("measurement", key,
+                     dict(payload, weights=corrupt(list(payload["weights"]))))
+            again = run_sampled("gcc", spec)
         assert_identical(clean, again)
         # The recompute must have replaced the corrupt payload.
         healed = disk.get("measurement", key)
@@ -233,9 +241,9 @@ class TestReplayGuard:
 
     def test_good_payload_replays(self):
         spec = SamplingSpec(max_intervals=3)
-        configure_result_cache(None)
-        first = run_sampled("gcc", spec)
-        second = run_sampled("gcc", spec)
+        with under(result_cache=True):
+            first = run_sampled("gcc", spec)
+            second = run_sampled("gcc", spec)
         assert_identical(first, second)
 
 

@@ -1,6 +1,7 @@
 """Experiment-service tests: codec, fair scheduler, HTTP/SSE end-to-end,
 dedup economics, quotas/backpressure, chaos, and the concurrent
-execution gate the service's scheduler depends on."""
+execution of runs with any policy that the service's scheduler depends
+on."""
 
 import json
 import threading
@@ -10,8 +11,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.api import ExecutionOptions, ExperimentSpec, Session
-from repro.api.session import _ExecutionGate
-from repro.faults import configure_faults, restore_faults, snapshot_faults
+from repro.cache import ArtifactStore
+from repro.context import current_context, use_context
 from repro.sampling import SamplingSpec
 from repro.service import (
     FairScheduler,
@@ -24,6 +25,7 @@ from repro.service import (
 )
 from repro.service import codec
 from repro.service.codec import CodecError
+from repro.simulator import runner
 
 TERMINAL = ("done", "failed", "cancelled")
 
@@ -157,104 +159,9 @@ class TestFairScheduler:
 
 
 # ----------------------------------------------------------------------
-# execution gate (satellite: same-policy sessions run concurrently)
+# concurrent execution: no run waits for another's policy
 # ----------------------------------------------------------------------
 class TestExecutionGate:
-    def test_same_scope_entries_overlap(self):
-        gate = _ExecutionGate()
-        log = []
-        gate.enter_scope(("a",), lambda: log.append("apply") or
-                         (lambda: log.append("restore")))
-        entered = threading.Event()
-
-        def second():
-            gate.enter_scope(("a",), lambda: log.append("apply-2"))
-            entered.set()
-            gate.leave_scope()
-
-        thread = threading.Thread(target=second)
-        thread.start()
-        assert entered.wait(5), "identical scope should not serialize"
-        thread.join(5)
-        assert log == ["apply"]   # apply ran once, for the first entrant
-        gate.leave_scope()
-        assert log == ["apply", "restore"]   # last-out restores
-
-    def test_conflicting_scope_waits(self):
-        gate = _ExecutionGate()
-        gate.enter_scope(("a",), lambda: None)
-        entered = threading.Event()
-
-        def second():
-            gate.enter_scope(("b",), lambda: None)
-            entered.set()
-            gate.leave_scope()
-
-        thread = threading.Thread(target=second)
-        thread.start()
-        assert not entered.wait(0.3), "conflicting scopes must serialize"
-        gate.leave_scope()
-        assert entered.wait(5)
-        thread.join(5)
-
-    def test_exclusive_lock_blocks_entries(self):
-        gate = _ExecutionGate()
-        with gate:
-            entered = threading.Event()
-            thread = threading.Thread(
-                target=lambda: (gate.enter_scope(("a",), lambda: None),
-                                entered.set(), gate.leave_scope()))
-            thread.start()
-            assert not entered.wait(0.3)
-        assert entered.wait(5)
-        thread.join(5)
-
-    def test_waiting_exclusive_blocks_new_scope_entrants(self):
-        """Writer preference: a blocked exclusive acquirer (``close()``)
-        must not be starved by a steady stream of same-scope entrants --
-        they queue behind it instead of slipping in ahead."""
-        gate = _ExecutionGate()
-        gate.enter_scope(("a",), lambda: None)
-        acquired = threading.Event()
-        entered = threading.Event()
-
-        def exclusive():
-            with gate:
-                acquired.set()
-
-        closer = threading.Thread(target=exclusive)
-        closer.start()
-        deadline = time.time() + 5   # wait until it is blocked in acquire
-        while not gate._exclusive_waiting and time.time() < deadline:
-            time.sleep(0.01)
-        assert gate._exclusive_waiting == 1
-        entrant = threading.Thread(
-            target=lambda: (gate.enter_scope(("a",), lambda: None),
-                            entered.set(), gate.leave_scope()))
-        entrant.start()
-        assert not entered.wait(0.3), \
-            "same-scope entrant must queue behind a waiting exclusive"
-        assert not acquired.is_set()
-        gate.leave_scope()   # last active execution leaves
-        assert acquired.wait(5), "exclusive acquirer starved"
-        assert entered.wait(5), "entrant must proceed after the release"
-        closer.join(5)
-        entrant.join(5)
-        assert gate.idle()
-
-    def test_apply_failure_releases_scope(self):
-        gate = _ExecutionGate()
-
-        def broken():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            gate.enter_scope(("a",), broken)
-        # The gate must be reusable afterwards (conflicting scope too).
-        gate.enter_scope(("b",), lambda: None)
-        gate.leave_scope()
-        assert gate.idle()
-
     def test_same_policy_submissions_run_concurrently(self, tmp_path):
         with Session(jobs=1, cache_dir=str(tmp_path / "cache")) as session:
             second_started = threading.Event()
@@ -283,6 +190,67 @@ class TestExecutionGate:
             poller.join(5)
             assert overlaps and all(overlaps), \
                 "second same-policy run never started while first ran"
+
+    def test_conflicting_policies_run_concurrently_and_correctly(
+            self, tmp_path, monkeypatch):
+        """Two sessions with different stores and fault plans fan out over
+        the shared pool at the same time; each matches its solo run, and
+        the chaotic run's corruption never reaches the clean run's store."""
+        monkeypatch.setattr(runner, "_plan_prefers_inline",
+                            lambda tasks, jobs: False)
+        spec = small_spec(scheme=("base", "CLGP"),
+                          benchmarks=("gzip", "mcf", "eon"),
+                          instructions=1500, name="policies")
+        with Session(cache=False) as alone:
+            solo = alone.run(spec).results
+        store_a, store_b = tmp_path / "a", tmp_path / "b"
+        with Session(jobs=2, cache_dir=str(store_a)) as session_a, \
+                Session(jobs=2, cache_dir=str(store_b)) as session_b:
+            chaotic = session_a.submit(spec, ExecutionOptions(
+                faults="worker_kill:0.5,artifact_corrupt:1.0,seed:3",
+                max_retries=10))
+            clean = session_b.submit(spec)
+            deadline = time.monotonic() + 60
+            while not chaotic.status() == clean.status() == "running":
+                assert chaotic.status() not in TERMINAL \
+                    and clean.status() not in TERMINAL, \
+                    "one run finished before the other started"
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            chaotic_result = chaotic.result(timeout=120)
+            assert chaotic_result.results == solo
+            assert clean.result(timeout=120).results == solo
+        assert chaotic_result.task_retries > 0   # seed 3 kills a worker
+        assert ArtifactStore(store_a).fsck().corrupt > 0
+        assert ArtifactStore(store_b).fsck().corrupt == 0
+
+    def test_result_cache_off_run_finishes_inside_a_default_run(
+            self, tmp_path, monkeypatch):
+        """A run with another result-replay policy neither waits for nor
+        is starved by a default-policy run already in flight."""
+        short_done = threading.Event()
+        held = []
+        run_task = runner._run_task
+
+        def hold_long_run(task):
+            if task.benchmark == "gcc" and not held:
+                held.append(short_done.wait(10))
+            return run_task(task)
+
+        monkeypatch.setattr(runner, "_run_task", hold_long_run)
+        with Session(jobs=1, cache_dir=str(tmp_path / "cache")) as session:
+            long = session.submit(small_spec(benchmarks=("gcc", "perlbmk"),
+                                             name="long"))
+            short = session.submit(
+                small_spec(scheme="base+L0", benchmarks="gzip",
+                           instructions=1000, name="short"),
+                ExecutionOptions(result_cache=False))
+            short.result(timeout=60)
+            long_status = long.status()
+            short_done.set()
+            long.result(timeout=60)
+        assert long_status == "running"
+        assert held == [True]
 
 
 # ----------------------------------------------------------------------
@@ -590,11 +558,10 @@ class TestServiceEndToEnd:
 # ----------------------------------------------------------------------
 class TestServiceChaos:
     def test_request_drop_is_survived_by_retrying_client(self, tmp_path):
-        snapshot = snapshot_faults()
-        try:
-            # Only request_drop: the simulations themselves stay clean,
-            # so the surviving response must equal the fault-free one.
-            configure_faults("request_drop:0.4,seed:7")
+        # Only request_drop: the simulations themselves stay clean, so
+        # the surviving response must equal the fault-free one.
+        with use_context(current_context().override(
+                faults="request_drop:0.4,seed:7")):
             with service(tmp_path, parallel=2) as (thread, _session):
                 client = ServiceClient(port=thread.port,
                                        client_id="chaos-client", retries=12)
@@ -602,8 +569,6 @@ class TestServiceChaos:
                 submitted = client.submit(spec)
                 chaos_body = client.result_bytes(submitted["job"])
                 dropped = client.stats()["service"]["dropped_requests"]
-        finally:
-            restore_faults(snapshot)
         with service(tmp_path, parallel=2) as (thread, _session):
             client = ServiceClient(port=thread.port, client_id="calm")
             submitted = client.submit(spec)

@@ -22,12 +22,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import repro
-from repro import faults
-from repro.cache.store import ArtifactStore, temporary_cache_dir
+from repro.cache.store import ArtifactStore, get_store, temporary_cache_dir
+from repro.context import current_context, use_context
 from repro.simulator.testing import make_sim_config
 
 _SRC = str(Path(repro.__file__).parents[1])
@@ -97,15 +98,12 @@ class TestCrossProcessRaces:
 
         config = make_sim_config(engine="fdp", max_instructions=1500)
         with temporary_cache_dir(tmp_path / "cache") as disk:
-            saved = faults.snapshot_faults()
-            faults.configure_faults("write_crash:1.0,seed:5")
-            try:
+            with use_context(current_context().override(
+                    faults="write_crash:1.0,seed:5")):
                 clear_process_caches()
                 first = _execute_single(config, "gzip", 1500)
                 clear_process_caches()
                 second = _execute_single(config, "gzip", 1500)
-            finally:
-                faults.restore_faults(saved)
             assert first == second
             assert disk.stats.crashed_writes > 0
             assert disk.stats.stores == 0
@@ -118,6 +116,47 @@ class TestCrossProcessRaces:
             # A fault-free rerun on the repaired store agrees too.
             clear_process_caches()
             assert _execute_single(config, "gzip", 1500) == first
+
+
+class TestThreadContexts:
+    def test_threads_resolve_their_own_store_and_share_one_per_root(
+            self, tmp_path):
+        """More threads than cores, each under its own execution context,
+        race to resolve fresh store roots with a tiny switch interval:
+        every thread sees its own root, and a root never gets two
+        instances."""
+        threads_per_root, rounds = 4, 40
+        barrier = threading.Barrier(3 * threads_per_root, timeout=30)
+        seen = {}
+        wrong = []
+        lock = threading.Lock()
+
+        def resolve(n: int) -> None:
+            for round_ in range(rounds):
+                root = str(tmp_path / f"round{round_}-root{n % 3}")
+                barrier.wait()
+                with use_context(current_context().override(cache_dir=root)):
+                    store = get_store()
+                with lock:
+                    seen.setdefault(root, set()).add(id(store))
+                    if str(store.root) != root:
+                        wrong.append((root, str(store.root)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=resolve, args=(n,))
+                       for n in range(3 * threads_per_root)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(seen) == 3 * rounds
+        assert all(len(ids) == 1 for ids in seen.values())
 
 
 class TestMultiProcessStress:
