@@ -318,9 +318,9 @@ def test_interval_parallel_latency(benchmark, api_session, bench_metrics,
     cache_dir = tmp_path_factory.mktemp("interval-parallel-cache")
     with temporary_cache_dir(cache_dir):
         clear_process_caches()
-        # Untimed prewarm: publishes the compiled trace, selection, warm
-        # checkpoint and every positioned checkpoint, so both timed arms
-        # start from the same deepest-prefix state.
+        # Untimed prewarm: publishes the compiled trace, selection and
+        # every post-skip positioned checkpoint, so both timed arms start
+        # from the same deepest-prefix state.
         prewarm = run_once(interval_jobs=1)
         selection = get_selection(get_workload("gcc"), instructions, spec,
                                   store=DEFAULT_STORE, config=config)

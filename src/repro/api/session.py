@@ -560,9 +560,8 @@ class Session:
                         continue
                     handle._emit(
                         "task",
-                        benchmark=task.benchmark if hasattr(
-                            task, "benchmark") else task[1],
-                        key=getattr(task, "key", None),
+                        benchmark=task.benchmark,
+                        key=task.key,
                         seconds=completion.seconds,
                         cache_hits=completion.cache_hits,
                         result_cache_hits=completion.result_cache_hits,

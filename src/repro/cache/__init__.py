@@ -6,6 +6,8 @@ Public surface:
   :data:`SCHEMA_VERSION` -- the content-addressed on-disk store, chosen
   by the execution context (:mod:`repro.context`;
   :func:`temporary_cache_dir` runs a block against another root),
+* :func:`repro.cache.store.cached` -- the one memory-then-store
+  get-or-compute,
 * :func:`repro.cache.keys.content_key` / :func:`stable_repr` -- stable,
   process-independent artifact keys,
 * :func:`repro.cache.traces.ensure_compiled_trace` -- compiled
@@ -32,6 +34,7 @@ from .store import (
     GcReport,
     active_store,
     cache_enabled,
+    cached,
     frame_digest,
     get_store,
     temporary_cache_dir,
@@ -51,6 +54,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "active_store",
     "cache_enabled",
+    "cached",
     "clear_trace_cache",
     "content_key",
     "ensure_compiled_trace",

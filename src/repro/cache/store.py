@@ -1,11 +1,14 @@
 """Content-addressed, versioned on-disk artifact store.
 
-Every expensive derived artifact of the toolkit -- compiled correct-path
-traces, BBV profiles, interval selections, functional proxy profiles,
-warm-up artifacts, warm simulator checkpoints, sampled interval
-measurements -- is deterministic given its key material, so it can be
-computed once and replayed by every later process.  This module provides
-the store those artifacts live in:
+Every expensive derived artifact of the toolkit -- compiled traces
+(kind ``trace``), warm-up artifacts (``warmup``), BBV profiles, proxy
+profiles and interval selections (``bbv``, ``fprofile``, ``selection``),
+positioned and frontier checkpoints and their offset indexes
+(``positioned``, ``frontier``, ``*-index``), sampled measurements
+(``measurement``), full-run results (``result``) -- is deterministic
+given its key material, so it is computed once and replayed by every
+later process.  This module holds the store and :func:`cached`, the one
+memory-then-store get-or-compute in front of it:
 
 * **Layout** -- ``<root>/v<SCHEMA_VERSION>/<kind>/<sha256>.pkl``.  The
   schema version is baked into the directory name, so bumping
@@ -62,6 +65,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import faults
 from ..context import current_context, use_context
+from .keys import content_key
 
 try:
     import fcntl
@@ -86,7 +90,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: so corruption of any payload is caught at the framing layer before
 #: zlib/pickle ever see it, and ``cache fsck`` can audit the store
 #: without deserializing anything.
-SCHEMA_VERSION = 4
+#: v5: one checkpoint record -- the warm state is the ``positioned``
+#: checkpoint at offset 0 (the ``checkpoint`` kind is gone), and
+#: positioned and frontier checkpoints share one key layout.
+SCHEMA_VERSION = 5
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -761,6 +768,28 @@ def active_store() -> Optional[ArtifactStore]:
     """The store to read/write artifacts through, or ``None`` when caching
     is disabled (callers then recompute everything in-process)."""
     return get_store() if cache_enabled() else None
+
+
+def cached(memo: Dict, kind: str, key: Tuple, expected_type: type, compute):
+    """Get-or-compute through both tiers: the per-process ``memo``
+    dictionary first, then the active store's ``kind`` artifact for
+    ``key`` (type-checked, so a foreign or stale payload degrades to
+    recompute), computing and publishing on a full miss."""
+    value = memo.get(key)
+    if value is not None:
+        return value
+    disk = active_store()
+    if disk is not None:
+        disk_key = content_key(kind, *key)
+        loaded = disk.get(kind, disk_key)
+        if isinstance(loaded, expected_type):
+            memo[key] = loaded
+            return loaded
+    value = compute()
+    memo[key] = value
+    if disk is not None:
+        disk.put(kind, disk_key, value)
+    return value
 
 
 @contextlib.contextmanager

@@ -6,9 +6,10 @@ exact instruction budget; the bucket floor comfortably covers the
 default functional warm-up (<= 200k instructions), which is the deepest
 any single oracle of a typical run reads.
 
-Trace payloads are stored through the ordinary artifact store, so they
-inherit its digest framing (schema v4): a corrupted compiled trace is a
-miss-and-recompile, never a silently wrong instruction stream.
+Trace payloads go through the store's one get-or-compute
+(:func:`repro.cache.store.cached`), so they inherit its digest framing: a
+corrupted compiled trace is a miss-and-recompile, never a silently wrong
+instruction stream.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..workloads.trace import CompiledTrace, Workload, compile_trace
-from .keys import content_key
-from .store import active_store
+from .store import active_store, cached
 
 #: Instructions beyond the requested budget compiled into the prefix, so
 #: a final stream that straddles the budget stays inside the arrays.
@@ -54,25 +54,15 @@ def ensure_compiled_trace(
     every later process, and attached.
     """
     trace = workload._compiled_trace
-    store = active_store()
-    if (store is None
+    if (active_store() is None
             or trace.compiled_instructions >= instructions + TRACE_MARGIN):
         return trace
     bucket = trace_bucket(instructions)
-    memo_key = (workload.profile.name, workload.profile.seed, bucket)
-    trace = _TRACES.get(memo_key)
-    if trace is None:
-        key = content_key(
-            "compiled-trace",
-            workload.profile.name, workload.profile.seed, bucket,
-        )
-        trace = store.get("trace", key)
-        if (not isinstance(trace, CompiledTrace)
-                or (trace.name, trace.seed) != memo_key[:2]
-                or trace.compiled_instructions < bucket):
-            trace = compile_trace(workload, bucket)
-            store.put("trace", key, trace)
-        _TRACES[memo_key] = trace
+    trace = cached(
+        _TRACES, "trace",
+        (workload.profile.name, workload.profile.seed, bucket),
+        CompiledTrace, lambda: compile_trace(workload, bucket),
+    )
     workload.attach_compiled_trace(trace)
     return trace
 

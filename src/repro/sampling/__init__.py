@@ -8,8 +8,9 @@ Workflow (see README "Sampled simulation"):
 2. :func:`select_intervals` -- dependency-free k-means picks K
    representative intervals plus weights,
 3. a sampled execution (``repro.api.ExecutionOptions(sampled=True)``) --
-   one warm-up checkpoint per (configuration, benchmark), restored per
-   interval, producing a weighted
+   each jump restores the deepest positioned checkpoint (the post-skip
+   state an earlier segment or run published, or the warm state) and
+   skips the rest, producing a weighted
    :class:`~repro.simulator.stats.SimulationResult` estimate of the full
    run at a fraction of its cost.
 """

@@ -8,13 +8,14 @@ and reports work unchanged.  The flow per (configuration, benchmark):
 1. profile the workload's correct path into basic-block vectors and pick
    K representative intervals with weights (cached per benchmark),
 2. cut the selection into contiguous segments and, per segment in start
-   order, restore the deepest checkpoint at or before its start (the
-   warm state, cached per configuration x benchmark, or the post-skip
-   state an earlier segment published), functionally fast-forward to the
-   segment start (:meth:`Simulator.skip_to` -- predictor keeps training,
-   caches keep filling), checkpoint again so the next segment only skips
-   the delta, then run the segment's intervals timed -- in-process, or
-   fanned across the worker pool with ``interval_jobs``,
+   order, restore the deepest positioned checkpoint at or before its
+   start (the post-skip state an earlier segment or run published, or
+   the warm state at offset 0; with none, warm up), functionally
+   fast-forward to the segment start (:meth:`Simulator.skip_to` --
+   predictor keeps training, caches keep filling), publish the post-skip
+   state so the next segment only skips the delta, then run the
+   segment's intervals timed -- in-process, or fanned across the worker
+   pool with ``interval_jobs``,
 3. take each interval's counters as the delta over its timed stretch,
 4. combine the per-interval results into one weighted estimate
    (:func:`repro.simulator.stats.weighted_aggregate`).
@@ -44,7 +45,7 @@ from ..simulator.simulator import Simulator
 from ..simulator.stats import SimulationResult, result_delta, weighted_aggregate
 from ..workloads.trace import Workload
 from .bbv import DEFAULT_PROJECTION_DIM
-from .checkpoint import DEFAULT_STORE, CheckpointStore
+from .checkpoint import DEFAULT_STORE, POSITIONED, CheckpointStore
 from .proxy import proxy_cycles
 from .simpoint import IntervalSelection, select_stratified
 
@@ -211,9 +212,10 @@ def _measure_segment(
     """Measure one contiguous segment of selected intervals.
 
     The first interval either starts at instruction 0 (plain warm-up,
-    like a full run) or is a jump: restore the deepest usable prefix --
-    a positioned checkpoint published by an earlier segment or run, else
-    the warm jump base -- then functionally skip the remaining delta and
+    like a full run) or is a jump: restore the deepest positioned
+    checkpoint at or before the skip target -- a post-skip state
+    published by an earlier segment or run, or the warm state at offset
+    0 -- else warm up, then functionally skip the remaining delta and
     refill the pipeline with a timed-but-discarded warm stretch.  Every
     subsequent interval continues the one timed run.  Functional skips
     are split-invariant and restore/warm-up states are bit-identical by
@@ -232,24 +234,19 @@ def _measure_segment(
     else:
         warm_len = min(spec.detail_warmup, first.start_instruction)
         skip_target = first.start_instruction - warm_len
-        cursor_offset = 0
-        positioned = store.positioned_checkpoint(config, workload,
-                                                 skip_target)
-        if positioned is not None:
-            cursor_offset, cursor = positioned
-            simulator.restore(cursor)
+        found = store.positioned_checkpoint(config, workload, skip_target)
+        if found is None:
+            restored_offset = 0
+            simulator.warm_up()
         else:
-            cursor = store.jump_base_checkpoint(config, workload)
-            if cursor is not None:
-                simulator.restore(cursor)
-            else:
-                simulator.warm_up()
+            restored_offset, checkpoint = found
+            simulator.restore(checkpoint)
         simulator.skip_to(skip_target)
-        if publish and cursor_offset != skip_target and skip_target > 0:
+        if publish and restored_offset < skip_target:
             # Publish the post-skip state so later segments (and later
             # runs) resume from this prefix instead of skipping from 0.
-            store.publish_positioned(config, workload, skip_target,
-                                     simulator.snapshot())
+            store.publish(POSITIONED, config, workload, skip_target,
+                          simulator.snapshot())
         before = simulator.run(warm_len) if warm_len else None
         segment_target = warm_len
     results: List[SimulationResult] = []
@@ -305,7 +302,7 @@ def _measure_intervals_parallel(
     :func:`_measure_intervals`, or ``None`` when intra-run parallelism
     is unavailable -- fewer than two segments, already inside a pool
     worker (daemonic workers cannot nest pools), no persistent artifact
-    store (workers need it to share warm/positioned checkpoints), or any
+    store (workers need it to share positioned checkpoints), or any
     segment failed terminally -- in which case the caller falls back to
     the serial walk.
     """
@@ -324,8 +321,8 @@ def _measure_intervals_parallel(
     from ..simulator.plan import SegmentTask
     from ..simulator.runner import iter_task_results
 
-    # Publish the warm checkpoint once so every worker restores it
-    # instead of re-running the warm-up per process.
+    # Publish the warm state (positioned offset 0) once so every worker
+    # restores it instead of re-running the warm-up per process.
     store.warm_checkpoint(config, workload)
     tasks = []
     for indices in segments:

@@ -66,6 +66,9 @@ from .plan import SegmentTask, SimTask, TaskFailure, TaskFailureError, TaskOutco
 from .simulator import _DEFAULT_MAX_CPI, Simulator
 from .stats import SimulationResult
 
+#: What the executor runs: a whole run, or one segment of a sampled run.
+Task = Union[SimTask, SegmentTask]
+
 #: Cache of built workloads, keyed by (benchmark name, seed).
 _WORKLOAD_CACHE: Dict[tuple, Workload] = {}
 
@@ -191,7 +194,7 @@ def _execute_single(
         workload, max(total, config.resolved_warmup_instructions())
     )
     # Imported lazily: repro.sampling imports this module.
-    from ..sampling.checkpoint import DEFAULT_STORE
+    from ..sampling.checkpoint import DEFAULT_STORE, FRONTIER
 
     simulator = Simulator(config, workload)
     if total:
@@ -199,7 +202,10 @@ def _execute_single(
         # its end state as a frontier checkpoint: resume the timed loop
         # from there instead of resimulating the shared prefix
         # (bit-identical -- the budget only decides when to stop).
-        restored = DEFAULT_STORE.frontier_checkpoint(config, workload, total)
+        # Strictly below the budget: an equal-budget rerun must
+        # resimulate, or ``--no-result-cache`` would silently replay.
+        restored = DEFAULT_STORE.deepest(FRONTIER, config, workload,
+                                         1, total - 1)
         if restored is not None:
             simulator.restore(restored[1])
     result = simulator.run(max_instructions)
@@ -207,18 +213,18 @@ def _execute_single(
         committed = result.committed_instructions
         limit = config.max_cycles or total * _DEFAULT_MAX_CPI
         if (committed >= total and result.cycles < limit
-                and not DEFAULT_STORE.has_frontier(config, workload,
-                                                   committed)):
+                and not DEFAULT_STORE.published(FRONTIER, config, workload,
+                                                committed)):
             # Completed without hitting the cycle clamp: the end state is
             # exact mid-run state, safe for any larger budget to resume.
-            DEFAULT_STORE.publish_frontier(config, workload, committed,
-                                           simulator.snapshot())
+            DEFAULT_STORE.publish(FRONTIER, config, workload, committed,
+                                  simulator.snapshot())
     store_result(config, profile.name, profile.seed, total, result)
     return result
 
 
-def _run_task(task: Union[SimTask, tuple]) -> SimulationResult:
-    """Pool worker: run one :class:`SimTask` (or legacy task tuple).
+def _run_task(task: Task) -> SimulationResult:
+    """Pool worker: run one :class:`SimTask` or :class:`SegmentTask`.
 
     Top-level function so it pickles; the workload cache is the worker
     process's own module-global, so each worker builds a given synthetic
@@ -233,21 +239,18 @@ def _run_task(task: Union[SimTask, tuple]) -> SimulationResult:
         from ..sampling.sampled import _execute_segment
 
         return _execute_segment(task)
-    if isinstance(task, SimTask):
-        if task.sampled:
-            # Imported lazily: repro.sampling imports this module.
-            from ..sampling.sampled import _execute_sampled
+    if task.sampled:
+        # Imported lazily: repro.sampling imports this module.
+        from ..sampling.sampled import _execute_sampled
 
-            return _execute_sampled(
-                task.config, task.benchmark,
-                max_instructions=task.max_instructions,
-                spec=task.sampling,
-                interval_jobs=task.interval_jobs,
-            )
-        return _execute_single(task.config, task.benchmark,
-                               task.max_instructions)
-    config, benchmark, max_instructions = task
-    return _execute_single(config, benchmark, max_instructions)
+        return _execute_sampled(
+            task.config, task.benchmark,
+            max_instructions=task.max_instructions,
+            spec=task.sampling,
+            interval_jobs=task.interval_jobs,
+        )
+    return _execute_single(task.config, task.benchmark,
+                           task.max_instructions)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -285,6 +288,10 @@ _POOL_USERS = 0
 #: queue first silently drop its siblings' attributions.
 _PICKUP_LOCK = threading.Lock()
 _PICKUP_ENTRIES: Dict[int, dict] = {}
+#: pid -> entry of the last chunk that worker announced (``None`` if
+#: already retired), whichever supervisor owns it: a death one supervisor
+#: sees may be another's loss.  Dropped with the pool.
+_PID_CHUNKS: Dict[int, Optional[dict]] = {}
 
 
 def _worker_init(events) -> None:
@@ -338,6 +345,7 @@ def shutdown_pool() -> None:
         if _POOL_EVENTS is not None:
             _POOL_EVENTS.close()
             _POOL_EVENTS = None
+        _PID_CHUNKS.clear()
 
 
 def shutdown_idle_pool() -> None:
@@ -351,13 +359,7 @@ def shutdown_idle_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _task_benchmark(task: Union[SimTask, tuple]) -> str:
-    if isinstance(task, (SimTask, SegmentTask)):
-        return task.benchmark
-    return task[1]
-
-
-def _task_weight(task: Union[SimTask, tuple]) -> int:
+def _task_weight(task: Task) -> int:
     """Scheduling weight of one task: its instruction budget.
 
     Mixed-budget plans balance far better weighted by instructions than
@@ -369,11 +371,7 @@ def _task_weight(task: Union[SimTask, tuple]) -> int:
     """
     if isinstance(task, SegmentTask):
         return max(1, int(task.weight or 1))
-    if isinstance(task, SimTask):
-        budget = task.max_instructions or task.config.max_instructions
-    else:
-        config, _benchmark, max_instructions = task
-        budget = max_instructions or config.max_instructions
+    budget = task.max_instructions or task.config.max_instructions
     return max(1, int(budget or 1))
 
 
@@ -393,7 +391,7 @@ def _result_hits() -> int:
 
 
 def _timed_task(
-    index: int, task: Union[SimTask, tuple]
+    index: int, task: Task
 ) -> Tuple[int, SimulationResult, float, int, int]:
     """Run one task, measuring wall-clock seconds, store hits and
     full-run result replays (reported distinctly: a result replay skips
@@ -442,8 +440,8 @@ def _run_supervised_chunk(payload) -> tuple:
 
 
 def _affine_chunks(
-    tasks: Sequence[Union[SimTask, tuple]], jobs: int
-) -> List[List[Tuple[int, Union[SimTask, tuple]]]]:
+    tasks: Sequence[Task], jobs: int
+) -> List[List[Tuple[int, Task]]]:
     """Workload-affine schedule: tasks grouped by benchmark, groups split
     only as far as keeping ``jobs`` workers busy requires.
 
@@ -461,15 +459,15 @@ def _affine_chunks(
     groups: Dict[str, List[int]] = {}
     total_weight = 0
     for index, task in enumerate(tasks):
-        groups.setdefault(_task_benchmark(task), []).append(index)
+        groups.setdefault(task.benchmark, []).append(index)
         total_weight += _task_weight(task)
     # Per-chunk weight budget that still yields >= max(jobs, #groups)
     # chunks overall.
     target_chunks = max(jobs, len(groups))
     weight_cap = max(_MIN_CHUNK_WEIGHT, -(-total_weight // target_chunks))
-    weighted_chunks: List[Tuple[int, List[Tuple[int, Union[SimTask, tuple]]]]] = []
+    weighted_chunks: List[Tuple[int, List[Tuple[int, Task]]]] = []
     for indices in groups.values():
-        current: List[Tuple[int, Union[SimTask, tuple]]] = []
+        current: List[Tuple[int, Task]] = []
         current_weight = 0
         for index in indices:
             weight = _task_weight(tasks[index])
@@ -532,7 +530,7 @@ def _effective_parallelism(jobs: int) -> int:
 
 
 def _plan_prefers_inline(
-    tasks: Sequence[Union[SimTask, tuple]], jobs: int
+    tasks: Sequence[Task], jobs: int
 ) -> bool:
     """Whether running this plan inline beats fanning it over the pool.
 
@@ -645,15 +643,11 @@ def _backoff(attempt: int) -> float:
     return min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2 ** max(0, attempt - 1)))
 
 
-def _task_key(task: Union[SimTask, tuple]) -> Tuple:
-    return task.key if isinstance(task, SimTask) else ()
-
-
-def _failure(index: int, task: Union[SimTask, tuple], kind: str,
+def _failure(index: int, task: Task, kind: str,
              message: str, attempts: int) -> TaskCompletion:
-    failure = TaskFailure(index=index, benchmark=_task_benchmark(task),
-                          key=_task_key(task), kind=kind, message=message,
-                          attempts=attempts)
+    failure = TaskFailure(index=index, benchmark=task.benchmark,
+                          key=getattr(task, "key", ()), kind=kind,
+                          message=message, attempts=attempts)
     return TaskCompletion(index, failure, 0.0, 0, 0, attempts)
 
 
@@ -696,13 +690,16 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
     vanished worker pids, and fires deferred (backed-off) re-dispatches.
     Worker-loss attribution comes from the sentinel pickup events: a
     chunk whose worker died is re-dispatched (its already-yielded tasks
-    excluded) while ``multiprocessing.Pool`` replaces the worker.  Every
-    chunk carries the caller's execution context, resolved once here, so
-    the workers read the caller's store, replay policy and faults.  With
-    ``task_timeout`` chunks are singletons, so cancelling a stuck task
-    is exactly one ``SIGKILL`` of its worker; a deadline overrun is
-    terminal (a deterministic simulation that blew its deadline once
-    will blow it again) and yields a ``TaskFailure(kind="timeout")``.
+    excluded) while ``multiprocessing.Pool`` replaces the worker; a
+    death is charged to the run owning the worker's last announced
+    chunk, so one run's lost workers cost a concurrent run no retries.
+    Every chunk carries the caller's execution context, resolved once
+    here, so the workers read the caller's store, replay policy and
+    faults.  With ``task_timeout`` chunks are singletons, so cancelling
+    a stuck task is exactly one ``SIGKILL`` of its worker; a deadline
+    overrun is terminal (a deterministic simulation that blew its
+    deadline once will blow it again) and yields a
+    ``TaskFailure(kind="timeout")``.
     """
     if task_timeout is not None:
         chunks = [[pair] for chunk in _affine_chunks(tasks, jobs)
@@ -717,11 +714,14 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
         _POOL_USERS += 1
     completions: queue.Queue = queue.Queue()
     attempts = {index: 0 for index in range(len(tasks))}
-    inflight: Dict[int, dict] = {}   # chunk_id -> {items, pid, started}
+    #: chunk_id -> {items, pid, started, finished, lost}
+    inflight: Dict[int, dict] = {}
     deferred: List[Tuple[float, list]] = []   # (eligible_at, items)
     done = set()
     known_pids: set = set()
     expected_deaths: set = set()     # pids we SIGKILLed on a deadline
+    #: Vanished pids whose last chunk is another run's, still running.
+    pending_deaths: set = set()
 
     def dispatch(items) -> None:
         nonlocal pool
@@ -730,11 +730,20 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
         for index, task in items:
             attempts[index] += 1
             payload.append((index, attempts[index], task))
+        entry = {"items": list(items), "pid": None, "started": None,
+                 "finished": False, "lost": False}
+        # Registered before submission, so the pickup always finds it.
+        with _PICKUP_LOCK:
+            _PICKUP_ENTRIES[chunk_id] = entry
 
+        # The pool's result thread runs these even after this run's
+        # supervisor has gone, so ``finished`` never goes stale.
         def on_done(result):
+            entry["finished"] = True
             completions.put(("done", result))
 
         def on_error(exc, cid=chunk_id):
+            entry["finished"] = True
             completions.put(("chunk-error", cid, exc))
 
         for resubmission in (False, True):
@@ -749,10 +758,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
                 if resubmission:
                     raise
                 respawn_pool()
-        entry = {"items": list(items), "pid": None, "started": None}
         inflight[chunk_id] = entry
-        with _PICKUP_LOCK:
-            _PICKUP_ENTRIES[chunk_id] = entry
 
     def resolve_chunk(chunk_id: int, kind: str, message: str,
                       retry: bool = True) -> None:
@@ -763,6 +769,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
             _PICKUP_ENTRIES.pop(chunk_id, None)
         if entry is None:
             return
+        entry["lost"] = True
         retry_items = []
         for index, task in entry["items"]:
             if index in done:
@@ -782,6 +789,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
         shutdown_pool()
         pool = _shared_pool(processes)
         known_pids.clear()
+        pending_deaths.clear()
         for chunk_id in list(inflight):
             SUPERVISOR_STATS.worker_losses += 1
             resolve_chunk(chunk_id, "worker-lost", "worker pool respawned")
@@ -805,6 +813,7 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
                     # concurrent sibling's chunk, and the attribution
                     # must land on *their* entry.
                     entry = _PICKUP_ENTRIES.get(chunk_id)
+                    _PID_CHUNKS[pid] = entry
                     if entry is not None:
                         entry["pid"] = pid
                         entry["started"] = time.monotonic()
@@ -852,19 +861,34 @@ def _run_supervised(tasks, jobs, cancel, task_timeout,
                 if entry["pid"] is not None
                 and entry["pid"] not in current
                 and entry["pid"] not in expected_deaths]
-        if not lost:
-            if not vanished:
-                return
-            # A worker died before its pickup event could attribute a
-            # chunk to it (or while idle): conservatively requeue every
-            # unattributed chunk -- duplicate completions dedupe on the
-            # ``done`` set, a hang would not.
-            lost = [chunk_id for chunk_id, entry in inflight.items()
-                    if entry["pid"] is None]
         for chunk_id in lost:
             SUPERVISOR_STATS.worker_losses += 1
             resolve_chunk(chunk_id, "worker-lost",
                           "worker process died mid-chunk")
+        # A vanished pid is explained once its last announced chunk was
+        # lost (ours just above, or another run's); while that chunk is
+        # still running it is another run's loss not yet seen: recheck.
+        pending_deaths.update(vanished)
+        unexplained = False
+        with _PICKUP_LOCK:
+            for pid in list(pending_deaths):
+                entry = _PID_CHUNKS.get(pid)
+                if entry is None or entry["finished"]:
+                    unexplained = True
+                elif not entry["lost"]:
+                    continue
+                pending_deaths.discard(pid)
+        if unexplained:
+            # The worker announced nothing, or its last chunk finished,
+            # so it may have died holding one of our chunks before its
+            # pickup could attribute it: conservatively requeue every
+            # unattributed chunk -- duplicate completions dedupe on the
+            # ``done`` set, a hang would not.
+            for chunk_id in [chunk_id for chunk_id, entry in inflight.items()
+                             if entry["pid"] is None]:
+                SUPERVISOR_STATS.worker_losses += 1
+                resolve_chunk(chunk_id, "worker-lost",
+                              "worker process died mid-chunk")
 
     try:
         yield from _supervise(tasks, chunks, cancel, task_timeout,
@@ -965,7 +989,7 @@ def _supervise(tasks, chunks, cancel, task_timeout, max_retries,
 
 
 def iter_task_results(
-    tasks: Sequence[Union[SimTask, tuple]],
+    tasks: Sequence[Task],
     jobs: int = 1,
     cancel=None,
     task_timeout: Optional[float] = None,
@@ -1007,14 +1031,13 @@ def iter_task_results(
 
 
 def run_tasks(
-    tasks: Sequence[Union[SimTask, tuple]],
+    tasks: Sequence[Task],
     jobs: int = 1,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
 ) -> List[SimulationResult]:
-    """Run :class:`SimTask` entries (or legacy ``(config, benchmark,
-    max_instructions)`` tuples), optionally on the shared process pool.
-    Results keep task order regardless of ``jobs``.
+    """Run :class:`SimTask` entries, optionally on the shared process
+    pool.  Results keep task order regardless of ``jobs``.
 
     This is the strict surface: tasks that still failed after the retry
     budget raise :class:`~repro.simulator.plan.TaskFailureError` (the

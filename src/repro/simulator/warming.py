@@ -29,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cache.keys import content_key
-from ..cache.store import active_store
+from ..cache.store import cached
 from ..frontend.stream_predictor import StreamPredictor
 from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
@@ -49,6 +48,11 @@ class WarmupArtifacts:
     #: :func:`apply_warmup` so sweeps replay the line trace once per
     #: (workload, cache organisation) instead of once per run.
     cache_snapshots: Dict[Tuple, tuple] = field(default_factory=dict)
+
+    def __getstate__(self):
+        # The snapshots are per-process (cheap to rebuild, geometry-
+        # dependent): a persisted artifact starts without them.
+        return {**self.__dict__, "cache_snapshots": {}}
 
 
 _CACHE: Dict[Tuple, WarmupArtifacts] = {}
@@ -104,39 +108,22 @@ def get_warmup_artifacts(
     Misses fall through to the persistent artifact store (when enabled)
     before recomputing: the warm-up walk is deterministic per key, so a
     trained predictor and its line trace published by any previous
-    process replay bit-identically here.  Per-geometry cache snapshots
-    are per-process (cheap to rebuild, geometry-dependent) and start
-    empty on a disk load.
+    process replay bit-identically here.
     """
     key = (
         workload.name, workload.profile.seed, instructions,
         base_entries, history_entries, max_stream_instructions, line_size,
     )
-    if key not in _CACHE:
-        disk = active_store()
-        disk_key = content_key("warmup-artifacts", *key) if disk is not None else None
-        artifacts = None
-        if disk is not None:
-            loaded = disk.get("warmup", disk_key)
-            if isinstance(loaded, WarmupArtifacts):
-                artifacts = loaded
-        if artifacts is None:
-            artifacts = compute_warmup(
-                workload, instructions,
-                base_entries=base_entries,
-                history_entries=history_entries,
-                max_stream_instructions=max_stream_instructions,
-                line_size=line_size,
-            )
-            if disk is not None:
-                # Publish without the per-process cache snapshots.
-                disk.put("warmup", disk_key, WarmupArtifacts(
-                    predictor=artifacts.predictor,
-                    line_trace=artifacts.line_trace,
-                    instructions=artifacts.instructions,
-                ))
-        _CACHE[key] = artifacts
-    return _CACHE[key]
+    return cached(
+        _CACHE, "warmup", key, WarmupArtifacts,
+        lambda: compute_warmup(
+            workload, instructions,
+            base_entries=base_entries,
+            history_entries=history_entries,
+            max_stream_instructions=max_stream_instructions,
+            line_size=line_size,
+        ),
+    )
 
 
 def clear_warmup_cache() -> None:

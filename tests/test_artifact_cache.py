@@ -24,6 +24,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -38,9 +39,10 @@ from repro.cache import (
     temporary_cache_dir,
 )
 from repro.cache.shared import dumps_with_workload, loads_with_workload
+from repro.context import current_context, use_context
 from repro.sampling import SamplingSpec
 from repro.sampling.sampled import _execute_sampled
-from repro.sampling.checkpoint import CheckpointStore
+from repro.sampling.checkpoint import POSITIONED, CheckpointStore
 from repro.simulator.runner import _execute_single, clear_process_caches
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
@@ -311,7 +313,8 @@ class TestPersistentCheckpoints:
             producer_workload = build_workload(MEDIUM_PROFILE)
             producer = CheckpointStore()
             producer.warm_checkpoint(config, producer_workload)
-            assert disk.describe().get("checkpoint", (0, 0))[0] == 1
+            # The warm state is the positioned checkpoint at offset 0.
+            assert disk.describe().get("positioned", (0, 0))[0] == 1
 
             # "New process": fresh workload, fresh store, same disk.
             clear_process_caches()
@@ -342,37 +345,16 @@ class TestPersistentCheckpoints:
         checkpoint = simulator.snapshot()
         store = CheckpointStore()
         with temporary_cache_dir(tmp_path / "off", enabled=False):
-            store.publish_positioned(config, workload, 1500, checkpoint)
+            store.publish(POSITIONED, config, workload, 1500, checkpoint)
         with temporary_cache_dir(tmp_path / "on") as disk:
-            store.publish_positioned(config, workload, 1500, checkpoint)
+            store.publish(POSITIONED, config, workload, 1500, checkpoint)
             assert disk.describe().get("positioned", (0, 0))[0] == 1
             stores_before = disk.stats.stores
-            store.publish_positioned(config, workload, 1500, checkpoint)
+            store.publish(POSITIONED, config, workload, 1500, checkpoint)
             assert disk.stats.stores == stores_before   # already on disk
             loaded = CheckpointStore().positioned_checkpoint(
                 config, workload, 2000)
             assert loaded is not None and loaded[0] == 1500
-
-    def test_jump_base_is_lazy_without_disk_artifact(self, tmp_path):
-        """One-shot sweeps must not pay for snapshotting: the first jump
-        request of a pair publishes nothing; a revisited pair builds and
-        publishes once."""
-        config = make_sim_config(max_instructions=1000)
-        with temporary_cache_dir(tmp_path / "cache") as disk:
-            clear_process_caches()
-            workload = build_workload(MEDIUM_PROFILE)
-            store = CheckpointStore()
-            assert store.jump_base_checkpoint(config, workload) is None
-            assert disk.describe().get("checkpoint", (0, 0))[0] == 0
-            second = store.jump_base_checkpoint(config, workload)
-            assert second is not None
-            assert disk.describe().get("checkpoint", (0, 0))[0] == 1
-            # A fresh process restores the published artifact eagerly.
-            clear_process_caches()
-            other = CheckpointStore()
-            loaded = other.jump_base_checkpoint(
-                config, build_workload(MEDIUM_PROFILE))
-            assert loaded is not None
 
 
 # ----------------------------------------------------------------------
@@ -544,14 +526,15 @@ class TestEveryKindSurvivesCorruption:
     #: Every kind the toolkit persists; the producer below must create
     #: all of them, so a new kind fails this test until it is covered.
     EXPECTED_KINDS = {
-        "trace", "warmup", "bbv", "fprofile", "selection", "checkpoint",
+        "trace", "warmup", "bbv", "fprofile", "selection",
         "positioned", "positioned-index", "frontier", "frontier-index",
         "measurement", "result",
     }
 
     @classmethod
     def _produce_everything(cls):
-        """Cold 'fresh process' runs touching every artifact kind."""
+        """Cold 'fresh process' runs touching every artifact kind, and
+        restoring a warm state and a frontier from the store."""
         from repro.simulator.runner import _execute_single
 
         stratified = _sampled_once(cls.SAMPLED_CONFIG,
@@ -559,14 +542,23 @@ class TestEveryKindSurvivesCorruption:
         kmeans = _sampled_once(cls.SAMPLED_CONFIG,
                                SamplingSpec(max_intervals=4,
                                             method="kmeans"))
-        # The warm "checkpoint" kind is published lazily on the sampled
-        # path; persist it explicitly so this producer covers every kind.
+        # Only the parallel interval path publishes the warm state (the
+        # positioned checkpoint at offset 0); publish it explicitly and
+        # run from it, so a corrupted warm state is covered too.
         clear_process_caches()
-        CheckpointStore().warm_checkpoint(cls.SAMPLED_CONFIG,
-                                          build_workload(MEDIUM_PROFILE))
+        workload = build_workload(MEDIUM_PROFILE)
+        warm = Simulator(cls.SAMPLED_CONFIG, workload)
+        warm.restore(CheckpointStore().warm_checkpoint(cls.SAMPLED_CONFIG,
+                                                       workload))
+        from_warm = warm.run(1500)
         clear_process_caches()
         full = _execute_single(cls.FULL_CONFIG, "gzip", 1500)
-        return (stratified, kmeans, full)
+        # A larger budget resumes the 1500-instruction frontier (result
+        # replay off, so a corrupted frontier is read, not bypassed).
+        clear_process_caches()
+        with use_context(current_context().override(result_cache=False)):
+            resumed = _execute_single(cls.FULL_CONFIG, "gzip", 3000)
+        return (stratified, kmeans, from_warm, full, resumed)
 
     @staticmethod
     def _corrupt(path, mode):
@@ -745,6 +737,58 @@ class TestCacheCli:
         for figure in ("Figure 1", "Figure 2", "Figure 4", "Figure 5",
                        "Figure 6", "Figure 7", "Figure 8"):
             assert figure in out
+
+
+class TestColdWarmFigure:
+    """The cold-vs-warm invariant end to end, in fresh processes: a
+    second ``figure 5`` against the same fresh store prints byte-identical
+    stdout and does the work much faster -- at least 2x sampled
+    (profiles, selections and interval measurements replay), at least 5x
+    full (whole results replay) -- and ``--no-result-cache`` resimulates
+    yet prints the same stdout.  Interpreter and import startup is the
+    same in every run and not what the cache accelerates, so it is
+    measured with a no-op subcommand and subtracted."""
+
+    FIGURE = ["figure", "5", "--instructions", "8000",
+              "--benchmarks", "gzip,mcf"]
+
+    @staticmethod
+    def _timed(args):
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("REPRO_")}
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *args],
+            env=env, capture_output=True, text=True, timeout=600)
+        seconds = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        return seconds, proc.stdout
+
+    @pytest.mark.parametrize("mode, speedup", [("sampled", 2), ("full", 5)],
+                             ids=["sampled", "full"])
+    def test_cold_warm_figure(self, tmp_path, mode, speedup):
+        store = ["--cache-dir", str(tmp_path / "store")]
+        startup, _ = self._timed(["cache", "path", *store])
+        figure = self.FIGURE + store
+        if mode == "sampled":
+            figure.append("--sampled")
+        cold_seconds, cold = self._timed(figure)
+        warm_seconds, warm = self._timed(figure)
+        cold_work = max(cold_seconds - startup, 1e-9)
+        warm_work = max(warm_seconds - startup, 1e-9)
+        timings = (f"startup {startup:.2f}s, cold {cold_seconds:.2f}s, "
+                   f"warm {warm_seconds:.2f}s")
+        assert warm == cold, "warm-cache output differs from cold"
+        assert warm_work * speedup < cold_work, timings
+        if mode == "full":
+            forced_seconds, forced = self._timed(
+                figure + ["--no-result-cache"])
+            assert forced == cold, "--no-result-cache output differs"
+            assert forced_seconds - startup > warm_work, (
+                f"--no-result-cache did not resimulate: {timings}, "
+                f"forced {forced_seconds:.2f}s")
 
 
 class TestCacheGc:

@@ -15,7 +15,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sampling.checkpoint import CheckpointStore
+from repro.cache.store import temporary_cache_dir
+from repro.sampling.checkpoint import FRONTIER, POSITIONED, CheckpointStore
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.workloads.generator import WorkloadProfile
@@ -234,16 +235,6 @@ class TestCheckpointStore:
         b = store.warm_checkpoint(config, medium_workload)
         assert a is b
 
-    def test_revisit_builds_on_second_request(self, medium_workload):
-        store = CheckpointStore()
-        config = make_sim_config(max_instructions=1000)
-        assert store.warm_checkpoint_if_revisited(
-            config, medium_workload) is None
-        second = store.warm_checkpoint_if_revisited(config, medium_workload)
-        assert second is not None
-        assert store.warm_checkpoint_if_revisited(
-            config, medium_workload) is second
-
     def test_distinct_configs_get_distinct_checkpoints(self, medium_workload):
         store = CheckpointStore()
         a = store.warm_checkpoint(
@@ -260,6 +251,53 @@ class TestCheckpointStore:
         assert len(store) > 0
         store.clear()
         assert len(store) == 0
+
+    def test_kinds_at_one_offset_stay_apart(self, medium_workload,
+                                            tmp_path):
+        """A positioned and a frontier checkpoint published at the same
+        offset of one config and workload come back only to their own
+        kind -- from memory and from the store -- and each restores into
+        its own path: a skip onward, or the resumed timed run."""
+        config = make_sim_config(engine="fdp", max_instructions=3000)
+        timed = Simulator(config, medium_workload)
+        timed.warm_up()
+        offset = timed.run(1500).committed_instructions
+        frontier = timed.snapshot()
+        skipped = Simulator(config, medium_workload)
+        skipped.warm_up()
+        skipped.skip_to(offset)
+        positioned = skipped.snapshot()
+
+        def continue_from(kind, checkpoint):
+            simulator = Simulator(config, medium_workload)
+            if checkpoint is None:
+                simulator.warm_up()
+            else:
+                simulator.restore(checkpoint)
+            if kind == POSITIONED:
+                simulator.skip_to(offset + 500)
+                return simulator.run(1000)
+            return simulator.run(3000)
+
+        expected = {kind: continue_from(kind, None)
+                    for kind in (POSITIONED, FRONTIER)}
+        with temporary_cache_dir(tmp_path / "cache"):
+            writer = CheckpointStore()
+            writer.publish(POSITIONED, config, medium_workload, offset,
+                           positioned)
+            writer.publish(FRONTIER, config, medium_workload, offset,
+                           frontier)
+            assert writer.deepest(POSITIONED, config, medium_workload,
+                                  0, offset) == (offset, positioned)
+            assert writer.deepest(FRONTIER, config, medium_workload,
+                                  0, offset) == (offset, frontier)
+            reader = CheckpointStore()      # the store tier only
+            for kind in (POSITIONED, FRONTIER):
+                found = reader.deepest(kind, config, medium_workload,
+                                       0, offset)
+                assert found is not None and found[0] == offset
+                _assert_identical(continue_from(kind, found[1]),
+                                  expected[kind])
 
     def test_warm_checkpoint_matches_plain_warm_up(self, medium_workload):
         """Restoring the store's warm checkpoint must continue exactly like

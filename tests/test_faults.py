@@ -12,6 +12,7 @@ import errno
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.faults import (
 from repro.simulator.config import SimulationConfig
 from repro.simulator.plan import (
     ExperimentPlan,
+    SimTask,
     TaskFailure,
     TaskFailureError,
 )
@@ -179,7 +181,8 @@ class TestDecisions:
 class TestChaosExecution:
     def _tasks(self, count=4, instructions=600):
         names = ("gzip", "mcf", "eon", "gcc")
-        return [(fast_config(), names[i % len(names)], instructions)
+        return [SimTask(config=fast_config(), benchmark=names[i % len(names)],
+                        max_instructions=instructions)
                 for i in range(count)]
 
     def test_worker_kills_retry_to_bit_identical_results(self):
@@ -219,13 +222,57 @@ class TestChaosExecution:
     def test_in_task_errors_are_typed_failures(self):
         bad = SimulationConfig(engine="baseline", technology="0.045um",
                                l1_size_bytes=4096, max_instructions=800)
-        tasks = [(bad, "no-such-benchmark", 800)]
+        tasks = [SimTask(config=bad, benchmark="no-such-benchmark",
+                         max_instructions=800)]
         with pytest.raises(TaskFailureError) as excinfo:
             run_tasks(tasks, jobs=1, max_retries=0)
         (failure,) = excinfo.value.failures
         assert failure.kind == "error"
         assert failure.benchmark == "no-such-benchmark"
         assert "no-such-benchmark" in str(failure)
+
+
+class TestConcurrentChaosIsolation:
+    """Worker kills of one run must not cost a concurrent run that shares
+    the pool any retries: a dead worker is charged to the run whose chunk
+    it last announced, not to every run with chunks still queued."""
+
+    @staticmethod
+    def _plan(name):
+        plan = ExperimentPlan(name)
+        for engine in ("baseline", "fdp"):
+            for benchmark in ("gzip", "mcf", "eon", "gcc"):
+                plan.add(fast_config(engine=engine, max_instructions=3000),
+                         benchmark, 3000, key=(engine, benchmark))
+        return plan
+
+    def test_chaos_run_costs_a_concurrent_clean_run_nothing(
+            self, monkeypatch):
+        from repro.api import ExecutionOptions, Session
+        from repro.simulator import runner
+
+        # Small plans would otherwise run inline instead of sharing the
+        # pool with the chaos run.
+        monkeypatch.setattr(runner, "_plan_prefers_inline",
+                            lambda tasks, jobs: False)
+        with Session(jobs=1, cache=False) as session:
+            solo = session.run(self._plan("clean")).results
+        # The race is timing-dependent: a few seeds, bounded in time.
+        deadline = time.monotonic() + 20.0
+        for seed in range(8):
+            with Session(jobs=2, cache=False) as chaotic, \
+                    Session(jobs=2, cache=False) as clean:
+                killed = chaotic.submit(
+                    self._plan("chaos"),
+                    ExecutionOptions(faults=f"worker_kill:0.5,seed:{seed}",
+                                     max_retries=3))
+                result = clean.submit(self._plan("clean")).result(timeout=60)
+                killed.result(timeout=60)
+            assert result.task_retries == 0, f"seed {seed}"
+            assert not result.failed_tasks, f"seed {seed}"
+            assert result.results == solo, f"seed {seed}"
+            if seed >= 2 and time.monotonic() > deadline:
+                break
 
 
 class TestDeadlines:
@@ -259,8 +306,9 @@ class TestDeadlines:
 
     def test_strict_surface_raises_on_timeout(self):
         with pytest.raises(TaskFailureError):
-            run_tasks([(fast_config(max_instructions=50_000_000),
-                        "gzip", 50_000_000)],
+            run_tasks([SimTask(config=fast_config(max_instructions=50_000_000),
+                               benchmark="gzip",
+                               max_instructions=50_000_000)],
                       jobs=1, task_timeout=1.0)
 
 

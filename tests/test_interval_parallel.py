@@ -20,7 +20,7 @@ from repro.cache import active_store
 from repro.cache.keys import content_key, stable_repr
 from repro.context import current_context, use_context
 from repro.sampling import SamplingSpec, get_selection
-from repro.sampling.checkpoint import CheckpointStore
+from repro.sampling.checkpoint import POSITIONED, CheckpointStore
 from repro.sampling.sampled import (
     _execute_sampled,
     _measure_intervals_parallel,
@@ -188,8 +188,23 @@ class TestParallelMatchesSerial:
                                       ALL_JUMPED, store=store, config=config)
         later = len(_segments(selection.intervals)) - 1
         assert later >= 2
-        assert store.positioned_hits == later
-        assert store.positioned_publishes == later
+        assert store.counts[POSITIONED, "hit"] == later
+        assert store.counts[POSITIONED, "publish"] == later
+
+    def test_store_off_serial_walk_restores_the_warm_state(self):
+        # The warm state is the positioned checkpoint at offset 0: once it
+        # is published, the first jumped segment restores it instead of
+        # warming up, and the result does not change.
+        config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+        with under(cache=False):
+            cold_store = CheckpointStore()
+            cold = run_sampled("gcc", ALL_JUMPED, store=cold_store)
+            store = CheckpointStore()
+            store.warm_checkpoint(config, get_workload("gcc"))
+            warm = run_sampled("gcc", ALL_JUMPED, store=store)
+        assert store.counts[POSITIONED, "hit"] \
+            == cold_store.counts[POSITIONED, "hit"] + 1
+        assert_identical(cold, warm)
 
     def test_worker_kill_chaos_still_identical(self):
         # Killed workers are retried; a terminally failed segment drops

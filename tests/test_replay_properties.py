@@ -32,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import temporary_cache_dir
 from repro.cache.results import RESULT_CACHE_STATS, result_key
-from repro.sampling.checkpoint import CheckpointStore, position_key
+from repro.sampling.checkpoint import POSITIONED, CheckpointStore, position_key
 from repro.sampling.sampled import SamplingSpec, _execute_sampled
 from repro.simulator.runner import _execute_single, clear_process_caches
 from repro.simulator.testing import make_sim_config
@@ -175,14 +175,14 @@ class TestBudgetEditPrefixRestore:
             clear_process_caches()
             first = CheckpointStore()
             _execute_sampled(original, "gcc", spec=spec, store=first)
-            assert first.positioned_publishes >= 1
-            assert first.positioned_hits == 0       # nothing to reuse yet
+            assert first.counts[POSITIONED, "publish"] >= 1
+            assert first.counts[POSITIONED, "hit"] == 0  # nothing to reuse yet
 
             clear_process_caches()
             second = CheckpointStore()
             _execute_sampled(edited, "gcc", spec=spec, store=second)
-            assert second.positioned_hits >= 1
-            assert second.positioned_publishes >= 1
+            assert second.counts[POSITIONED, "hit"] >= 1
+            assert second.counts[POSITIONED, "publish"] >= 1
         clear_process_caches()
 
     def test_position_key_neutralizes_run_length_only(self):

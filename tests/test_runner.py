@@ -82,12 +82,14 @@ class TestEnvironmentKnobs:
 
 class TestRunning:
     def test_single_task(self):
-        (result,) = run_tasks([(fast_config(), "gzip", 800)])
+        (result,) = run_tasks([SimTask(config=fast_config(), benchmark="gzip",
+                                       max_instructions=800)])
         assert result.workload == "gzip"
         assert result.committed_instructions >= 800
 
     def test_results_keep_task_order(self):
-        results = run_tasks([(fast_config(), name, 600)
+        results = run_tasks([SimTask(config=fast_config(), benchmark=name,
+                                     max_instructions=600)
                              for name in ("mcf", "gzip")])
         assert [r.workload for r in results] == ["mcf", "gzip"]
 
@@ -131,15 +133,6 @@ class TestExperimentPlan:
         assert set(hmeans) == {("mix",)}
         assert hmeans[("mix",)] > 0
 
-    def test_run_tasks_accepts_simtasks_and_tuples(self):
-        config = fast_config()
-        mixed = [
-            SimTask(config=config, benchmark="gzip", max_instructions=500),
-            (config, "gzip", 500),
-        ]
-        a, b = run_tasks(mixed)
-        assert a == b
-
     def test_sampled_task_dispatches_to_sampled_runner(self):
         config = fast_config(max_instructions=4000)
         task = SimTask(config=config, benchmark="gzip",
@@ -167,7 +160,8 @@ class TestParallelOrdering:
         assert list(serial.by_key()) == list(parallel.by_key())
 
     def test_parallel_results_keep_task_order(self):
-        results = run_tasks([(fast_config(), name, 500)
+        results = run_tasks([SimTask(config=fast_config(), benchmark=name,
+                                     max_instructions=500)
                              for name in ("mcf", "gzip", "eon")], jobs=2)
         assert [r.workload for r in results] == ["mcf", "gzip", "eon"]
 
