@@ -1,4 +1,4 @@
-"""Ablation of CLGP's design decisions (DESIGN.md section 5).
+"""Ablation of CLGP's design decisions (see :mod:`repro.core.clgp`).
 
 Each variant reverts one CLGP design choice back to its FDP counterpart:
 

@@ -89,6 +89,11 @@ def test_simulation_throughput(benchmark, scheme, bench_metrics):
         bench_metrics.setdefault("per_pass", {})["timed_loop"] = {
             "instructions_per_second": round(instructions_per_second),
         }
+        # Sanity floor: far below any measured rate, so only a real
+        # regression of the timed loop trips it.
+        assert instructions_per_second >= 30_000, (
+            f"timed-loop throughput {instructions_per_second:.0f} fell "
+            f"below 30k instr/s")
 
 
 @pytest.mark.parametrize("jobs", [1, SWEEP_JOBS])

@@ -274,7 +274,7 @@ def headline_speedups(
 
 
 # ----------------------------------------------------------------------
-# CLGP design-choice ablations (DESIGN.md section 5)
+# CLGP design-choice ablations: each reverts one choice to FDP's
 # ----------------------------------------------------------------------
 def ablation_series(
     session,

@@ -79,20 +79,19 @@ class DataCacheModel:
         cycle: int,
         miss_probability: float,
         l2_miss_probability: float,
-        on_complete: Callable[[int], None],
-    ) -> None:
+        on_miss: Callable[[int], None],
+    ) -> Optional[int]:
         """Issue one correct-path load at ``cycle``.
 
-        ``on_complete(completion_cycle)`` is invoked immediately for hits
-        and when the L2 bus grants the request for misses.
+        Returns the completion cycle of a hit.  A miss returns ``None``
+        and calls ``on_miss(completion_cycle)`` when the L2 bus grants it.
         """
         index = self._load_index
         self._load_index += 1
         self.stats.loads += 1
 
         if _hash01(index, self.seed) >= miss_probability:
-            on_complete(cycle + self.dl1_latency)
-            return
+            return cycle + self.dl1_latency
 
         self.stats.dl1_misses += 1
         misses_l2 = _hash01(index, self.seed ^ 0x5A5A5A5A) < l2_miss_probability
@@ -103,6 +102,7 @@ class DataCacheModel:
             # Out-of-order cores overlap independent misses; divide the
             # exposed latency by the MLP factor.
             exposed = max(1, round((arrival_cycle - cycle) / self.mlp_factor))
-            on_complete(cycle + exposed)
+            on_miss(cycle + exposed)
 
         self.hierarchy.demand_data_access(cycle, misses_l2, _served)
+        return None

@@ -20,12 +20,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from .dcache import DataCacheModel
-from ..frontend.fetch_block import FetchedInstruction
+from ..frontend.fetch_block import FetchBlock
 from ..workloads.bbdict import BasicBlockDictionary
-from ..workloads.isa import InstrClass
+from ..workloads.isa import INSTRUCTION_BYTES, InstrClass
+
+#: A cycle later than any simulated one: the RUU completion cycle of a load
+#: miss until its bus grant fixes it, and "no event" for the event loop.
+NEVER = 1 << 62
 
 
 @dataclass
@@ -36,20 +40,22 @@ class BackendStats:
     squashed_instructions: int = 0
     redirects: int = 0
     commit_stall_cycles: int = 0   #: cycles with nothing eligible to commit
-    ruu_full_stalls: int = 0       #: dispatch attempts rejected for space
-
-
-@dataclass(slots=True)
-class _RuuEntry:
-    seq: int
-    cls: InstrClass
-    wrong_path: bool
-    completion_cycle: Optional[int]   #: None until the latency is known
-    triggers_redirect: bool = False
+    #: Always 0: the fetch stage never offers more than free_slots().
+    #: Kept because results report it.
+    ruu_full_stalls: int = 0
 
 
 class BackendPipeline:
-    """In-order-commit window model fed by the fetch stage."""
+    """In-order-commit window model fed by the fetch stage.
+
+    The RUU holds only what commit needs: the completion cycles of the
+    correct-path instructions in flight, oldest first, plus the number
+    of wrong-path instructions dispatched behind them.  Wrong-path
+    instructions always form the tail: the path only turns wrong inside
+    a mispredicted block, at its ``correct_prefix``, every later block is
+    wrong-path until the redirect, and :meth:`tick` squashes on the
+    redirect before that cycle's fetch.
+    """
 
     def __init__(
         self,
@@ -68,8 +74,12 @@ class BackendPipeline:
         self.on_redirect = on_redirect
         self.stats = BackendStats()
 
-        self._ruu: Deque[_RuuEntry] = deque()
-        self._seq = 0
+        #: Completion cycles of the correct-path instructions in flight.
+        #: The one in dispatch slot ``k`` (the ``k``-th correct-path
+        #: instruction ever dispatched) sits at ``k - committed``.
+        self._ruu: Deque[int] = deque()
+        #: Wrong-path instructions behind them, squashed on the redirect.
+        self._wrong = 0
         self._pending_redirect_cycle: Optional[int] = None
         #: Memoized per-address load miss probability (the CFG is static, so
         #: the bisect in ``block_containing`` only has to run once per PC).
@@ -79,70 +89,70 @@ class BackendPipeline:
     # dispatch (called by the fetch stage when instructions are delivered)
     # ------------------------------------------------------------------
     def free_slots(self) -> int:
-        return self.ruu_size - len(self._ruu)
+        return self.ruu_size - len(self._ruu) - self._wrong
 
-    def has_space(self, n: int = 1) -> bool:
-        return self.free_slots() >= n
-
-    def dispatch(self, instr: FetchedInstruction, cycle: int) -> bool:
-        """Insert one fetched instruction into the RUU.
-
-        Returns False (and dispatches nothing) when the RUU is full.
-        """
-        return self.dispatch_scalars(
-            instr.addr, instr.cls, instr.wrong_path,
-            instr.triggers_redirect, cycle,
-        )
-
-    def dispatch_scalars(
+    def dispatch_run(
         self,
-        addr: int,
-        cls: InstrClass,
-        wrong_path: bool,
-        triggers_redirect: bool,
+        block: FetchBlock,
+        first: int,
+        count: int,
+        classes: Tuple[InstrClass, ...],
         cycle: int,
-    ) -> bool:
-        """Fast-path :meth:`dispatch` taking the instruction fields directly
-        (the fetch stage calls this once per delivered instruction; skipping
-        the :class:`FetchedInstruction` wrapper is a measurable win)."""
-        if len(self._ruu) >= self.ruu_size:
-            self.stats.ruu_full_stalls += 1
-            return False
-        self._seq += 1
-        entry = _RuuEntry(
-            seq=self._seq,
-            cls=cls,
-            wrong_path=wrong_path,
-            completion_cycle=None,
-            triggers_redirect=triggers_redirect,
-        )
-        self.stats.dispatched_instructions += 1
-        if wrong_path:
-            self.stats.wrong_path_dispatched += 1
+    ) -> int:
+        """Dispatch instructions ``first .. first + count - 1`` of ``block``
+        (``classes`` are the block's instruction classes) and return how
+        many of them are wrong-path.
 
-        if cls is InstrClass.LOAD and not wrong_path:
-            miss_prob = self._load_miss_prob.get(addr)
-            if miss_prob is None:
-                block = self.bbdict.cfg.block_containing(addr)
-                miss_prob = (
-                    block.load_miss_probability if block is not None else 0.0
-                )
-                self._load_miss_prob[addr] = miss_prob
-            l2_miss_prob = self._l2_data_miss_rate
-
-            def _complete(done_cycle: int, entry=entry) -> None:
-                entry.completion_cycle = done_cycle
-
-            self.dcache.access(cycle, miss_prob, l2_miss_prob, _complete)
-        else:
-            entry.completion_cycle = cycle + 1
-
-        if triggers_redirect:
+        The fetch stage delivers one such run per cycle and never more
+        than :meth:`free_slots`.  Index ``i`` is wrong-path when
+        ``i >= block.correct_prefix``; dispatching index
+        ``correct_prefix - 1`` of a mispredicted block arms the redirect.
+        """
+        stats = self.stats
+        stats.dispatched_instructions += count
+        end = first + count
+        prefix = block.correct_prefix
+        wrong = 0
+        if end > prefix:
+            correct_end = prefix if prefix > first else first
+            wrong = end - correct_end
+            self._wrong += wrong
+            stats.wrong_path_dispatched += wrong
+            end = correct_end
+        if end <= first:
+            return wrong
+        ruu = self._ruu
+        done = cycle + 1
+        load = InstrClass.LOAD
+        for index in range(first, end):
+            if classes[index] is load:
+                ruu.append(self._issue_load(
+                    block.start + index * INSTRUCTION_BYTES, cycle))
+            else:
+                ruu.append(done)
+        if end == prefix and block.mispredicted:
             # The redirect fires when the branch resolves in the back-end.
-            self._pending_redirect_cycle = cycle + self.branch_resolution_latency
+            self._pending_redirect_cycle = (
+                cycle + self.branch_resolution_latency
+            )
+        return wrong
 
-        self._ruu.append(entry)
-        return True
+    def _issue_load(self, addr: int, cycle: int) -> int:
+        """Issue the correct-path load about to take the next RUU slot;
+        returns its completion cycle (``NEVER`` for a miss)."""
+        miss_prob = self._load_miss_prob.get(addr)
+        if miss_prob is None:
+            block = self.bbdict.cfg.block_containing(addr)
+            miss_prob = block.load_miss_probability if block is not None else 0.0
+            self._load_miss_prob[addr] = miss_prob
+        slot = self.stats.committed_instructions + len(self._ruu)
+
+        def _served(done_cycle: int) -> None:
+            self._ruu[slot - self.stats.committed_instructions] = done_cycle
+
+        completion = self.dcache.access(
+            cycle, miss_prob, self._l2_data_miss_rate, _served)
+        return NEVER if completion is None else completion
 
     #: Probability that an L1-D miss also misses in L2 (workload-specific;
     #: the simulator overwrites it from the workload profile).
@@ -160,17 +170,13 @@ class BackendPipeline:
         instructions committed this cycle."""
         pending = self._pending_redirect_cycle
         if pending is not None and cycle >= pending:
-            self._maybe_redirect(cycle)
+            self._redirect(cycle)
         ruu = self._ruu
         committed = 0
         width = self.commit_width
-        while committed < width and ruu:
-            head = ruu[0]
-            if head.wrong_path:
-                break  # wait for the flush triggered by the resolving branch
-            completion = head.completion_cycle
-            if completion is None or completion > cycle:
-                break
+        # Wrong-path instructions wait for the flush, so commit stops
+        # where the correct-path entries end.
+        while committed < width and ruu and ruu[0] <= cycle:
             ruu.popleft()
             committed += 1
         stats = self.stats
@@ -179,18 +185,12 @@ class BackendPipeline:
         stats.committed_instructions += committed
         return committed
 
-    def _maybe_redirect(self, cycle: int) -> None:
-        if (
-            self._pending_redirect_cycle is None
-            or cycle < self._pending_redirect_cycle
-        ):
-            return
+    def _redirect(self, cycle: int) -> None:
+        """The mispredicted branch resolved: squash every younger
+        instruction -- all wrong-path, all at the RUU's tail."""
         self._pending_redirect_cycle = None
-        # Squash everything younger than the mispredicted branch.  By
-        # construction every younger instruction is wrong-path.
-        before = len(self._ruu)
-        self._ruu = deque(e for e in self._ruu if not e.wrong_path)
-        self.stats.squashed_instructions += before - len(self._ruu)
+        self.stats.squashed_instructions += self._wrong
+        self._wrong = 0
         self.stats.redirects += 1
         if self.on_redirect is not None:
             self.on_redirect(cycle)
@@ -198,18 +198,30 @@ class BackendPipeline:
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        return len(self._ruu)
+        return len(self._ruu) + self._wrong
 
     @property
     def redirect_pending(self) -> bool:
         return self._pending_redirect_cycle is not None
 
-    # -- introspection for the event-driven simulator loop -----------------
-    @property
-    def pending_redirect_cycle(self) -> Optional[int]:
-        """Cycle at which the pending misprediction resolves (None: none)."""
-        return self._pending_redirect_cycle
+    def next_event_cycle(self, cycle: int) -> int:
+        """The first cycle, from ``cycle`` on, at which :meth:`tick` can
+        commit or squash (``NEVER``: nothing in flight).
 
-    def ruu_head(self) -> Optional[_RuuEntry]:
-        """Oldest RUU entry (the only one commit can act on), or None."""
-        return self._ruu[0] if self._ruu else None
+        ``cycle`` itself when that cannot be bounded: a load miss waits
+        for its bus grant, or wrong-path instructions wait for a redirect
+        not yet armed.  The event-driven loop skips no cycle before it.
+        """
+        ruu = self._ruu
+        redirect = self._pending_redirect_cycle
+        if ruu:
+            wake = ruu[0]
+            if wake == NEVER:
+                return cycle
+        elif self._wrong and redirect is None:
+            return cycle
+        else:
+            wake = NEVER
+        if redirect is not None and redirect < wake:
+            wake = redirect
+        return wake if wake > cycle else cycle

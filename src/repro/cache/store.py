@@ -93,7 +93,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: v5: one checkpoint record -- the warm state is the ``positioned``
 #: checkpoint at offset 0 (the ``checkpoint`` kind is gone), and
 #: positioned and frontier checkpoints share one key layout.
-SCHEMA_VERSION = 5
+#: v6: checkpoints pickle the back-end's RUU as completion cycles plus
+#: a wrong-path count; a v5 checkpoint would unpickle and then fail.
+SCHEMA_VERSION = 6
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

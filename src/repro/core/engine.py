@@ -27,33 +27,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
-from ..frontend.fetch_block import (
-    FetchBlock,
-    FetchLineRequest,
-    FetchedInstruction,
-)
-from ..workloads.isa import INSTRUCTION_BYTES
+from ..frontend.fetch_block import FetchBlock, FetchLineRequest
 from ..memory.hierarchy import (
     SOURCE_L0,
     SOURCE_L1,
-    SOURCE_MEMORY,
     SOURCE_PREBUFFER,
-    SOURCE_L2,
     FETCH_SOURCES,
     MemoryHierarchy,
 )
 from ..workloads.bbdict import BasicBlockDictionary
 from .prefetch_buffer import PreBufferEntry
-
-#: Tie-break order when several sources could return the line in the same
-#: cycle: prefer the cheapest/closest structure.
-_SOURCE_ORDER = {
-    SOURCE_PREBUFFER: 0,
-    SOURCE_L0: 1,
-    SOURCE_L1: 2,
-    SOURCE_L2: 3,
-    SOURCE_MEMORY: 4,
-}
 
 
 @dataclass
@@ -77,7 +60,8 @@ class FetchEngineConfig:
     piq_entries: int = 16                #: FDP prefetch-instruction-queue size
     #: CLGP: CLTQ entries examined per cycle by the prestaging algorithm
     clgp_scan_per_cycle: int = 4
-    # --- ablation switches (CLGP design choices, see DESIGN.md section 5) ---
+    # --- ablation switches: each reverts one CLGP design choice to its
+    # --- FDP counterpart (see repro.core.clgp) ---
     clgp_free_on_use: bool = False       #: replace prestage entries on first use
     clgp_copy_to_cache: bool = False     #: copy consumed lines into the cache
     clgp_use_filtering: bool = False     #: apply enqueue filtering to CLGP
@@ -134,14 +118,14 @@ class _InflightLine:
     """A line access in progress in the fetch stage."""
 
     request: FetchLineRequest
+    #: Instruction classes of the parent block, resolved once when the line
+    #: access starts so delivery cycles never re-enter the bbdict walk.
+    classes: Tuple
     ready_cycle: Optional[int] = None
     source: Optional[str] = None
     pb_entry: Optional[PreBufferEntry] = None
     waiting_on_prebuffer: bool = False
     delivered: int = 0
-    #: Instruction classes of the parent block, resolved once when the line
-    #: access starts so delivery cycles never re-enter the bbdict walk.
-    classes: Optional[Tuple] = None
 
 
 class FetchEngine:
@@ -238,28 +222,32 @@ class FetchEngine:
         #    once it reaches the head: the fetch unit has a single
         #    outstanding demand miss, so only the prefetcher can overlap
         #    long-latency instruction fetches.
-        while len(self._inflight) < self.config.fetch_lookahead:
+        inflight = self._inflight
+        lookahead = self.config.fetch_lookahead
+        while len(inflight) < lookahead:
             upcoming = self._peek_next_line()
             if upcoming is None:
                 break
-            if self._inflight and not self._line_on_fast_path(upcoming.line_addr):
+            if inflight and not self._line_on_fast_path(upcoming.line_addr):
                 break
             request = self._pop_next_line()
-            self._inflight.append(self._start_line_access(request, cycle))
+            inflight.append(self._start_line_access(request, cycle))
 
-        if not self._inflight:
+        if not inflight:
             self.stats.record_stall("empty")
             return 0
 
         # 2. resolve "waiting on an in-flight prefetch" heads.
-        head = self._inflight[0]
-        if head.ready_cycle is None and head.waiting_on_prebuffer:
+        head = inflight[0]
+        ready = head.ready_cycle
+        if ready is None and head.waiting_on_prebuffer:
             self._poll_prebuffer_wait(head, cycle)
+            ready = head.ready_cycle
 
         # 3. deliver instructions from the head line.
-        if head.ready_cycle is None or cycle < head.ready_cycle:
+        if ready is None or cycle < ready:
             if head.waiting_on_prebuffer or (
-                head.ready_cycle is None and head.pb_entry is not None
+                ready is None and head.pb_entry is not None
             ):
                 self.stats.record_stall("PB-wait")
             else:
@@ -284,28 +272,29 @@ class FetchEngine:
     # ------------------------------------------------------------------
     def _start_line_access(self, request: FetchLineRequest, cycle: int) -> _InflightLine:
         line = request.line_addr
-        infl = _InflightLine(request=request)
-        infl.classes = request.block.instr_classes(self.bbdict)
+        infl = _InflightLine(request, request.block.instr_classes(self.bbdict))
         hierarchy = self.hierarchy
 
-        candidates = []
+        # Probe the sources in order of closeness and keep the first that
+        # returns the line soonest: on a tie the closest structure wins.
+        ready = None
+        source = None
         pb_entry = self._prebuffer_entry(line)
         if pb_entry is not None and pb_entry.valid:
             start = max(cycle, pb_entry.ready_cycle or cycle)
-            completion = self._prebuffer_port_completion(start)
-            candidates.append((completion, SOURCE_PREBUFFER))
-        if hierarchy.l0 is not None and hierarchy.l0.contains(line):
-            candidates.append(
-                (hierarchy.l0_port.completion_if_issued(cycle), SOURCE_L0)
-            )
+            ready = self._prebuffer_port_completion(start)
+            source = SOURCE_PREBUFFER
+        l0 = hierarchy.l0
+        if l0 is not None and l0.contains(line):
+            completion = hierarchy.l0_port.completion_if_issued(cycle)
+            if ready is None or completion < ready:
+                ready, source = completion, SOURCE_L0
         if hierarchy.l1.contains(line):
-            candidates.append(
-                (hierarchy.l1_port.completion_if_issued(cycle), SOURCE_L1)
-            )
+            completion = hierarchy.l1_port.completion_if_issued(cycle)
+            if ready is None or completion < ready:
+                ready, source = completion, SOURCE_L1
 
-        if candidates:
-            candidates.sort(key=lambda c: (c[0], _SOURCE_ORDER[c[1]]))
-            ready, source = candidates[0]
+        if source is not None:
             infl.ready_cycle = ready
             infl.source = source
             if source == SOURCE_PREBUFFER:
@@ -378,76 +367,39 @@ class FetchEngine:
 
     # ------------------------------------------------------------------
     def _deliver(self, infl: _InflightLine, cycle: int, backend) -> int:
+        """Hand the back-end this cycle's run of the head line: up to
+        ``fetch_width`` instructions, bounded by its free RUU slots."""
         request = infl.request
-        block = request.block
-        classes = infl.classes
-        if classes is None:   # line never went through _start_line_access
-            classes = infl.classes = block.instr_classes(self.bbdict)
         source = infl.source
         stats = self.stats
-        delivered = 0
-        wrong = 0
-        if infl.delivered == 0:
+        delivered = infl.delivered
+        if delivered == 0:
             # First delivery cycle of this line: account the line fetch.
+            # A full RUU repeats this every blocked cycle, and the event
+            # loop's fast-forward replays exactly that.
             stats.lines_fetched += 1
             stats.fetch_source_lines[source] += 1
-
-        fetch_width = self.config.fetch_width
         num_instructions = request.num_instructions
-        first_index = request.first_instr_index
-        block_start = block.start
-        block_wrong_path = block.wrong_path
-        correct_prefix = block.correct_prefix
-        mispredicted = block.mispredicted
-        # Scalar fast path when the back-end supports it; test doubles that
-        # only implement has_space()/dispatch(FetchedInstruction) still work.
-        dispatch_scalars = getattr(backend, "dispatch_scalars", None)
-        dispatch = backend.dispatch
-        free_slots = getattr(backend, "free_slots", None)
-        budget = min(fetch_width, num_instructions - infl.delivered)
-        if free_slots is not None:
-            budget = min(budget, free_slots())
-        while delivered < budget:
-            if free_slots is None and not backend.has_space():
-                break
-            index = first_index + infl.delivered
-            wrong_path = block_wrong_path or index >= correct_prefix
-            triggers_redirect = mispredicted and index == correct_prefix - 1
-            if dispatch_scalars is not None:
-                accepted = dispatch_scalars(
-                    block_start + index * INSTRUCTION_BYTES,
-                    classes[index], wrong_path, triggers_redirect, cycle,
-                )
-            else:
-                accepted = dispatch(
-                    FetchedInstruction(
-                        addr=block_start + index * INSTRUCTION_BYTES,
-                        cls=classes[index],
-                        wrong_path=wrong_path,
-                        triggers_redirect=triggers_redirect,
-                        redirect_target=(
-                            block.redirect_target if triggers_redirect else None
-                        ),
-                        fetch_source=source,
-                    ),
-                    cycle,
-                )
-            if not accepted:
-                break
-            infl.delivered += 1
-            delivered += 1
-            if wrong_path:
-                wrong += 1
+        count = num_instructions - delivered
+        if count > self.config.fetch_width:
+            count = self.config.fetch_width
+        free = backend.free_slots()
+        if count > free:
+            count = free
+        if count <= 0:
+            return 0
+        stats.wrong_path_instructions += backend.dispatch_run(
+            request.block, request.first_instr_index + delivered, count,
+            infl.classes, cycle)
+        stats.instructions_delivered += count
+        stats.fetch_source_instructions[source] += count
 
-        if delivered:
-            stats.instructions_delivered += delivered
-            stats.fetch_source_instructions[source] += delivered
-            stats.wrong_path_instructions += wrong
-
-        if infl.delivered >= num_instructions:
+        delivered += count
+        infl.delivered = delivered
+        if delivered >= num_instructions:
             self._on_line_consumed(request, source, infl.pb_entry, cycle)
             self._inflight.popleft()
-        return delivered
+        return count
 
     # ==================================================================
     # reporting helpers

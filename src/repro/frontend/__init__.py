@@ -1,6 +1,6 @@
 """Decoupled front-end: fetch blocks, RAS, stream predictor, prediction unit."""
 
-from .fetch_block import FetchBlock, FetchLineRequest, FetchedInstruction
+from .fetch_block import FetchBlock, FetchLineRequest
 from .prediction import PredictionStats, PredictionUnit
 from .ras import ReturnAddressStack
 from .stream_predictor import StreamPredictor, StreamPrediction
@@ -8,7 +8,6 @@ from .stream_predictor import StreamPredictor, StreamPrediction
 __all__ = [
     "FetchBlock",
     "FetchLineRequest",
-    "FetchedInstruction",
     "PredictionStats",
     "PredictionUnit",
     "ReturnAddressStack",

@@ -5,9 +5,9 @@
   run diverges from the correct path.  FTQ entries (FDP) are fetch blocks;
   CLTQ entries (CLGP) are the cache lines of fetch blocks.
 * :class:`FetchLineRequest` -- one cache line's worth of a fetch block, the
-  granularity at which the fetch stage and the prefetchers operate.
-* :class:`FetchedInstruction` -- what the fetch stage delivers to the
-  back-end.
+  granularity at which the fetch stage and the prefetchers operate.  The
+  fetch stage hands the back-end runs of a block's instructions
+  (:meth:`~repro.backend.pipeline.BackendPipeline.dispatch_run`).
 """
 
 from __future__ import annotations
@@ -152,15 +152,3 @@ class FetchLineRequest:
             f"FetchLineRequest(line={self.line_addr:#x}, n={self.num_instructions}, "
             f"block={self.block.block_id})"
         )
-
-
-@dataclass(frozen=True, slots=True)
-class FetchedInstruction:
-    """A single instruction delivered by the fetch stage to the back-end."""
-
-    addr: int
-    cls: InstrClass
-    wrong_path: bool
-    triggers_redirect: bool = False
-    redirect_target: Optional[int] = None
-    fetch_source: str = "il1"   #: which storage supplied the line

@@ -76,7 +76,6 @@ class PredictionUnit:
         predictor: Optional[StreamPredictor] = None,
         ras_entries: int = 8,
         max_stream_instructions: int = MAX_STREAM_INSTRUCTIONS,
-        blocks_per_cycle: int = 1,
     ):
         self.workload = workload
         self.bbdict: BasicBlockDictionary = workload.bbdict
@@ -86,7 +85,6 @@ class PredictionUnit:
         )
         self.ras = ReturnAddressStack(ras_entries)
         self.max_stream = max_stream_instructions
-        self.blocks_per_cycle = blocks_per_cycle
         self.history = 0
         self.stats = PredictionStats()
 
@@ -106,18 +104,14 @@ class PredictionUnit:
     # per-cycle operation
     # ------------------------------------------------------------------
     def tick(self, cycle: int, engine) -> int:
-        """Generate up to ``blocks_per_cycle`` fetch blocks into ``engine``.
+        """Insert one fetch block into ``engine`` if its queue has room.
 
-        Returns the number of blocks produced this cycle.
+        Returns the number of blocks produced this cycle (0 or 1).
         """
-        produced = 0
-        for _ in range(self.blocks_per_cycle):
-            if not engine.can_accept_block():
-                break
-            block = self._next_block()
-            engine.enqueue_block(block, cycle)
-            produced += 1
-        return produced
+        if not engine.can_accept_block():
+            return 0
+        engine.enqueue_block(self._next_block(), cycle)
+        return 1
 
     def _next_block(self) -> FetchBlock:
         if self._wrong_path_mode:

@@ -126,8 +126,11 @@ class Cache:
         This models a *tag probe* (e.g. FDP's Enqueue Cache Probe
         Filtering, which uses "an additional tag port or replicated tags").
         """
-        line = self.line_address(addr)
-        cset = self._sets.get(self._set_index(line))
+        # line_address and _set_index inlined: the fetch stage probes
+        # several caches per line access.
+        mask = self._line_mask
+        line = addr & mask if mask is not None else addr - (addr % self.line_size)
+        cset = self._sets.get((line // self.line_size) % self.num_sets)
         return cset is not None and line in cset
 
     def lookup(self, addr: int) -> bool:

@@ -48,7 +48,7 @@ class BasicBlock:
     load_miss_probability:
         Probability that a LOAD in this block misses the L1 data cache
         (per-benchmark data-side behaviour is modelled probabilistically;
-        see DESIGN.md).
+        see :mod:`repro.backend.dcache`).
     """
 
     addr: int

@@ -1,42 +1,44 @@
 """Shared helpers for driving fetch engines in unit tests.
 
 These tests exercise an engine directly (without the full simulator): a
-recording back-end accepts every dispatched instruction, and ``drive``
-advances the engine + hierarchy cycle by cycle.
+recording back-end accepts every dispatched run, and ``drive`` advances
+the engine + hierarchy cycle by cycle.  Where instructions came from is
+read off the engine's own ``fetch_source_instructions``, the counters
+``SimulationResult`` reports.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Set, Tuple
 
-from repro.frontend.fetch_block import FetchBlock, FetchedInstruction
+from repro.frontend.fetch_block import FetchBlock
 
 
 class RecordingBackend:
-    """Back-end stand-in that accepts (and records) all dispatches."""
+    """Back-end stand-in that accepts (and records) every dispatched run,
+    up to ``capacity`` instructions in total."""
 
     def __init__(self, capacity: int = 10**9):
         self.capacity = capacity
-        self.instructions: List[FetchedInstruction] = []
-
-    def has_space(self) -> bool:
-        return len(self.instructions) < self.capacity
+        #: (block, first index, count, cycle) of each dispatched run
+        self.runs: List[Tuple[FetchBlock, int, int, int]] = []
+        self.count = 0
 
     def free_slots(self) -> int:
-        return self.capacity - len(self.instructions)
+        return self.capacity - self.count
 
-    def dispatch(self, instr: FetchedInstruction, cycle: int) -> bool:
-        if not self.has_space():
-            return False
-        self.instructions.append(instr)
-        return True
+    def dispatch_run(self, block, first, count, classes, cycle) -> int:
+        assert 0 < count <= self.free_slots()
+        self.runs.append((block, first, count, cycle))
+        self.count += count
+        # The instructions at or past correct_prefix are wrong-path.
+        return max(0, first + count - max(first, block.correct_prefix))
 
-    @property
-    def count(self) -> int:
-        return len(self.instructions)
 
-    def sources(self) -> List[str]:
-        return [i.fetch_source for i in self.instructions]
+def delivered_sources(engine) -> Set[str]:
+    """The fetch sources that supplied at least one delivered instruction."""
+    return {source for source, count
+            in engine.stats.fetch_source_instructions.items() if count}
 
 
 def block_for(workload, index: int = 0, **kw) -> FetchBlock:

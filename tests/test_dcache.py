@@ -32,16 +32,16 @@ class TestAccess:
     def test_hit_latency(self, hierarchy):
         model = DataCacheModel(hierarchy)
         done = []
-        model.access(10, miss_probability=0.0, l2_miss_probability=0.0,
-                     on_complete=done.append)
-        assert done == [11]
+        assert model.access(10, miss_probability=0.0, l2_miss_probability=0.0,
+                            on_miss=done.append) == 11
+        assert done == []          # a hit returns its completion directly
         assert model.stats.loads == 1 and model.stats.dl1_misses == 0
 
     def test_miss_goes_over_bus(self, hierarchy):
         model = DataCacheModel(hierarchy, mlp_factor=1.0)
         done = []
-        model.access(0, miss_probability=1.0, l2_miss_probability=0.0,
-                     on_complete=done.append)
+        assert model.access(0, miss_probability=1.0, l2_miss_probability=0.0,
+                            on_miss=done.append) is None
         assert not done            # waiting for the bus grant
         hierarchy.tick(0)
         assert done == [17]        # L2 latency at 0.09um
@@ -51,7 +51,7 @@ class TestAccess:
         model = DataCacheModel(hierarchy, mlp_factor=4.0)
         done = []
         model.access(0, miss_probability=1.0, l2_miss_probability=0.0,
-                     on_complete=done.append)
+                     on_miss=done.append)
         hierarchy.tick(0)
         assert done == [round(17 / 4)]
 
@@ -59,26 +59,24 @@ class TestAccess:
         model = DataCacheModel(hierarchy, mlp_factor=1.0)
         for _ in range(50):
             model.access(0, miss_probability=1.0, l2_miss_probability=1.0,
-                         on_complete=lambda c: None)
+                         on_miss=lambda c: None)
         assert model.stats.l2_data_misses == 50
 
     def test_miss_rate_matches_probability(self, hierarchy):
         model = DataCacheModel(hierarchy)
         for _ in range(2000):
             model.access(0, miss_probability=0.25, l2_miss_probability=0.0,
-                         on_complete=lambda c: None)
+                         on_miss=lambda c: None)
         assert 0.18 < model.stats.dl1_miss_rate < 0.32
 
     def test_deterministic_across_instances(self, hierarchy):
         a = DataCacheModel(hierarchy, seed=5)
         b = DataCacheModel(
             MemoryHierarchy(HierarchyConfig(technology="0.09um")), seed=5)
-        hits_a, hits_b = [], []
-        for _ in range(100):
-            a.access(0, 0.3, 0.0, lambda c: hits_a.append(c))
-            b.access(0, 0.3, 0.0, lambda c: hits_b.append(c))
+        hits_a = [a.access(0, 0.3, 0.0, lambda c: None) for _ in range(100)]
+        hits_b = [b.access(0, 0.3, 0.0, lambda c: None) for _ in range(100)]
         # Hit decisions (which accesses completed immediately) must match.
-        assert len(hits_a) == len(hits_b)
+        assert hits_a == hits_b
 
     def test_invalid_mlp(self, hierarchy):
         with pytest.raises(ValueError):

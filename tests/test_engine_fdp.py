@@ -10,6 +10,7 @@ from engine_harness import (
     RecordingBackend,
     block_for,
     blocks_on_distinct_lines,
+    delivered_sources,
     drive,
 )
 
@@ -84,7 +85,7 @@ class TestPrefetchIssueAndUse:
         engine.prefetch_tick(0)
         assert engine.prefetch_buffer.contains(line)
         drive(engine, backend, 40)
-        assert "PB" in backend.sources()
+        assert "PB" in delivered_sources(engine)
 
     def test_one_prefetch_issued_per_cycle(self, tiny_workload):
         engine = make_engine(tiny_workload, entries=8)
@@ -105,24 +106,22 @@ class TestPrefetchIssueAndUse:
 
     def _fetch_after_prefetch_lands(self, engine, block, cycles_for_prefetch=30):
         """Issue the prefetch for the block's first line, wait for it to
-        arrive, then fetch the block.  Returns the recording back-end."""
-        backend = RecordingBackend()
+        arrive, then fetch the block."""
         line = block.lines(64)[0]
         engine.hierarchy.l2.fill(line)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
         for cycle in range(cycles_for_prefetch):
             engine.hierarchy.tick(cycle)
-        drive(engine, backend, 40, start_cycle=cycles_for_prefetch,
+        drive(engine, RecordingBackend(), 40, start_cycle=cycles_for_prefetch,
               prefetch=False)
-        return backend
 
     def test_used_line_moves_to_l1_and_leaves_buffer(self, tiny_workload):
         engine = make_engine(tiny_workload)
         block = big_block(tiny_workload)
         line = block.lines(64)[0]
-        backend = self._fetch_after_prefetch_lands(engine, block)
-        assert "PB" in backend.sources()
+        self._fetch_after_prefetch_lands(engine, block)
+        assert "PB" in delivered_sources(engine)
         assert engine.hierarchy.l1.contains(line)
         assert not engine.prefetch_buffer.contains(line)
 
@@ -130,8 +129,8 @@ class TestPrefetchIssueAndUse:
         engine = make_engine(tiny_workload, l0=True)
         block = big_block(tiny_workload)
         line = block.lines(64)[0]
-        backend = self._fetch_after_prefetch_lands(engine, block)
-        assert "PB" in backend.sources()
+        self._fetch_after_prefetch_lands(engine, block)
+        assert "PB" in delivered_sources(engine)
         assert engine.hierarchy.l0.contains(line)
         assert not engine.hierarchy.l1.contains(line)
 

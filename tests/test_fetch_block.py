@@ -1,9 +1,8 @@
-"""Tests for fetch blocks, line requests and fetched instructions."""
+"""Tests for fetch blocks and line requests."""
 
 import pytest
 
-from repro.frontend.fetch_block import FetchBlock, FetchLineRequest, FetchedInstruction
-from repro.workloads.isa import InstrClass
+from repro.frontend.fetch_block import FetchBlock, FetchLineRequest
 
 
 class TestFetchBlock:
@@ -99,11 +98,3 @@ class TestInstrClasses:
         classes = fetch_block.instr_classes(tiny_workload.bbdict)
         assert len(classes) == b0.size + 2
         assert classes[b0.size] == b1.instr_classes[0]
-
-
-class TestFetchedInstruction:
-    def test_immutable(self):
-        instr = FetchedInstruction(addr=0x1000, cls=InstrClass.ALU, wrong_path=False)
-        with pytest.raises(AttributeError):
-            instr.addr = 0
-        assert instr.fetch_source == "il1"
