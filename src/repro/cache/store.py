@@ -95,7 +95,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: positioned and frontier checkpoints share one key layout.
 #: v6: checkpoints pickle the back-end's RUU as completion cycles plus
 #: a wrong-path count; a v5 checkpoint would unpickle and then fail.
-SCHEMA_VERSION = 6
+#: v7: a frontier checkpoint's prediction unit is a cursor over a
+#: prediction trace it carries by value; a v6 frontier holds a unit that
+#: is mid-run and has no trace.
+SCHEMA_VERSION = 7
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

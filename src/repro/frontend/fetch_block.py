@@ -52,7 +52,7 @@ class FetchBlock:
     redirect_target:
         Correct-path continuation address after that branch (None when not
         mispredicted).  Used for assertions and statistics only -- the
-        oracle already sits at this address.
+        next correct-path record of the prediction trace starts there.
     """
 
     start: int

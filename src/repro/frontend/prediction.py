@@ -17,12 +17,26 @@ its own predictor:
   the basic-block dictionary from the predicted (wrong) target, exactly as
   the paper's simulator does with its basic-block dictionary.  Wrong-path
   blocks keep flowing (and keep triggering prefetches) until the back-end
-  resolves the branch and calls :meth:`redirect`.
+  resolves the branch and calls :meth:`PredictionUnit.redirect`.
+
+That output does not depend on timing: the predictor trains only on
+correct-path streams, the wrong-path walk reads only the basic-block
+dictionary and the return address stack (RAS), and a redirect restores
+the RAS and path history.  Timing only decides how much of each
+misprediction's wrong-path run is emitted.  So the blocks are generated
+once into a :class:`PredictionTrace`, and the timed
+:class:`PredictionUnit` is a cursor over it: at its first timed tick the
+unit's predictor, RAS, path history and oracle move into the trace as its
+generator.  ``Simulator.run`` shares one trace between every run that
+starts from the same state; a bare unit builds a private one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import pickle
+import threading
+from dataclasses import dataclass
 from typing import Optional
 
 from .fetch_block import FetchBlock
@@ -55,20 +69,181 @@ class PredictionStats:
         return self.stream_mispredictions / self.streams_predicted
 
 
-@dataclass
-class _PendingRedirect:
-    """State checkpointed when a misprediction is emitted, restored when the
-    mispredicted branch resolves."""
+def _follow(ras: ReturnAddressStack, history: int,
+            actual: ActualStream) -> int:
+    """Apply a followed stream's terminator to ``ras``; returns the path
+    history after the stream."""
+    if actual.ends_taken:
+        if actual.terminator_kind is BranchKind.CALL:
+            ras.push(actual.terminator_addr + INSTRUCTION_BYTES)
+        elif actual.terminator_kind is BranchKind.RETURN:
+            ras.pop()
+    return StreamPredictor.fold_history(
+        history, actual.next_addr, actual.ends_taken
+    )
 
-    ras_snapshot: tuple
-    history_snapshot: int
-    actual: ActualStream
-    consumed_actual_terminator: bool
-    resume_address: int
+
+class PredictionTrace:
+    """The prediction unit's fetch blocks from one start state.
+
+    ``records`` holds one tuple per correct-path block, ``(start, length,
+    correct_prefix, mispredicted, redirect_target)``; ``wrong_paths``
+    maps each mispredicted record's index to its wrong-path run, a list
+    of ``(start, length)`` blocks.  Both grow on demand (:meth:`extend`,
+    :meth:`extend_wrong`) from the generator: the oracle, stream
+    predictor, RAS and path history of the unit that built the trace.
+    The generator never enters wrong-path mode.  At a misprediction it
+    records where the wrong-path run starts (the predicted target, and
+    the RAS after the speculative push or pop), keeps its own RAS and
+    history, and goes on along the correct path -- what a redirect would
+    restore.
+
+    The trace is append-only and deterministic, so a deep copy (a
+    simulator checkpoint) shares it; pickling (a persisted frontier
+    checkpoint) carries it by value.  Runs on several threads read one
+    trace: growth holds a per-trace lock and re-checks the length inside
+    it, while reads of existing entries take none.
+    """
+
+    def __init__(self, bbdict: BasicBlockDictionary,
+                 oracle: CompiledPathOracle, predictor: StreamPredictor,
+                 ras: ReturnAddressStack, history: int,
+                 max_stream: int) -> None:
+        self.records: list = []
+        self.wrong_paths: dict = {}
+        #: Where each wrong-path run goes on: ``(pc, RAS contents)``.
+        self._heads: dict = {}
+        self.bbdict = bbdict
+        self.oracle = oracle
+        self.predictor = predictor
+        self.ras = ras
+        self.history = history
+        self.max_stream = max_stream
+        self._lock = threading.Lock()
+
+    def __deepcopy__(self, memo: dict) -> "PredictionTrace":
+        return self
+
+    #: What generation changes; none of it refers to workload objects.
+    _GENERATED = ("records", "wrong_paths", "_heads", "predictor", "ras",
+                  "history")
+
+    def __getstate__(self) -> dict:
+        # Taken under the lock, since another thread may extend the trace
+        # while the pickler walks it.  The generated state pickles in one
+        # plain pass; the oracle goes through the caller's pickler, which
+        # shares the compiled trace's arrays.
+        with self._lock:
+            generated = pickle.dumps(
+                [getattr(self, name) for name in self._GENERATED],
+                protocol=pickle.HIGHEST_PROTOCOL)
+            return {"bbdict": self.bbdict, "oracle": copy.copy(self.oracle),
+                    "max_stream": self.max_stream, "generated": generated}
+
+    def __setstate__(self, state: dict) -> None:
+        generated = pickle.loads(state.pop("generated"))
+        self.__dict__.update(state, **dict(zip(self._GENERATED, generated)))
+        self._lock = threading.Lock()
+
+    def extend(self, index: int) -> None:
+        """Generate correct-path records until ``records[index]`` exists."""
+        with self._lock:
+            records = self.records
+            oracle = self.oracle
+            predictor = self.predictor
+            ras = self.ras
+            history = self.history
+            max_stream = self.max_stream
+            while len(records) <= index:
+                addr = oracle.current_address()
+                actual = oracle.peek_stream(max_stream)
+                prediction = predictor.predict(addr, history)
+                predictor.train(addr, history, actual)
+                pred_len = max(1, min(prediction.length, max_stream))
+                pred_next = prediction.next_addr
+                if prediction.uses_ras:
+                    ras_target = ras.peek()
+                    if ras_target is not None:
+                        pred_next = ras_target
+                length = actual.length
+                if pred_len == length and pred_next == actual.next_addr:
+                    oracle.advance(length)
+                    history = _follow(ras, history, actual)
+                    records.append((addr, length, length, False, None))
+                    continue
+                prefix = min(pred_len, length)
+                oracle.advance(prefix)
+                stack = ras.snapshot()
+                if prediction.uses_ras:
+                    stack = stack[:-1]
+                elif prediction.terminator_kind is BranchKind.CALL:
+                    return_addr = addr + pred_len * INSTRUCTION_BYTES
+                    stack = (stack + (return_addr,))[-ras.capacity:]
+                # The run is in place before its record is visible.
+                self._heads[len(records)] = (pred_next, stack)
+                self.wrong_paths[len(records)] = []
+                if length <= pred_len and actual.ends_taken:
+                    history = _follow(ras, history, actual)
+                records.append((addr, pred_len, prefix, True,
+                                oracle.current_address()))
+            self.history = history
+
+    def extend_wrong(self, index: int, position: int) -> None:
+        """Walk the wrong path of mispredicted record ``index`` until its
+        run holds block ``position`` (a static walk of the basic-block
+        dictionary, bounded per block)."""
+        with self._lock:
+            blocks = self.wrong_paths[index]
+            next_pc, stack = self._heads[index]
+            ras = ReturnAddressStack(self.ras.capacity)
+            ras.restore(stack)
+            view_at = self.bbdict.view_at
+            max_stream = self.max_stream
+            while len(blocks) <= position:
+                start = pc = next_pc
+                length = 0
+                for _ in range(32):  # bound the walk per emitted block
+                    view = view_at(pc)
+                    take = min(view.size, max_stream - length)
+                    length += take
+                    reached_terminator = take == view.size
+                    if length >= max_stream:
+                        next_pc = pc + take * INSTRUCTION_BYTES
+                        break
+                    if reached_terminator and view.kind is not BranchKind.NONE:
+                        taken = (
+                            view.taken_probability >= 0.5
+                            if view.kind is BranchKind.CONDITIONAL
+                            else True
+                        )
+                        if taken:
+                            if view.kind is BranchKind.RETURN:
+                                target = ras.pop()
+                                next_pc = (target if target is not None
+                                           else view.fall_through)
+                            elif view.taken_target is not None:
+                                if view.kind is BranchKind.CALL:
+                                    ras.push(view.fall_through)
+                                next_pc = view.taken_target
+                            else:
+                                next_pc = view.fall_through
+                            break
+                    pc = view.start + take * INSTRUCTION_BYTES
+                    next_pc = pc
+                blocks.append((start, max(1, length)))
+            self._heads[index] = (next_pc, ras.snapshot())
 
 
 class PredictionUnit:
-    """Produces fetch blocks from the stream predictor + correct-path oracle."""
+    """Produces fetch blocks from the stream predictor + correct-path oracle.
+
+    Until the first timed tick the unit owns its functional state
+    (``oracle``, ``predictor``, ``ras``, ``history``), which warm-up and
+    functional skips train.  After it, the unit is a cursor over a
+    :class:`PredictionTrace` (``trace``): a record index, a wrong-path
+    index, the consumed correct-path instructions and the wrong-path
+    flag, and the functional state lives only in the trace's generator.
+    """
 
     def __init__(
         self,
@@ -79,7 +254,7 @@ class PredictionUnit:
     ):
         self.workload = workload
         self.bbdict: BasicBlockDictionary = workload.bbdict
-        self.oracle: CompiledPathOracle = workload.new_oracle()
+        self.oracle: Optional[CompiledPathOracle] = workload.new_oracle()
         self.predictor = predictor or StreamPredictor(
             default_length=max_stream_instructions
         )
@@ -87,10 +262,6 @@ class PredictionUnit:
         self.max_stream = max_stream_instructions
         self.history = 0
         self.stats = PredictionStats()
-
-        self._wrong_path_mode = False
-        self._wrong_pc = 0
-        self._pending_redirect: Optional[_PendingRedirect] = None
         #: Set by a functional skip that stopped mid-stream: ``(oracle
         #: position, straddling ActualStream, instructions of it already
         #: consumed)``.  A later skip resuming from exactly that position
@@ -99,6 +270,41 @@ class PredictionUnit:
         #: bit-identical to one continuous skip.  Invalidated implicitly
         #: whenever the oracle moves (the position no longer matches).
         self._skip_partial: Optional[tuple] = None
+
+        self.trace: Optional[PredictionTrace] = None
+        self._index = 0
+        self._wrong_index = 0
+        self._consumed = 0
+        self._wrong_path_mode = False
+
+    # ------------------------------------------------------------------
+    # the trace
+    # ------------------------------------------------------------------
+    @property
+    def consumed_instructions(self) -> int:
+        """Correct-path instructions the unit has moved past."""
+        if self.trace is None:
+            return self.oracle.consumed_instructions
+        return self._consumed
+
+    def new_trace(self) -> PredictionTrace:
+        """A trace whose generator is this unit's functional state (moved,
+        not copied: :meth:`attach` drops the unit's references)."""
+        return PredictionTrace(self.bbdict, self.oracle, self.predictor,
+                               self.ras, self.history, self.max_stream)
+
+    def attach(self, trace: PredictionTrace) -> None:
+        """Become a cursor at the start of ``trace``, which must start
+        from this unit's state; the unit's functional state is dropped."""
+        self._consumed = self.oracle.consumed_instructions
+        self.trace = trace
+        self.oracle = self.predictor = self.ras = self.history = None
+        self._skip_partial = None
+
+    def _apply_terminator(self, actual: ActualStream) -> None:
+        """Update RAS and path history after a correctly-followed stream
+        (functional skips, before the first timed tick)."""
+        self.history = _follow(self.ras, self.history, actual)
 
     # ------------------------------------------------------------------
     # per-cycle operation
@@ -110,156 +316,41 @@ class PredictionUnit:
         """
         if not engine.can_accept_block():
             return 0
-        engine.enqueue_block(self._next_block(), cycle)
-        return 1
-
-    def _next_block(self) -> FetchBlock:
+        trace = self.trace
+        if trace is None:
+            trace = self.new_trace()
+            self.attach(trace)
+        stats = self.stats
+        # The CLTQ writes per-run bookkeeping into blocks, so every tick
+        # builds a fresh FetchBlock from the shared record.
         if self._wrong_path_mode:
-            self.stats.wrong_path_blocks += 1
-            return self._wrong_path_block()
-        return self._correct_path_block()
-
-    # ------------------------------------------------------------------
-    # correct-path prediction
-    # ------------------------------------------------------------------
-    def _correct_path_block(self) -> FetchBlock:
-        addr = self.oracle.current_address()
-        actual = self.oracle.peek_stream(self.max_stream)
-        prediction = self.predictor.predict(addr, self.history)
-        self.predictor.train(addr, self.history, actual)
-        self.stats.streams_predicted += 1
-
-        pred_len = max(1, min(prediction.length, self.max_stream))
-        pred_next = prediction.next_addr
-        if prediction.uses_ras:
-            ras_target = self.ras.peek()
-            if ras_target is not None:
-                pred_next = ras_target
-
-        correct = pred_len == actual.length and pred_next == actual.next_addr
-
-        if correct:
-            block = FetchBlock(
-                start=addr,
-                length=actual.length,
-                wrong_path=False,
-                correct_prefix=actual.length,
-                mispredicted=False,
-            )
-            self.oracle.advance(actual.length)
-            self.stats.correct_path_instructions_predicted += actual.length
-            self._apply_terminator(actual)
-            return block
-
-        # --- misprediction -------------------------------------------------
-        self.stats.stream_mispredictions += 1
-        prefix = min(pred_len, actual.length)
-        ras_snapshot = self.ras.snapshot()
-        history_snapshot = self.history
-
-        block = FetchBlock(
-            start=addr,
-            length=pred_len,
-            wrong_path=False,
-            correct_prefix=prefix,
-            mispredicted=True,
-        )
-        self.oracle.advance(prefix)
-        self.stats.correct_path_instructions_predicted += prefix
-        block.redirect_target = self.oracle.current_address()
-
-        consumed_terminator = actual.length <= pred_len and actual.ends_taken
-        self._pending_redirect = _PendingRedirect(
-            ras_snapshot=ras_snapshot,
-            history_snapshot=history_snapshot,
-            actual=actual,
-            consumed_actual_terminator=consumed_terminator,
-            resume_address=block.redirect_target,
-        )
-
-        # Speculatively update RAS/history along the *predicted* path.
-        if prediction.uses_ras:
-            self.ras.pop()
-        elif prediction.terminator_kind is BranchKind.CALL:
-            self.ras.push(addr + pred_len * INSTRUCTION_BYTES)
-        self.history = StreamPredictor.fold_history(
-            self.history, pred_next, prediction.terminator_kind is not BranchKind.NONE
-        )
-
-        self._wrong_path_mode = True
-        self._wrong_pc = pred_next
-        return block
-
-    def _apply_terminator(self, actual: ActualStream) -> None:
-        """Update RAS and path history after a correctly-followed stream."""
-        if actual.ends_taken:
-            if actual.terminator_kind is BranchKind.CALL:
-                self.ras.push(actual.terminator_addr + INSTRUCTION_BYTES)
-            elif actual.terminator_kind is BranchKind.RETURN:
-                self.ras.pop()
-        self.history = StreamPredictor.fold_history(
-            self.history, actual.next_addr, actual.ends_taken
-        )
-
-    # ------------------------------------------------------------------
-    # wrong-path generation (static walk of the basic-block dictionary)
-    # ------------------------------------------------------------------
-    def _wrong_path_block(self) -> FetchBlock:
-        start = self._wrong_pc
-        cache = self.bbdict.wrong_path_cache
-        key = (start, self.max_stream)
-        cached = cache.get(key)
-        if cached is not None:
-            # The walk from this address touched no RETURN, so its outcome
-            # is independent of RAS state and can be replayed: apply the
-            # recorded CALL pushes and jump straight to the result.
-            length, next_pc, pushes = cached
-            for return_addr in pushes:
-                self.ras.push(return_addr)
-            self._wrong_pc = next_pc
-            self.history = StreamPredictor.fold_history(self.history, next_pc, True)
-            return FetchBlock(start=start, length=length, wrong_path=True)
-
-        pc = start
-        length = 0
-        next_pc = start
-        pushes = []
-        cacheable = True
-        for _ in range(32):  # bound the walk per emitted block
-            view = self.bbdict.view_at(pc)
-            take = min(view.size, self.max_stream - length)
-            length += take
-            reached_terminator = take == view.size
-            if length >= self.max_stream:
-                next_pc = pc + take * INSTRUCTION_BYTES
-                break
-            if reached_terminator and view.kind is not BranchKind.NONE:
-                taken = (
-                    view.taken_probability >= 0.5
-                    if view.kind is BranchKind.CONDITIONAL
-                    else True
-                )
-                if taken:
-                    if view.kind is BranchKind.RETURN:
-                        # RAS-dependent outcome: not memoizable.
-                        cacheable = False
-                        target = self.ras.pop()
-                        next_pc = target if target is not None else view.fall_through
-                    elif view.taken_target is not None:
-                        if view.kind is BranchKind.CALL:
-                            self.ras.push(view.fall_through)
-                            pushes.append(view.fall_through)
-                        next_pc = view.taken_target
-                    else:
-                        next_pc = view.fall_through
-                    break
-            pc = view.start + take * INSTRUCTION_BYTES
-            next_pc = pc
-        if cacheable:
-            cache[key] = (max(1, length), next_pc, tuple(pushes))
-        self._wrong_pc = next_pc
-        self.history = StreamPredictor.fold_history(self.history, next_pc, True)
-        return FetchBlock(start=start, length=max(1, length), wrong_path=True)
+            blocks = trace.wrong_paths[self._index - 1]
+            position = self._wrong_index
+            if position >= len(blocks):
+                trace.extend_wrong(self._index - 1, position)
+            start, length = blocks[position]
+            self._wrong_index = position + 1
+            stats.wrong_path_blocks += 1
+            block = FetchBlock(start, length, True)
+        else:
+            records = trace.records
+            index = self._index
+            if index >= len(records):
+                trace.extend(index)
+            start, length, prefix, mispredicted, target = records[index]
+            self._index = index + 1
+            self._consumed += prefix
+            stats.streams_predicted += 1
+            stats.correct_path_instructions_predicted += prefix
+            if mispredicted:
+                stats.stream_mispredictions += 1
+                self._wrong_path_mode = True
+                self._wrong_index = 0
+                block = FetchBlock(start, length, False, prefix, True, target)
+            else:
+                block = FetchBlock(start, length, False, length)
+        engine.enqueue_block(block, cycle)
+        return 1
 
     # ------------------------------------------------------------------
     # redirect handling
@@ -271,26 +362,24 @@ class PredictionUnit:
     def redirect(self, cycle: int) -> int:
         """Called by the simulator when the mispredicted branch resolves.
 
-        Restores the checkpointed RAS/path history, applies the actual
-        outcome of the resolving branch and resumes correct-path prediction.
-        Returns the correct-path resume address.
+        Leaves wrong-path mode and resumes correct-path prediction at the
+        next record.  Returns the correct-path resume address.
         """
-        if self._pending_redirect is None:
+        if not self._wrong_path_mode:
             raise RuntimeError("redirect with no pending misprediction")
-        pending = self._pending_redirect
-        self.ras.restore(pending.ras_snapshot)
-        self.history = pending.history_snapshot
-        if pending.consumed_actual_terminator:
-            self._apply_terminator(pending.actual)
-        self._pending_redirect = None
+        records = self.trace.records
+        index = self._index
+        resume = records[index - 1][4]
+        if index >= len(records):
+            self.trace.extend(index)
+        if records[index][0] != resume:
+            # The next correct-path record must start where the
+            # mispredicted branch resolves to; anything else indicates an
+            # accounting bug.
+            raise AssertionError(
+                f"redirect resume {resume:#x} != next record "
+                f"{records[index][0]:#x}"
+            )
         self._wrong_path_mode = False
         self.stats.redirects += 1
-        resume = pending.resume_address
-        if resume != self.oracle.current_address():
-            # The oracle must already be positioned at the resume address;
-            # anything else indicates an accounting bug.
-            raise AssertionError(
-                f"redirect resume {resume:#x} != oracle "
-                f"{self.oracle.current_address():#x}"
-            )
         return resume

@@ -138,10 +138,6 @@ class _StreamTable:
         return new
 
 
-#: Backwards-compatible alias (earlier revisions used a direct-mapped table).
-_DirectMappedTable = _StreamTable
-
-
 class StreamPredictor:
     """Two-level stream predictor with path-history correlation."""
 

@@ -76,9 +76,6 @@ class BasicBlockDictionary:
         self._view_cache: Dict[int, StaticBlockView] = {}
         self._classes_cache: Dict[Tuple[int, int], tuple] = {}
         self._load_probs_cache: Dict[Tuple[int, int], tuple] = {}
-        #: Wrong-path walk results, shared by every prediction unit built on
-        #: this dictionary (see PredictionUnit._wrong_path_block).
-        self.wrong_path_cache: Dict[Tuple[int, int], tuple] = {}
 
     def view_at(self, addr: int) -> StaticBlockView:
         """Static view of the code starting at ``addr``.

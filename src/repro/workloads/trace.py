@@ -28,10 +28,11 @@ Three layers:
 from __future__ import annotations
 
 import random
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .bbdict import BasicBlockDictionary
 from .cfg import ControlFlowGraph
@@ -208,12 +209,17 @@ class CompiledTrace:
     deterministic, so every consumer sees the same sequence however far
     it reads, and a trace that started empty (:meth:`empty`) replays
     exactly what a stored prefix of the same walk does.
+
+    Runs on several threads share a workload's trace, so growth holds a
+    per-trace lock and appends the ``size`` column last: readers test
+    ``len(size)`` without the lock, and a block they see there is
+    complete in every column.
     """
 
     __slots__ = (
         "name", "seed", "compiled_instructions",
         "addr", "size", "kind", "taken", "next_addr", "terminator_addr",
-        "_tail_state", "_cfg", "_tail_walker", "_segments",
+        "_tail_state", "_cfg", "_tail_walker", "_segments", "_lock",
     )
 
     def __init__(
@@ -244,6 +250,7 @@ class CompiledTrace:
         # Derived, process-local (never pickled; __getstate__ is explicit):
         # canonical stream segmentations, keyed by stream cap.
         self._segments: Dict[int, "StreamSegments"] = {}
+        self._lock = threading.Lock()
 
     @classmethod
     def empty(
@@ -268,10 +275,11 @@ class CompiledTrace:
         Memoized per cap: every batched consumer of this trace shares the
         segment columns (and their derived load counts / line spans).
         """
-        segments = self._segments.get(max_stream_instructions)
-        if segments is None:
-            segments = StreamSegments(self, max_stream_instructions)
-            self._segments[max_stream_instructions] = segments
+        with self._lock:
+            segments = self._segments.get(max_stream_instructions)
+            if segments is None:
+                segments = StreamSegments(self, max_stream_instructions)
+                self._segments[max_stream_instructions] = segments
         return segments
 
     def bind(self, cfg: ControlFlowGraph) -> None:
@@ -291,27 +299,30 @@ class CompiledTrace:
     def _grow(self, blocks: int, instructions: int) -> None:
         """Walk on until the arrays hold ``blocks`` blocks and cover
         ``instructions`` instructions."""
-        walker = self._tail_walker
-        if walker is None:
-            walker = ProgramWalker.from_snapshot(self._cfg, self._tail_state)
-            self._tail_walker = walker
-        next_block = walker.next_block
-        size = self.size
-        append_addr = self.addr.append
-        append_size = size.append
-        append_kind = self.kind.append
-        append_taken = self.taken.append
-        append_next = self.next_addr.append
-        append_term = self.terminator_addr.append
-        while len(size) < blocks or walker.instructions_executed < instructions:
-            block = next_block()
-            append_addr(block.addr)
-            append_size(block.size)
-            append_kind(block.kind)
-            append_taken(1 if block.taken else 0)
-            append_next(block.next_addr)
-            append_term(block.terminator_addr)
-        self.compiled_instructions = walker.instructions_executed
+        with self._lock:
+            walker = self._tail_walker
+            if walker is None:
+                walker = ProgramWalker.from_snapshot(self._cfg,
+                                                     self._tail_state)
+                self._tail_walker = walker
+            next_block = walker.next_block
+            size = self.size
+            append_addr = self.addr.append
+            append_size = size.append
+            append_kind = self.kind.append
+            append_taken = self.taken.append
+            append_next = self.next_addr.append
+            append_term = self.terminator_addr.append
+            while (len(size) < blocks
+                   or walker.instructions_executed < instructions):
+                block = next_block()
+                append_addr(block.addr)
+                append_kind(block.kind)
+                append_taken(1 if block.taken else 0)
+                append_next(block.next_addr)
+                append_term(block.terminator_addr)
+                append_size(block.size)
+            self.compiled_instructions = walker.instructions_executed
 
     # -- pickling (the live CFG / tail walker never leave the process) --
     def __getstate__(self) -> dict:
@@ -370,12 +381,16 @@ class StreamSegments:
     ``end_offset``, normalized exactly as ``advance`` would leave it) so
     a batched consumer can jump the oracle in O(1), plus lazily-derived
     per-segment LOAD counts and touched-line spans.
+
+    Growth follows the compiled trace's thread rule: a per-segmentation
+    lock, and the ``length`` column (which readers test) appended last.
     """
 
     __slots__ = (
         "trace", "cap", "start_addr", "length", "next_addr", "ends_taken",
         "term_addr", "kind", "start_pos", "end_index", "end_offset",
         "loads", "_lines", "_build_index", "_build_offset", "_build_pos",
+        "_lock",
     )
 
     def __init__(self, trace: CompiledTrace, cap: int) -> None:
@@ -397,19 +412,24 @@ class StreamSegments:
         self._build_index = 0
         self._build_offset = 0
         self._build_pos = 0
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.length)
 
     def ensure_count(self, count: int) -> None:
         """Materialise at least ``count`` segments."""
-        while len(self.length) < count:
-            self._build_one()
+        if len(self.length) < count:
+            with self._lock:
+                while len(self.length) < count:
+                    self._build_one()
 
     def aligned_index(self, position: int) -> Optional[int]:
         """Segment index starting exactly at ``position``, else ``None``."""
-        while self._build_pos <= position:
-            self._build_one()
+        if self._build_pos <= position:
+            with self._lock:
+                while self._build_pos <= position:
+                    self._build_one()
         index = bisect_right(self.start_pos, position) - 1
         if self.start_pos[index] != position:
             return None
@@ -466,7 +486,6 @@ class StreamSegments:
             idx += 1
             off = 0
         self.start_addr.append(start)
-        self.length.append(length)
         self.next_addr.append(next_addr)
         self.ends_taken.append(ends_taken)
         self.term_addr.append(term)
@@ -474,6 +493,7 @@ class StreamSegments:
         self.start_pos.append(self._build_pos)
         self.end_index.append(end_idx)
         self.end_offset.append(end_off)
+        self.length.append(length)
         self._build_pos += length
         self._build_index = end_idx
         self._build_offset = end_off
@@ -486,23 +506,23 @@ class StreamSegments:
         loads_for = bbdict.loads_for
         start_addr = self.start_addr
         length = self.length
-        for i in range(len(loads), count):
-            loads.append(loads_for(start_addr[i], length[i]))
+        with self._lock:
+            for i in range(len(loads), count):
+                loads.append(loads_for(start_addr[i], length[i]))
 
     def lines(self, line_size: int, count: int) -> List[tuple]:
         """Per-segment touched-line tuples for ``line_size``, through
         ``count`` segments (grown on demand, memoized per line size)."""
-        spans = self._lines.get(line_size)
-        if spans is None:
-            spans = self._lines[line_size] = []
+        spans = self._lines.setdefault(line_size, [])
         if len(spans) < count:
             self.ensure_count(count)
             start_addr = self.start_addr
             length = self.length
-            for i in range(len(spans), count):
-                spans.append(
-                    tuple(span_lines(start_addr[i], length[i], line_size))
-                )
+            with self._lock:
+                for i in range(len(spans), count):
+                    spans.append(
+                        tuple(span_lines(start_addr[i], length[i], line_size))
+                    )
         return spans
 
 
@@ -661,9 +681,16 @@ class Workload:
     #: starts empty and grows on demand; the artifact cache may swap in a
     #: stored prefix of the same walk (:meth:`attach_compiled_trace`).
     _compiled_trace: CompiledTrace = field(init=False)
+    #: The front-end's prediction traces (:meth:`prediction_trace`).
+    _prediction_traces: Dict[tuple, object] = field(
+        init=False, repr=False, compare=False)
+    _prediction_lock: threading.Lock = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._compiled_trace = CompiledTrace.empty(self.profile, self.cfg)
+        self._prediction_traces = {}
+        self._prediction_lock = threading.Lock()
 
     def attach_compiled_trace(self, trace: CompiledTrace) -> None:
         """Route every future oracle through ``trace`` (must belong to
@@ -681,6 +708,17 @@ class Workload:
         """A fresh correct-path oracle (identical stream for identical
         profile seeds, regardless of simulator configuration)."""
         return CompiledPathOracle(self._compiled_trace)
+
+    def prediction_trace(self, key: tuple, build: Callable[[], object]):
+        """The prediction trace for ``key``, built by ``build()`` on first
+        use and shared by every later run whose front-end starts in the
+        state ``key`` names
+        (:class:`~repro.frontend.prediction.PredictionTrace`)."""
+        with self._prediction_lock:
+            trace = self._prediction_traces.get(key)
+            if trace is None:
+                trace = self._prediction_traces[key] = build()
+            return trace
 
     @property
     def name(self) -> str:

@@ -97,7 +97,7 @@ class TestSnapshotRestoreRoundTrip:
         checkpoint = sim.snapshot()
         assert checkpoint.cycle == sim.cycle
         assert (checkpoint.consumed_instructions
-                == sim.prediction.oracle.consumed_instructions)
+                == sim.prediction.consumed_instructions)
 
     def test_restore_resets_cycle_and_stats(self, medium_workload):
         config = make_sim_config(max_instructions=2000)
@@ -146,6 +146,37 @@ class TestSkipTo:
         sim.skip_to(2000)
         assert sim.cycle == 0
         assert sim.backend.stats.committed_instructions == 0
+
+    def test_skip_warms_up_first(self, medium_workload):
+        """A skip on an unwarmed machine equals warm-up plus the same
+        skip.  Each machine gets its own workload, so the two timed runs
+        cannot share a prediction trace."""
+        config = make_sim_config(engine="fdp", max_instructions=1000)
+        machines = []
+        for warm_first in (False, True):
+            sim = Simulator(config, build_workload(medium_workload.profile))
+            if warm_first:
+                sim.warm_up()
+            sim.skip_to(3210)
+            machines.append(sim)
+        bare, warmed = machines
+        assert bare.prediction.history == warmed.prediction.history
+        assert (bare.prediction.ras.snapshot()
+                == warmed.prediction.ras.snapshot())
+        for level in ("l1", "l2"):
+            assert (sorted(getattr(bare.hierarchy, level).resident_lines())
+                    == sorted(getattr(warmed.hierarchy, level)
+                              .resident_lines()))
+        _assert_identical(bare.run(1000), warmed.run(1000))
+
+    def test_skip_after_a_timed_run_raises(self, medium_workload):
+        """After a timed tick the front-end's functional state belongs to
+        its prediction trace, so there is nothing left to skip with."""
+        sim = Simulator(make_sim_config(max_instructions=1000),
+                        medium_workload)
+        sim.run(500)
+        with pytest.raises(RuntimeError):
+            sim.skip_to(5000)
 
 
 class TestPositionalProperties:

@@ -13,13 +13,16 @@ turn it back into a replay.
 import pytest
 
 from repro.cache.keys import content_key
+from repro.cache.shared import dumps_with_workload, loads_with_workload
 from repro.cache.store import temporary_cache_dir
 from repro.context import current_context, use_context
 from repro.sampling.checkpoint import DEFAULT_STORE, FRONTIER, frontier_key
 from repro.simulator.config import SimulationConfig
 from repro.simulator.presets import paper_config
 from repro.simulator.runner import _execute_single, clear_process_caches
+from repro.simulator.simulator import Simulator, SimulatorCheckpoint
 from repro.workloads.spec2000 import profile_for
+from repro.workloads.trace import build_workload
 
 
 def fast_config(**overrides):
@@ -151,3 +154,37 @@ class TestCrossLoopResume:
                                       30_000)
         assert DEFAULT_STORE.counts[FRONTIER, "hit"] == hits + 1
         assert resumed == continuous
+
+
+class TestFrontierPickling:
+    def test_frontier_taken_mid_wrong_path_survives_pickling(self):
+        """A frontier taken while a misprediction is pending, with
+        wrong-path blocks already queued, carries its prediction trace by
+        value: loaded into a freshly built workload it continues exactly
+        as the continuous run does, and the pickled front-end is a cursor
+        with no predictor or RAS of its own."""
+        profile = profile_for("gcc")
+        config = fast_config(engine="fdp", max_instructions=3000)
+        workload = build_workload(profile)
+        sim = Simulator(config, workload)
+        for target in range(100, 3000, 25):
+            sim.run(target)
+            queued = sim.engine.ftq.pending_blocks()
+            if (sim.prediction.awaiting_redirect
+                    and any(block.wrong_path for block in queued)):
+                break
+        else:
+            pytest.fail("no frontier with queued wrong-path blocks")
+        data = dumps_with_workload(sim.snapshot()._state, workload)
+
+        fresh = build_workload(profile)
+        state = loads_with_workload(data, fresh)
+        unit = state["prediction"]
+        assert unit.awaiting_redirect
+        assert unit.predictor is None and unit.ras is None
+        assert unit.trace is not sim.prediction.trace
+        assert unit.trace.records == sim.prediction.trace.records
+        resumed = Simulator(config, fresh)
+        resumed.restore(SimulatorCheckpoint(state))
+        continuous = Simulator(config, build_workload(profile)).run()
+        assert resumed.run() == continuous

@@ -4,7 +4,12 @@ import pytest
 
 from repro.frontend.prediction import PredictionUnit
 from repro.frontend.stream_predictor import StreamPredictor
+from repro.simulator.presets import paper_config
+from repro.simulator.simulator import Simulator
+from repro.simulator.testing import make_sim_config
 from repro.workloads.isa import INSTRUCTION_BYTES
+from repro.workloads.spec2000 import profile_for
+from repro.workloads.trace import build_workload
 
 
 class RecordingEngine:
@@ -72,12 +77,13 @@ class TestBlockProduction:
             if unit.awaiting_redirect:
                 break
         # All blocks before any misprediction lie on the correct path and the
-        # instruction counts line up with the oracle cursor.
+        # emitted prefixes line up with the oracle that generated them.
         correct = [b for b in engine.blocks if not b.wrong_path and not b.mispredicted]
         consumed = sum(b.length for b in engine.blocks
                        if not b.wrong_path) - sum(
             b.length - b.correct_prefix for b in engine.blocks if b.mispredicted)
-        assert consumed == unit.oracle.consumed_instructions
+        assert consumed == unit.trace.oracle.consumed_instructions
+        assert consumed == unit.consumed_instructions
         assert correct, "expected at least one correctly predicted block"
 
 
@@ -150,3 +156,56 @@ class TestPretrainedAccuracy:
                 if unit.awaiting_redirect:
                     unit.redirect(cycle)
         assert warm.stats.misprediction_rate < cold.stats.misprediction_rate
+
+
+class TestTraceSharing:
+    """``Simulator.run`` shares one prediction trace between every run
+    that starts from the same front-end state: the key is the predictor
+    geometry, the RAS size, the warm-up budget and the start offset, and
+    timing parameters are not part of it."""
+
+    @staticmethod
+    def _trace(config, workload, skip=0):
+        sim = Simulator(config, workload)
+        if skip:
+            sim.skip_to(skip)
+        sim.run()
+        return sim.prediction.trace
+
+    def test_timing_parameters_share_one_trace(self, medium_workload):
+        base = make_sim_config(engine="fdp", max_instructions=600)
+        shared = self._trace(base, medium_workload)
+        for overrides in (dict(engine="clgp"), dict(engine="baseline"),
+                          dict(l1_size_bytes=1024), dict(l0_enabled=True),
+                          dict(ruu_size=32), dict(fetch_width=2),
+                          dict(sim_loop="cycle")):
+            assert self._trace(base.with_overrides(**overrides),
+                               medium_workload) is shared, overrides
+        for scheme in ("base-pipelined", "FDP+L0", "CLGP+L0"):
+            config = paper_config(scheme, max_instructions=600,
+                                  warmup_instructions=5000)
+            assert self._trace(config, medium_workload) is shared, scheme
+
+    def test_front_end_state_selects_the_trace(self, medium_workload):
+        base = make_sim_config(engine="fdp", max_instructions=600)
+        traces = [self._trace(base, medium_workload)]
+        for overrides in (dict(stream_predictor_base_entries=512),
+                          dict(stream_predictor_history_entries=2048),
+                          dict(ras_entries=4),
+                          dict(warmup_instructions=4000)):
+            traces.append(self._trace(base.with_overrides(**overrides),
+                                      medium_workload))
+        traces.append(self._trace(base, medium_workload, skip=2500))
+        assert len({id(trace) for trace in traces}) == len(traces)
+
+    def test_a_figure_grid_builds_one_trace(self):
+        workload = build_workload(profile_for("mcf"))
+        traces = {
+            id(self._trace(paper_config(scheme, l1_size_bytes=l1_size,
+                                        max_instructions=3000),
+                           workload))
+            for scheme in ("base-pipelined", "FDP+L0", "CLGP+L0")
+            for l1_size in (256, 4096, 65536)
+        }
+        assert len(traces) == 1
+        assert len(workload._prediction_traces) == 1

@@ -4,12 +4,19 @@ execution of runs with any policy that the service's scheduler depends
 on."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import ExecutionOptions, ExperimentSpec, Session
 from repro.cache import ArtifactStore
 from repro.context import current_context, use_context
@@ -578,3 +585,94 @@ class TestServiceChaos:
         # Deterministic: with seed 7 this client's first submit POST is
         # dropped, so the counter is guaranteed non-zero.
         assert dropped > 0
+
+
+# ----------------------------------------------------------------------
+# the served process: `repro-clgp serve` as its own process
+# ----------------------------------------------------------------------
+class TestServeProcess:
+    """``python -m repro.cli serve`` in a subprocess, with three
+    concurrent clients of which two submit the same spec: the duplicate
+    pair dedups onto one simulation and gets byte-identical bodies, the
+    disjoint spec gets its own, SIGTERM stops the server cleanly, seeded
+    worker-kill + request-drop chaos leaves every body unchanged, and
+    each store holds exactly one result per unique spec."""
+
+    @staticmethod
+    def _cli(*args, **popen):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_FAULTS"] = ""
+        return subprocess.Popen([sys.executable, "-m", "repro.cli", *args],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, **popen)
+
+    def _drive(self, cache_dir, faults=None):
+        args = ["serve", "--port", "0", "--cache-dir", cache_dir]
+        if faults:
+            args += ["--faults", faults]
+        server = self._cli(*args)
+        try:
+            line = server.stdout.readline().strip()
+            port = int(re.search(r":(\d+)$", line).group(1))
+            shared = ExperimentSpec("CLGP+L0", "gcc", max_instructions=5000,
+                                    name="pair")
+            other = ExperimentSpec("FDP+L0", "mcf", max_instructions=5000,
+                                   name="solo")
+            plans = [("alice", shared), ("bob", shared), ("carol", other)]
+            bodies, errors = {}, []
+
+            def run_client(name, spec):
+                try:
+                    client = ServiceClient(port=port, client_id=name,
+                                           retries=12)
+                    job = client.submit(spec, wait_on_quota=True)
+                    events = list(client.events(
+                        job["job"], subscriber=job["subscriber"]))
+                    seqs = [event["_seq"] for event in events]
+                    assert seqs == sorted(seqs), f"{name}: unordered SSE"
+                    assert events[-1]["kind"] == "done", f"{name}: not done"
+                    bodies[name] = client.result_bytes(job["job"])
+                except BaseException as exc:    # surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run_client, args=plan)
+                       for plan in plans]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not errors, errors
+            assert set(bodies) == {"alice", "bob", "carol"}
+            assert bodies["alice"] == bodies["bob"], \
+                "duplicate pair bodies differ"
+            assert bodies["alice"] != bodies["carol"], \
+                "disjoint specs returned the same body"
+            stats = ServiceClient(port=port).stats()["service"]
+            assert stats["runs_started"] == 2, stats
+            assert stats["deduplicated"] >= 1, stats
+            server.send_signal(signal.SIGTERM)
+            out, err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, f"serve did not exit cleanly: {err}"
+        assert "service stopped" in out
+        return bodies
+
+    def test_dedup_clean_shutdown_and_chaos_stable_bodies(self, tmp_path):
+        clean_dir = str(tmp_path / "service")
+        chaos_dir = str(tmp_path / "service-chaos")
+        clean = self._drive(clean_dir)
+        chaos = self._drive(chaos_dir,
+                            "worker_kill:0.2,request_drop:0.2,seed:7")
+        assert chaos == clean, "chaos changed response bodies"
+        # Exactly one persisted result per unique spec in each store.
+        for cache_dir in (clean_dir, chaos_dir):
+            out, err = self._cli("cache", "stats", "--json",
+                                 "--cache-dir", cache_dir).communicate(
+                                     timeout=60)
+            kinds = json.loads(out)["store"]["kinds"]
+            assert kinds["result"]["files"] == 2, (cache_dir, kinds, err)

@@ -1,8 +1,12 @@
 """Tests for dynamic execution: ProgramWalker and the correct-path
 oracle (CompiledPathOracle) that replays its walk."""
 
+import sys
+
 import pytest
 
+from repro.api import ExperimentSpec, Session
+from repro.simulator import runner
 from repro.workloads.isa import INSTRUCTION_BYTES, BranchKind
 from repro.workloads.trace import (
     ActualStream,
@@ -161,3 +165,41 @@ class TestWorkload:
             assert sa == sb
             a.advance(sa.length)
             b.advance(sb.length)
+
+
+class TestConcurrentGrowth:
+    """Concurrent runs on one workload share its lazily grown compiled
+    trace, stream segmentations and prediction traces; growth must not
+    interleave."""
+
+    #: Three concurrent runs: more threads than a small host has cores.
+    SPECS = (("CLGP+L0", "clgp"), ("FDP+L0", "fdp"),
+             ("base-pipelined", "base"))
+
+    @staticmethod
+    def _spec(scheme, name):
+        return ExperimentSpec(scheme, "gcc", max_instructions=5000,
+                              name=name)
+
+    def test_concurrent_runs_equal_solo_runs(self):
+        runner.clear_process_caches()
+        with Session(jobs=1, cache=False) as session:
+            solo = {name: session.run(self._spec(scheme, name)).results
+                    for scheme, name in self.SPECS}
+        interval = sys.getswitchinterval()
+        runner.clear_process_caches()
+        try:
+            # A fresh workload whose traces start empty, so the runs grow
+            # them together; a short switch interval makes the threads
+            # interleave inside the growth loops.
+            runner.get_workload("gcc")
+            sys.setswitchinterval(1e-5)
+            with Session(jobs=1, cache=False) as session:
+                handles = {name: session.submit(self._spec(scheme, name))
+                           for scheme, name in self.SPECS}
+                results = {name: handle.result(timeout=300).results
+                           for name, handle in handles.items()}
+        finally:
+            sys.setswitchinterval(interval)
+            runner.clear_process_caches()
+        assert results == solo
