@@ -40,7 +40,7 @@ from .store import (
     temporary_cache_dir,
     unframe_digest,
 )
-from .traces import clear_trace_cache, ensure_compiled_trace, trace_bucket
+from .traces import clear_trace_cache, ensure_compiled_trace
 
 __all__ = [
     "ArtifactStore",
@@ -64,6 +64,5 @@ __all__ = [
     "result_cache_enabled",
     "stable_repr",
     "temporary_cache_dir",
-    "trace_bucket",
     "unframe_digest",
 ]

@@ -25,25 +25,16 @@ from typing import Dict
 
 from ..workloads.trace import Workload
 
-#: Columnar-array attributes of a compiled trace; oracles alias them
-#: directly (hot path), so they are tokenized individually as well.
-_TRACE_ARRAYS = ("addr", "size", "kind", "taken", "next_addr",
-                 "terminator_addr")
-
 
 def _shared_objects(workload: Workload) -> Dict[str, object]:
     """The workload-owned objects a checkpoint shares, by token."""
-    trace = workload._compiled_trace
-    shared = {
+    return {
         "workload": workload,
         "profile": workload.profile,
         "cfg": workload.cfg,
         "bbdict": workload.bbdict,
-        "compiled_trace": trace,
+        "compiled_trace": workload._compiled_trace,
     }
-    for name in _TRACE_ARRAYS:
-        shared[f"trace:{name}"] = getattr(trace, name)
-    return shared
 
 
 def dumps_with_workload(obj, workload: Workload) -> bytes:

@@ -98,7 +98,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: v7: a frontier checkpoint's prediction unit is a cursor over a
 #: prediction trace it carries by value; a v6 frontier holds a unit that
 #: is mid-run and has no trace.
-SCHEMA_VERSION = 7
+#: v8: one ``trace`` artifact per workload (keyed without a length
+#: bucket), and stream predictors pickle their tables as int columns.
+SCHEMA_VERSION = 8
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -438,6 +440,10 @@ class ArtifactStore:
         """Atomically publish ``data``; concurrent writers are safe (all
         produce identical content for one key, and ``os.replace`` is
         atomic), so pool workers may publish the same artifact freely.
+        The one exception is a workload's ``trace``, whose writers may
+        publish prefixes of one walk of different lengths: any of them
+        is valid, the last writer wins, and a reader that needs more
+        grows the prefix it gets.
 
         A write that keeps failing after retries is *dropped* -- counted
         in ``stats.write_errors`` and warned about once -- because a

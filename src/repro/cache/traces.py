@@ -1,15 +1,16 @@
 """Persistence glue for compiled correct-path traces.
 
-Budgets are rounded up to power-of-two buckets so a workload accumulates
-a handful of trace artifacts at most (one per magnitude), not one per
-exact instruction budget; the bucket floor comfortably covers the
-default functional warm-up (<= 200k instructions), which is the deepest
-any single oracle of a typical run reads.
+A workload has one ``trace`` artifact, keyed by its name and seed: the
+longest prefix of its walk that any run has needed.  A run that needs
+more grows that prefix to its own budget plus :data:`TRACE_MARGIN` and
+republishes it under the same key, so every distinct (budget, warm-up)
+pair shares one trace and no run compiles more than it reads.
 
-Trace payloads go through the store's one get-or-compute
-(:func:`repro.cache.store.cached`), so they inherit its digest framing: a
-corrupted compiled trace is a miss-and-recompile, never a silently wrong
-instruction stream.
+Trace payloads go through the store's digest framing, so a corrupted
+compiled trace is a miss-and-recompile, never a silently wrong
+instruction stream.  Every prefix of the walk is a valid artifact: two
+processes that publish different lengths race harmlessly (the last
+writer wins, and a reader of the shorter trace grows it).
 """
 
 from __future__ import annotations
@@ -17,28 +18,16 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..workloads.trace import CompiledTrace, Workload, compile_trace
-from .store import active_store, cached
+from .keys import content_key
+from .store import active_store
 
 #: Instructions beyond the requested budget compiled into the prefix, so
 #: a final stream that straddles the budget stays inside the arrays.
 TRACE_MARGIN = 4096
 
-#: Smallest trace bucket (2**18 = 262144 instructions: the default
-#: warm-up budget cap of 200k plus margin fits in the floor bucket).
-MIN_TRACE_BUCKET = 1 << 18
-
-#: Per-process compiled traces, keyed by (workload name, seed, bucket) --
-#: one load/compile per process however many tasks share the workload.
-_TRACES: Dict[Tuple[str, int, int], CompiledTrace] = {}
-
-
-def trace_bucket(instructions: int) -> int:
-    """Power-of-two bucket covering ``instructions`` plus the margin."""
-    needed = instructions + TRACE_MARGIN
-    bucket = MIN_TRACE_BUCKET
-    while bucket < needed:
-        bucket <<= 1
-    return bucket
+#: Per-process compiled traces, keyed by (workload name, seed) -- one
+#: load/compile per process however many tasks share the workload.
+_TRACES: Dict[Tuple[str, int], CompiledTrace] = {}
 
 
 def ensure_compiled_trace(
@@ -49,22 +38,37 @@ def ensure_compiled_trace(
     Decides persistence only: every workload already owns a trace that
     grows on demand, so with caching disabled (or a trace that already
     covers the budget) this returns the workload's own trace untouched.
-    Otherwise the bucket's trace is taken from the per-process cache,
-    loaded from the artifact store, or compiled once and published for
-    every later process, and attached.
+    Otherwise it attaches the longest of the workload's own trace, the
+    per-process one and the stored one; if even that falls short, it is
+    compiled (or grown) to the budget plus the margin and republished.
     """
     trace = workload._compiled_trace
-    if (active_store() is None
-            or trace.compiled_instructions >= instructions + TRACE_MARGIN):
+    target = instructions + TRACE_MARGIN
+    store = active_store()
+    if store is None or trace.compiled_instructions >= target:
         return trace
-    bucket = trace_bucket(instructions)
-    trace = cached(
-        _TRACES, "trace",
-        (workload.profile.name, workload.profile.seed, bucket),
-        CompiledTrace, lambda: compile_trace(workload, bucket),
-    )
+    key = (workload.profile.name, workload.profile.seed)
+    # Ties keep the trace already in hand (max returns the first).
+    trace = max(trace, _TRACES.get(key, trace), key=_covered)
+    if trace.compiled_instructions < target:
+        disk_key = content_key("trace", *key)
+        stored = store.get("trace", disk_key)
+        if isinstance(stored, CompiledTrace):
+            trace = max(trace, stored, key=_covered)
+        if trace.compiled_instructions < target:
+            if trace.compiled_instructions:
+                trace.bind(workload.cfg)
+                trace.cover(target)
+            else:
+                trace = compile_trace(workload, target)
+            store.put("trace", disk_key, trace)
+    _TRACES[key] = trace
     workload.attach_compiled_trace(trace)
     return trace
+
+
+def _covered(trace: CompiledTrace) -> int:
+    return trace.compiled_instructions
 
 
 def clear_trace_cache() -> None:

@@ -132,7 +132,7 @@ class PredictionTrace:
         # Taken under the lock, since another thread may extend the trace
         # while the pickler walks it.  The generated state pickles in one
         # plain pass; the oracle goes through the caller's pickler, which
-        # shares the compiled trace's arrays.
+        # shares the compiled trace.
         with self._lock:
             generated = pickle.dumps(
                 [getattr(self, name) for name in self._GENERATED],

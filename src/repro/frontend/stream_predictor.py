@@ -28,7 +28,10 @@ the stream's behaviour changed, or the branch is not strongly biased.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import List, Optional
 
 from ..workloads.isa import BranchKind
@@ -54,6 +57,13 @@ class _Entry:
     next_addr: int
     terminator_kind: BranchKind
     confidence: int = 1         #: 2-bit hysteresis counter (0..3)
+
+
+#: An entry's fields in the order :meth:`_StreamTable.__getstate__`
+#: flattens them.
+_ENTRY_FIELDS = attrgetter("tag", "length", "next_addr", "terminator_kind",
+                           "confidence")
+_KINDS = {kind.value: kind for kind in BranchKind}
 
 
 class _StreamTable:
@@ -116,6 +126,27 @@ class _StreamTable:
 
     def occupancy(self) -> int:
         return sum(len(bucket) for bucket in self._sets)
+
+    # -- pickling: flat int columns, not thousands of entry objects -----
+    def __getstate__(self) -> tuple:
+        counts = array("B", map(len, self._sets))
+        flat = array("q", chain.from_iterable(
+            map(_ENTRY_FIELDS, chain.from_iterable(self._sets))))
+        return (self.entries, self.associativity, self.num_sets, counts,
+                flat)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.entries, self.associativity, self.num_sets, counts, flat = state
+        entries = [
+            _Entry(tag, length, next_addr, _KINDS[kind], confidence)
+            for tag, length, next_addr, kind, confidence
+            in zip(*(flat[i::5] for i in range(5)))
+        ]
+        self._sets = []
+        start = 0
+        for count in counts:
+            self._sets.append(entries[start:start + count])
+            start += count
 
     def clone(self) -> "_StreamTable":
         """Independent copy of contents and recency order.

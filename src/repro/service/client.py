@@ -214,4 +214,5 @@ class ServiceClient:
                 name, _, value = line.partition(":")
                 event[name.strip()] = value.lstrip()
         finally:
+            response.close()
             connection.close()

@@ -19,9 +19,9 @@ equivalent to measuring a later, warmed slice).
 Because many experiment sweeps run the same benchmark under dozens of
 configurations, the expensive part of the warm-up (walking the correct
 path and training a predictor) is computed once per (workload, predictor
-geometry, budget) and cached; each simulation then receives a deep copy of
-the trained predictor and replays the recorded line trace into its own
-caches.
+geometry, budget) and cached; each simulation then receives a copy of
+the trained predictor, and each of its caches the warm state replayed
+once per cache geometry (so the L2 of a sweep over L1 sizes warms once).
 """
 
 from __future__ import annotations
@@ -44,9 +44,10 @@ class WarmupArtifacts:
     predictor: StreamPredictor          #: trained prototype (cloned per run)
     line_trace: List[int]               #: cache-line addresses in first-touch order
     instructions: int                   #: correct-path instructions replayed
-    #: Warmed-cache snapshots keyed by cache geometry, filled lazily by
-    #: :func:`apply_warmup` so sweeps replay the line trace once per
-    #: (workload, cache organisation) instead of once per run.
+    #: Warmed-cache snapshots keyed by one cache's geometry, filled
+    #: lazily by :func:`apply_warmup` so sweeps replay the line trace
+    #: once per (workload, cache) -- an L2 shared by every L1 size of a
+    #: sweep warms once -- instead of once per run.
     cache_snapshots: Dict[Tuple, tuple] = field(default_factory=dict)
 
     def __getstate__(self):
@@ -152,29 +153,26 @@ def apply_warmup(
     """Produce a private trained predictor and (optionally) warm the caches
     of ``hierarchy`` by replaying the recorded line trace.
 
-    The replay result only depends on the cache geometry, so it is done
-    once per geometry and snapshotted; later runs restore the snapshot
-    (identical contents, replacement state and fill statistics).
+    The L2 and the L1 never interact during the replay, so each cache's
+    warm state depends only on its own geometry and the line trace: it
+    is replayed once per geometry and snapshotted, and later runs
+    restore the snapshot (identical contents, replacement state and
+    fill statistics).
     """
     predictor = artifacts.predictor.clone()
     if warm_caches and hierarchy is not None:
-        l1, l2 = hierarchy.l1, hierarchy.l2
-        key = (_cache_geometry(l1), _cache_geometry(l2))
-        fresh = _cache_is_fresh(l1) and _cache_is_fresh(l2)
-        snaps = artifacts.cache_snapshots.get(key) if fresh else None
-        if snaps is not None:
-            l1.restore(snaps[0])
-            l2.restore(snaps[1])
-        else:
-            for line in artifacts.line_trace:
-                l2.fill(line)
-                l1.fill(line)
+        for cache in (hierarchy.l2, hierarchy.l1):
+            key = _cache_geometry(cache)
+            fresh = _cache_is_fresh(cache)
+            snap = artifacts.cache_snapshots.get(key) if fresh else None
+            if snap is not None:
+                cache.restore(snap)
+                continue
+            cache.fill_span(artifacts.line_trace)
             if fresh:
                 # Snapshots describe "warm state from empty"; only record
-                # them when the replay indeed started from empty caches.
-                artifacts.cache_snapshots.setdefault(
-                    key, (l1.snapshot(), l2.snapshot())
-                )
+                # them when the replay indeed started from an empty cache.
+                artifacts.cache_snapshots.setdefault(key, cache.snapshot())
     return predictor
 
 

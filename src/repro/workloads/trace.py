@@ -326,20 +326,23 @@ class CompiledTrace:
 
     # -- pickling (the live CFG / tail walker never leave the process) --
     def __getstate__(self) -> dict:
-        walker = self._tail_walker
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "compiled_instructions": self.compiled_instructions,
-            "addr": self.addr,
-            "size": self.size,
-            "kind": self.kind,
-            "taken": self.taken,
-            "next_addr": self.next_addr,
-            "terminator_addr": self.terminator_addr,
-            "tail_state": (walker.snapshot() if walker is not None
-                           else self._tail_state),
-        }
+        # Copied under the lock: another thread may grow the trace while
+        # the pickler walks it, and the copy is a consistent prefix.
+        with self._lock:
+            walker = self._tail_walker
+            return {
+                "name": self.name,
+                "seed": self.seed,
+                "compiled_instructions": self.compiled_instructions,
+                "addr": self.addr[:],
+                "size": self.size[:],
+                "kind": self.kind[:],
+                "taken": self.taken[:],
+                "next_addr": self.next_addr[:],
+                "terminator_addr": self.terminator_addr[:],
+                "tail_state": (walker.snapshot() if walker is not None
+                               else self._tail_state),
+            }
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(
@@ -562,6 +565,15 @@ class CompiledPathOracle:
         self._offset = 0
         self._consumed_instructions = 0
         self.max_stream_instructions = max_stream_instructions
+
+    # -- pickling and deep copies carry the cursor; the aliases are rebuilt
+    def __getstate__(self) -> tuple:
+        return (self._trace, self.max_stream_instructions, self._index,
+                self._offset, self._consumed_instructions)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(state[0], state[1])
+        self._set_position(*state[2:])
 
     # -- public API ------------------------------------------------------
     @property

@@ -39,6 +39,7 @@ from repro.cache import (
     temporary_cache_dir,
 )
 from repro.cache.shared import dumps_with_workload, loads_with_workload
+from repro.cache.traces import TRACE_MARGIN
 from repro.context import current_context, use_context
 from repro.sampling import SamplingSpec
 from repro.sampling.sampled import _execute_sampled
@@ -48,6 +49,7 @@ from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.workloads.generator import WorkloadProfile
 from repro.workloads.isa import BranchKind
+from repro.workloads.spec2000 import profile_for
 from repro.workloads.trace import (
     ActualStream,
     CompiledPathOracle,
@@ -258,6 +260,48 @@ class TestCompiledTrace:
             assert store.stats.hits >= 1
             assert reloaded is not trace
             assert list(reloaded.addr[:100]) == list(trace.addr[:100])
+
+    def test_trace_artifact_holds_what_runs_read(self, tmp_path,
+                                                 monkeypatch):
+        """One trace per workload, compiled to the budget plus the margin
+        and grown, not recompiled, when a later run needs more."""
+        from repro.cache import traces
+
+        compiled = []
+
+        def counting_compile(workload, instructions):
+            compiled.append(instructions)
+            return compile_trace(workload, instructions)
+
+        monkeypatch.setattr(traces, "compile_trace", counting_compile)
+        small = make_sim_config(engine="clgp", max_instructions=3000,
+                                warmup_instructions=3000)
+        large = small.with_overrides(max_instructions=20_000)
+        disk_key = content_key("trace", "gzip",
+                               profile_for("gzip").seed)
+
+        with temporary_cache_dir(tmp_path / "off", enabled=False):
+            clear_process_caches()
+            expected = [_execute_single(small, "gzip")]
+            clear_process_caches()
+            expected.append(_execute_single(large, "gzip"))
+        with temporary_cache_dir(tmp_path / "cache") as store:
+            clear_process_caches()
+            results = [_execute_single(small, "gzip")]
+            stored = store.get("trace", disk_key)
+            assert compiled == [3000 + TRACE_MARGIN]
+            blocks = max(stored.size)
+            assert (3000 + TRACE_MARGIN <= stored.compiled_instructions
+                    < 3000 + TRACE_MARGIN + blocks)
+            clear_process_caches()
+            hits = store.stats.hits
+            results.append(_execute_single(large, "gzip"))
+            assert compiled == [3000 + TRACE_MARGIN]   # grown, not compiled
+            assert store.stats.hits > hits
+            grown = store.get("trace", disk_key)
+            assert grown.compiled_instructions >= 20_000 + TRACE_MARGIN
+            assert grown.addr[:len(stored.addr)] == stored.addr
+        assert results == expected
 
     def test_disabled_cache_attaches_nothing(self, tmp_path):
         with temporary_cache_dir(tmp_path / "cache", enabled=False):

@@ -3,6 +3,7 @@ dedup economics, quotas/backpressure, chaos, and the concurrent
 execution of runs with any policy that the service's scheduler depends
 on."""
 
+import gc
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -309,6 +311,33 @@ class TestServiceEndToEnd:
             assert kinds[0] == "submitted"
             assert kinds[-1] == "done"
             assert "task" in kinds
+
+    def test_event_stream_leaves_no_socket_open(self, tmp_path):
+        """Reading an event stream to its end closes its response, not
+        just the connection, so no socket waits for the collector."""
+        with service(tmp_path, parallel=1) as (thread, _session):
+            client = ServiceClient(port=thread.port, client_id="closer")
+            submitted = client.submit(small_spec(name="closer"))
+            client.result_bytes(submitted["job"])
+            responses = []
+            request = client._request
+
+            def recording(*args, **kwargs):
+                status, headers, payload = request(*args, **kwargs)
+                if kwargs.get("stream"):
+                    responses.append(payload[0])
+                return status, headers, payload
+
+            client._request = recording
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                kinds = [e["kind"] for e in client.events(submitted["job"])]
+                assert [r.closed for r in responses] == [True]
+                del responses[:]
+                gc.collect()
+        assert kinds[-1] == "done"
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_dedup_economics_concurrent_clients(self, tmp_path):
         clients = 6

@@ -26,6 +26,8 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.cache.store import ArtifactStore, get_store, temporary_cache_dir
 from repro.context import current_context, use_context
@@ -162,16 +164,32 @@ class TestThreadContexts:
 class TestMultiProcessStress:
     """N concurrent CLI invocations share one cache under injected
     crashes, I/O errors and gc churn: stdout must stay byte-identical
-    with a fault-free run and ``cache fsck`` must exit 0 afterwards."""
+    with a fault-free run and ``cache fsck`` must exit 0 afterwards.
 
-    #: Overlapping figure sweeps (two processes race on the same figure,
-    #: a third shares the benchmark's traces/profiles from another
-    #: figure).  Budgets are tiny: the point is contention, not scale.
-    COMMANDS = (
-        ("figure", "4", "--benchmarks", "gzip", "--instructions", "1500"),
-        ("figure", "4", "--benchmarks", "gzip", "--instructions", "1500"),
-        ("figure", "5", "--benchmarks", "gzip", "--instructions", "1500"),
-    )
+    Each case is overlapping figure sweeps (two processes race on the
+    same figure, a third shares the benchmarks' traces/profiles from
+    another figure) plus the store size ``gc`` keeps evicting down to.
+    Budgets are small: the point is contention, not scale.  The
+    processes race to publish each benchmark's one trace artifact, so
+    the cases also cover concurrent writers of one key under crashes
+    and gc.
+    """
+
+    CASES = {
+        "gzip": ((
+            ("figure", "4", "--benchmarks", "gzip", "--instructions", "1500"),
+            ("figure", "4", "--benchmarks", "gzip", "--instructions", "1500"),
+            ("figure", "5", "--benchmarks", "gzip", "--instructions", "1500"),
+        ), 64 * 1024),
+        "gzip-mcf": ((
+            ("figure", "4", "--benchmarks", "gzip,mcf",
+             "--instructions", "3000"),
+            ("figure", "4", "--benchmarks", "gzip,mcf",
+             "--instructions", "3000"),
+            ("figure", "5", "--benchmarks", "gzip,mcf",
+             "--instructions", "3000"),
+        ), 256 * 1024),
+    }
     FAULT_SPEC = "write_crash:0.4,io_error:0.2,seed:7"
 
     @staticmethod
@@ -191,12 +209,14 @@ class TestMultiProcessStress:
             env=env, capture_output=True, text=True, timeout=150,
         )
 
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_shared_cache_stress_is_byte_identical_and_fsck_clean(
-            self, tmp_path):
+            self, tmp_path, case):
+        commands, gc_size = self.CASES[case]
         # Fault-free reference stdout, in an isolated cache.
         reference_env = self._env(str(tmp_path / "reference-cache"))
         expected = {}
-        for command in dict.fromkeys(self.COMMANDS):
+        for command in dict.fromkeys(commands):
             proc = self._run_cli(command, reference_env)
             assert proc.returncode == 0, proc.stderr
             expected[command] = proc.stdout
@@ -211,16 +231,16 @@ class TestMultiProcessStress:
                 env=chaos_env, stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE, text=True,
             )
-            for command in self.COMMANDS
+            for command in commands
         ]
         gc_store = ArtifactStore(shared)
         deadline = time.monotonic() + 150
         while any(child.poll() is None for child in children):
             assert time.monotonic() < deadline, "stress children wedged"
-            gc_store.gc(64 * 1024)    # keep evicting under the sweeps
+            gc_store.gc(gc_size)      # keep evicting under the sweeps
             time.sleep(0.05)
 
-        for command, child in zip(self.COMMANDS, children):
+        for command, child in zip(commands, children):
             stdout, stderr = child.communicate(timeout=10)
             assert child.returncode == 0, stderr
             assert stdout == expected[command], (

@@ -1,6 +1,10 @@
 """Tests for the two-level stream predictor."""
 
+import pickle
+
 from repro.frontend.stream_predictor import StreamPredictor, _StreamTable
+from repro.simulator.runner import get_workload
+from repro.simulator.warming import compute_warmup
 from repro.workloads.isa import BranchKind
 from repro.workloads.trace import ActualStream
 
@@ -124,3 +128,45 @@ class TestStreamPredictor:
         prediction = predictor.predict(0x2000, 0)
         assert prediction.terminator_kind is BranchKind.NONE
         assert not prediction.uses_ras
+
+
+def _table_state(table):
+    """Every entry of ``table`` per set, in recency order, with its kind
+    member itself (so identity is compared, not just the value)."""
+    return (table.entries, table.associativity, table.num_sets,
+            [[(e.tag, e.length, e.next_addr, id(e.terminator_kind),
+               e.confidence) for e in bucket] for bucket in table._sets])
+
+
+class TestPickling:
+    def test_trained_predictor_survives_pickle_exactly(self):
+        workload = get_workload("gcc")
+        warm = compute_warmup(workload, 20_000)
+        original = warm.predictor.clone()
+        loaded = pickle.loads(pickle.dumps(original))
+        for name in ("base_table", "history_table"):
+            assert (_table_state(getattr(loaded, name))
+                    == _table_state(getattr(original, name)))
+        assert vars(loaded).keys() == vars(original).keys()
+
+        # Both go on predicting and training identically.
+        oracle = workload.new_oracle()
+        oracle.advance(warm.instructions)
+        history = 0
+        for _ in range(2000):
+            addr = oracle.current_address()
+            actual = oracle.peek_stream(64)
+            assert loaded.predict(addr, history) \
+                == original.predict(addr, history)
+            loaded.train(addr, history, actual)
+            original.train(addr, history, actual)
+            history = StreamPredictor.fold_history(
+                history, actual.next_addr, actual.ends_taken)
+            oracle.advance(actual.length)
+        for name in ("base_table", "history_table"):
+            assert (_table_state(getattr(loaded, name))
+                    == _table_state(getattr(original, name)))
+        assert (loaded.lookups, loaded.base_hits, loaded.history_hits,
+                loaded.table_misses) == (
+            original.lookups, original.base_hits, original.history_hits,
+            original.table_misses)

@@ -1,7 +1,10 @@
 """Tests for dynamic execution: ProgramWalker and the correct-path
 oracle (CompiledPathOracle) that replays its walk."""
 
+import pickle
 import sys
+import threading
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.workloads.trace import (
     compile_trace,
 )
 from repro.workloads.generator import WorkloadProfile
+from repro.workloads.spec2000 import profile_for
 
 
 class TestProgramWalker:
@@ -203,3 +207,48 @@ class TestConcurrentGrowth:
             sys.setswitchinterval(interval)
             runner.clear_process_caches()
         assert results == solo
+
+
+class TestPicklingWhileGrowing:
+    """A compiled trace is published (pickled) while other runs may grow
+    it; every pickle must be a consistent prefix of the walk."""
+
+    COLUMNS = ("addr", "size", "kind", "taken", "next_addr",
+               "terminator_addr")
+
+    def test_pickles_taken_during_growth_are_consistent_prefixes(self):
+        workload = build_workload(profile_for("gzip"))
+        trace = compile_trace(workload, 1000)
+
+        def grow():
+            for instructions in range(2000, 120_001, 2000):
+                trace.cover(instructions)
+                time.sleep(0)   # let a pickle in between two steps
+
+        pickles = []
+        grower = threading.Thread(target=grow)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            grower.start()
+            while grower.is_alive():
+                pickles.append(pickle.dumps(trace))
+        finally:
+            grower.join()
+            sys.setswitchinterval(interval)
+        assert len(pickles) > 1
+
+        reference = compile_trace(build_workload(profile_for("gzip")),
+                                  130_000)
+        for data in pickles:
+            copy = pickle.loads(data)
+            blocks = len(copy.size)
+            assert {len(getattr(copy, name)) for name in self.COLUMNS} \
+                == {blocks}
+            assert copy.compiled_instructions == sum(copy.size)
+            # The copy continues into the same walk as a fresh compile.
+            copy.bind(workload.cfg)
+            copy.ensure(blocks + 20)
+            for name in self.COLUMNS:
+                assert getattr(copy, name) \
+                    == getattr(reference, name)[:blocks + 21], name

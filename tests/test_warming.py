@@ -1,7 +1,10 @@
 """Tests for the functional warm-up machinery."""
 
 from repro.frontend.stream_predictor import StreamPredictor
+from repro.memory.cache import Cache
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.simulator.simulator import Simulator
+from repro.simulator.testing import make_sim_config
 from repro.simulator.warming import (
     apply_warmup,
     clear_warmup_cache,
@@ -83,3 +86,51 @@ class TestFunctionalWarmup:
             return hits
 
         assert count_hits(warm) > count_hits(cold) + 50
+
+
+def _cache_state(cache):
+    """Contents, LRU stamps and clocks, and statistics of ``cache``."""
+    return (
+        {i: list(s) for i, s in cache._sets.items()},
+        {i: (p._stamp, p._clock) for i, p in cache._policies.items()},
+        cache.stats,
+    )
+
+
+class TestPerCacheSnapshots:
+    def test_l2_warms_once_across_l1_sizes(self, tiny_workload):
+        """Machines that differ only in L1 size share one L2 snapshot,
+        and every warmed cache equals a per-line fill replay."""
+        clear_warmup_cache()
+        sizes = (1024, 4096, 16384)
+        sims = [Simulator(make_sim_config(l1_size_bytes=size,
+                                          warmup_instructions=4000),
+                          tiny_workload)
+                for size in sizes]
+        for sim in sims:
+            sim.warm_up()
+        config = sims[0].config
+        artifacts = get_warmup_artifacts(
+            tiny_workload, 4000,
+            base_entries=config.stream_predictor_base_entries,
+            history_entries=config.stream_predictor_history_entries,
+            max_stream_instructions=config.max_stream_instructions,
+            line_size=config.line_size,
+        )
+        geometries = sorted(artifacts.cache_snapshots)
+        assert len(geometries) == 4
+        assert sorted(key[0] for key in geometries) == sorted(
+            sizes + (sims[0].hierarchy.l2.size_bytes,))
+
+        for sim in sims:
+            l1, l2 = sim.hierarchy.l1, sim.hierarchy.l2
+            fresh_l1 = Cache("il1", l1.size_bytes, l1.line_size,
+                             l1.associativity)
+            fresh_l2 = Cache("ul2", l2.size_bytes, l2.line_size,
+                             l2.associativity)
+            for line in artifacts.line_trace:
+                fresh_l2.fill(line)
+                fresh_l1.fill(line)
+            assert _cache_state(l1) == _cache_state(fresh_l1)
+            assert _cache_state(l2) == _cache_state(fresh_l2)
+        clear_warmup_cache()
