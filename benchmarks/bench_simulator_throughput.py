@@ -30,7 +30,6 @@ Five dimensions are tracked (each also lands in the session-level
 """
 
 import os
-import pickle
 import time
 
 import pytest
@@ -280,100 +279,6 @@ def test_sampled_vs_full(benchmark, api_session, scheme, bench_metrics,
         "speedup": sampled_speedup,
         "worst_abs_ipc_error": worst_abs_error,
     }
-
-
-def test_interval_parallel_latency(benchmark, api_session, bench_metrics,
-                                   tmp_path_factory, monkeypatch):
-    """Serial-vs-parallel latency of one sampled run (``interval_jobs``).
-
-    One gcc sampled run whose k-means selection partitions into >= 3
-    non-adjacent segments, measured twice through the façade: the serial
-    walk (``interval_jobs=1``) and the segment fan-out across the shared
-    pool.  Both runs restore the positioned checkpoints published by an
-    untimed prewarm pass, so the comparison isolates the timed interval
-    measurement -- the part the fan-out actually parallelizes.  The two
-    results must be byte-identical (the tentpole guarantee); the
-    latency ratio lands in ``BENCH_throughput.json`` and is asserted
-    >= 1.5x wherever >= 2 cores make a speedup physically possible.
-    """
-    from repro.api import ExecutionOptions, ExperimentPlan
-    from repro.sampling import SamplingSpec, get_selection
-    from repro.sampling.checkpoint import DEFAULT_STORE
-    from repro.sampling.sampled import _segments
-    from repro.simulator import runner
-
-    # Pool dispatch is the thing under test: the overhead-aware planner
-    # must not inline the segment tasks however small the box.
-    monkeypatch.setattr(runner, "_plan_prefers_inline",
-                        lambda tasks, jobs: False)
-    instructions = max(40_000, bench_instruction_budget(40_000))
-    spec = SamplingSpec(max_intervals=4, method="kmeans")
-    config = paper_config("CLGP+L0", l1_size_bytes=4096,
-                          technology="0.045um",
-                          max_instructions=instructions)
-
-    def run_once(interval_jobs):
-        plan = ExperimentPlan("interval-parallel")
-        plan.add(config, "gcc", instructions, sampled=True, sampling=spec)
-        results = api_session.run(plan, options=ExecutionOptions(
-            interval_jobs=interval_jobs, result_cache=False)).results
-        assert len(results) == 1
-        return results[0]
-
-    cache_dir = tmp_path_factory.mktemp("interval-parallel-cache")
-    with temporary_cache_dir(cache_dir):
-        clear_process_caches()
-        # Untimed prewarm: publishes the compiled trace, selection and
-        # every post-skip positioned checkpoint, so both timed arms start
-        # from the same deepest-prefix state.
-        prewarm = run_once(interval_jobs=1)
-        selection = get_selection(get_workload("gcc"), instructions, spec,
-                                  store=DEFAULT_STORE, config=config)
-        segments = _segments(selection.intervals)
-
-        serial_seconds = float("inf")
-        serial = None
-        for _ in range(2):
-            start = time.perf_counter()
-            serial = run_once(interval_jobs=1)
-            serial_seconds = min(serial_seconds,
-                                 time.perf_counter() - start)
-
-        jobs = min(4, len(segments))
-        parallel = benchmark.pedantic(
-            lambda: run_once(interval_jobs=jobs),
-            rounds=2, iterations=1, warmup_rounds=1)
-    parallel_seconds = benchmark.stats.stats.min
-
-    assert len(segments) >= 3, (
-        f"selection no longer fans out: segments={segments}")
-    assert pickle.dumps(parallel) == pickle.dumps(serial)
-    assert pickle.dumps(parallel) == pickle.dumps(prewarm)
-    latency_ratio = (
-        round(serial_seconds / parallel_seconds, 3) if parallel_seconds
-        else 0.0
-    )
-    benchmark.extra_info["instructions"] = instructions
-    benchmark.extra_info["segments"] = len(segments)
-    benchmark.extra_info["interval_jobs"] = jobs
-    benchmark.extra_info["serial_seconds"] = round(serial_seconds, 4)
-    benchmark.extra_info["latency_ratio"] = latency_ratio
-    bench_metrics["interval_parallel"] = {
-        "instructions": instructions,
-        "segments": len(segments),
-        "interval_jobs": jobs,
-        "serial_seconds": round(serial_seconds, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
-        "latency_ratio": latency_ratio,
-        "cores": os.cpu_count(),
-    }
-    if (os.cpu_count() or 1) >= 2 and jobs >= 2:
-        # On a single-core box the fan-out cannot beat the serial walk
-        # (equal compute, no idle cores); record the honest ratio there,
-        # enforce the speedup wherever it is physically possible.
-        assert latency_ratio >= 1.5, (
-            f"interval parallelism below 1.5x on {os.cpu_count()} cores: "
-            f"{bench_metrics['interval_parallel']}")
 
 
 def test_artifact_cache_cold_vs_warm(benchmark, api_session, bench_metrics,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..context import ExecutionContext, current_context, use_context
-from ..simulator.plan import ExperimentPlan, PlanResults, SimTask, TaskFailure
+from ..simulator.plan import ExperimentPlan, PlanResults, TaskFailure
 from ..simulator.runner import (
     get_workload,
     iter_task_results,
@@ -409,8 +409,9 @@ class Session:
                 f"not {type(spec).__name__}")
         jobs = resolve_jobs(self._jobs if options.jobs is None
                             else options.jobs)
-        plan = self._with_interval_jobs(plan, options, jobs)
-        if jobs > 1 and len(plan) > 1:
+        # A task deadline needs a killable process, so a run with one
+        # reaches the pool whatever its size (see iter_task_results).
+        if (jobs > 1 and len(plan) > 1) or options.task_timeout is not None:
             self._used_pool = True
         context = current_context().override(
             cache_dir=self._cache_dir, cache=self._cache,
@@ -432,40 +433,6 @@ class Session:
             handle._emit("submitted")
             thread.start()
         return handle
-
-    def _with_interval_jobs(self, plan: ExperimentPlan,
-                            options: ExecutionOptions,
-                            jobs: int) -> ExperimentPlan:
-        """Stamp the effective intra-run worker count onto sampled tasks.
-
-        ``options.interval_jobs`` wins when set (``0`` = all cores);
-        ``None`` inherits the submission's effective ``jobs`` for
-        single-task plans -- the one shape where outer task parallelism
-        cannot use the workers, so a sampled run's segments fan out
-        instead (this is how one service request scales with the
-        server's ``--parallel``).  Multi-task plans stay serial inside
-        each task by default: their parallelism is across tasks.
-        """
-        import dataclasses
-
-        interval_jobs = options.interval_jobs
-        if interval_jobs is None:
-            if len(plan.tasks) != 1:
-                return plan
-            interval_jobs = jobs
-        else:
-            interval_jobs = resolve_jobs(interval_jobs)
-        if interval_jobs <= 1 or not any(
-                isinstance(task, SimTask) and task.sampled
-                and task.interval_jobs is None for task in plan.tasks):
-            return plan
-        self._used_pool = True
-        return ExperimentPlan(plan.name, [
-            dataclasses.replace(task, interval_jobs=interval_jobs)
-            if isinstance(task, SimTask) and task.sampled
-            and task.interval_jobs is None else task
-            for task in plan.tasks
-        ])
 
     def run(
         self,

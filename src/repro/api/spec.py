@@ -137,12 +137,6 @@ class ExecutionOptions:
     cores); ``sampled=True`` estimates every run from representative
     intervals (:mod:`repro.sampling`), with ``sampling`` optionally
     overriding the default :class:`~repro.sampling.sampled.SamplingSpec`.
-    ``interval_jobs`` parallelizes *inside* each sampled run: the
-    interval selection is partitioned into contiguous segments fanned
-    across the shared pool, bit-identical to the serial walk (``0`` =
-    all cores; ``None`` inherits the effective ``jobs`` for single-task
-    plans -- where outer parallelism has nothing to fan out -- and stays
-    serial otherwise; ``1`` forces the serial walk).
     ``cache_dir``/``cache`` override the artifact-cache configuration
     for this submission only (``None`` inherits the ambient setting).
     ``result_cache=False`` (the CLI's ``--no-result-cache``) forces full
@@ -167,7 +161,6 @@ class ExecutionOptions:
     jobs: Optional[int] = None
     sampled: bool = False
     sampling: Optional[object] = None
-    interval_jobs: Optional[int] = None
     cache_dir: Optional[str] = None
     cache: Optional[bool] = None
     result_cache: Optional[bool] = None
@@ -182,14 +175,6 @@ class ExecutionOptions:
             if self.jobs < 0:
                 raise ValueError(
                     "jobs must be >= 1 (or None/0 for all cores)")
-        if self.interval_jobs is not None:
-            if not isinstance(self.interval_jobs, int):
-                raise ValueError(
-                    "interval_jobs must be an integer, None, or 0")
-            if self.interval_jobs < 0:
-                raise ValueError(
-                    "interval_jobs must be >= 1 (or None to inherit, "
-                    "0 for all cores)")
         if self.task_timeout is not None:
             if not isinstance(self.task_timeout, (int, float)) \
                     or self.task_timeout <= 0:

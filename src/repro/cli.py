@@ -47,6 +47,7 @@ run with failures exits with status 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -115,18 +116,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the simulation grid "
                              "(0 = all cores)")
-    _add_interval_jobs(parser)
     _add_fault_args(parser)
-
-
-def _add_interval_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--interval-jobs", type=int, default=None,
-                        metavar="N",
-                        help="worker processes *inside* each sampled run: "
-                             "contiguous interval segments fan out across "
-                             "the shared pool, bit-identical to the serial "
-                             "walk (0 = all cores; default: inherit --jobs "
-                             "for single-run plans, serial otherwise)")
 
 
 def _add_fault_args(parser: argparse.ArgumentParser) -> None:
@@ -171,7 +161,6 @@ def _options(args: argparse.Namespace) -> ExecutionOptions:
     try:
         return ExecutionOptions(
             sampled=getattr(args, "sampled", False),
-            interval_jobs=getattr(args, "interval_jobs", None),
             result_cache=(False if getattr(args, "no_result_cache", False)
                           else None),
             task_timeout=getattr(args, "task_timeout", None),
@@ -508,10 +497,8 @@ def _cmd_sample(session: Session, args: argparse.Namespace) -> int:
         name="cli-sample",
     )
     start = time.perf_counter()
-    sampled_run = session.run(
-        run_spec, options=ExecutionOptions(
-            sampled=True, sampling=spec,
-            interval_jobs=getattr(args, "interval_jobs", None)))
+    sampled_run = session.run(run_spec, options=dataclasses.replace(
+        _options(args), sampled=True, sampling=spec))
     if sampled_run.failed_tasks:
         return _report_faults(sampled_run)
     sampled = sampled_run.results[0]
@@ -631,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "the sampled run's error and speedup")
     _add_config_args(p_sample)
     _add_cache_args(p_sample)
-    _add_interval_jobs(p_sample)
     p_sample.set_defaults(func=_cmd_sample)
 
     p_cache = sub.add_parser(

@@ -2,9 +2,9 @@
 
 The four settings every run reads travel together in one frozen
 :class:`ExecutionContext` held in a :class:`contextvars.ContextVar`, so
-concurrent runs in one process -- sessions, the service's parallel jobs,
-a sampled run's interval fan-out -- each read their own policy, and
-nothing process-wide is configured, snapshotted or restored.
+concurrent runs in one process -- sessions, the service's parallel
+jobs -- each read their own policy, and nothing process-wide is
+configured, snapshotted or restored.
 
 Threads start with an empty context, so work handed to another thread
 runs under a context captured where it was handed over:

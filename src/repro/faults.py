@@ -207,10 +207,6 @@ def mark_worker(value: bool = True) -> None:
     _IN_WORKER = value
 
 
-def in_worker() -> bool:
-    return _IN_WORKER
-
-
 # ----------------------------------------------------------------------
 # deterministic decisions
 # ----------------------------------------------------------------------

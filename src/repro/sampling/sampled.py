@@ -14,8 +14,7 @@ and reports work unchanged.  The flow per (configuration, benchmark):
    fast-forward to the segment start (:meth:`Simulator.skip_to` --
    predictor keeps training, caches keep filling), publish the post-skip
    state so the next segment only skips the delta, then run the
-   segment's intervals timed -- in-process, or fanned across the worker
-   pool with ``interval_jobs``,
+   segment's intervals timed,
 3. take each interval's counters as the delta over its timed stretch,
 4. combine the per-interval results into one weighted estimate
    (:func:`repro.simulator.stats.weighted_aggregate`).
@@ -33,7 +32,6 @@ of re-simulating -- bit-identical by construction, and guarded by
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -153,13 +151,13 @@ def _measure_intervals(
     spec: SamplingSpec,
     store: CheckpointStore,
 ):
-    """Simulate the selected intervals in-process; returns (interval
-    results, weights).
+    """Simulate the selected intervals; returns (interval results,
+    weights).
 
-    The serial walk is the parallel path run in order: each contiguous
-    segment is measured by :func:`_measure_segment`, and a jumped segment
-    publishes its post-skip state, so the next one resumes from that
-    prefix instead of skipping from the warm state.
+    Each contiguous segment is measured in start order by
+    :func:`_measure_segment`, and a jumped segment publishes its
+    post-skip state, so the next one resumes from that prefix instead of
+    skipping from the warm state.
     """
     segments = _segments(selection.intervals)
     persistent = active_store() is not None
@@ -180,8 +178,7 @@ def _segments(intervals) -> List[Tuple[int, ...]]:
     Two intervals belong to the same segment exactly when the second
     continues the first (``start == previous start + previous length``):
     within a segment one timed stretch covers every interval, across
-    segments the walk restores a checkpoint and functionally skips.
-    Segments are therefore the independent units of a sampled run -- each
+    segments the walk restores a checkpoint and functionally skips.  Each
     element is a tuple of indices into ``intervals``.
     """
     segments: List[Tuple[int, ...]] = []
@@ -220,9 +217,9 @@ def _measure_segment(
     subsequent interval continues the one timed run.  Functional skips
     are split-invariant and restore/warm-up states are bit-identical by
     construction, so the returned deltas are the same bit for bit
-    whichever prefix was restored and whichever process measures them.
-    ``publish`` records the post-skip state of a jump as a positioned
-    checkpoint for later segments and runs.
+    whichever prefix was restored.  ``publish`` records the post-skip
+    state of a jump as a positioned checkpoint for later segments and
+    runs.
     """
     intervals = selection.intervals
     first = intervals[indices[0]]
@@ -258,121 +255,12 @@ def _measure_segment(
     return results
 
 
-def _execute_segment(task) -> Tuple[SimulationResult, ...]:
-    """Run one :class:`~repro.simulator.plan.SegmentTask` (pool worker
-    entry point, dispatched by ``repro.simulator.runner._run_task``).
-
-    The worker rebuilds the deterministic workload from the task's
-    profile, recomputes the (cached) interval selection, and measures
-    just its segment; per-interval results return positionally aligned
-    with ``task.indices``.
-    """
-    spec = task.sampling if task.sampling is not None else DEFAULT_SPEC
-    from ..simulator.runner import get_workload_for_profile
-
-    workload = get_workload_for_profile(task.profile)
-    total = task.total_instructions
-    ensure_compiled_trace(
-        workload, max(total, task.config.resolved_warmup_instructions())
-    )
-    store = DEFAULT_STORE
-    selection = get_selection(workload, total, spec, store=store,
-                              config=task.config)
-    if not task.indices or max(task.indices) >= len(selection.intervals):
-        raise RuntimeError(
-            f"interval selection holds {len(selection.intervals)} "
-            f"interval(s) but segment references {task.indices!r}; "
-            "selection diverged across processes")
-    return tuple(_measure_segment(task.config, workload, selection, spec,
-                                  task.indices, store, publish=True))
-
-
-def _measure_intervals_parallel(
-    config: SimulationConfig,
-    workload: Workload,
-    selection,
-    spec: SamplingSpec,
-    store: CheckpointStore,
-    total: int,
-    interval_jobs: int,
-):
-    """Fan the selection's contiguous segments across the shared pool.
-
-    Returns ``(interval results, weights)`` bit-identical to the serial
-    :func:`_measure_intervals`, or ``None`` when intra-run parallelism
-    is unavailable -- fewer than two segments, already inside a pool
-    worker (daemonic workers cannot nest pools), no persistent artifact
-    store (workers need it to share positioned checkpoints), or any
-    segment failed terminally -- in which case the caller falls back to
-    the serial walk.
-    """
-    from .. import faults
-
-    if interval_jobs < 2 or selection.k < 2:
-        return None
-    if faults.in_worker():
-        return None
-    if active_store() is None:
-        return None
-    segments = _segments(selection.intervals)
-    if len(segments) < 2:
-        return None
-    # Imported lazily: the runner imports this module for dispatch.
-    from ..simulator.plan import SegmentTask
-    from ..simulator.runner import iter_task_results
-
-    # Publish the warm state (positioned offset 0) once so every worker
-    # restores it instead of re-running the warm-up per process.
-    store.warm_checkpoint(config, workload)
-    tasks = []
-    for indices in segments:
-        first = selection.intervals[indices[0]]
-        timed = sum(selection.intervals[i].length for i in indices)
-        if first.start_instruction:
-            timed += min(spec.detail_warmup, first.start_instruction)
-        # Functional skips are far cheaper per instruction than the
-        # timed loop; a flat discount keeps long-prefix segments from
-        # being scheduled as if they were all timed work.
-        weight = timed + first.start_instruction // 4
-        tasks.append(SegmentTask(
-            config=config, profile=workload.profile,
-            total_instructions=total, indices=indices, sampling=spec,
-            weight=weight,
-        ))
-    cancel = threading.Event()
-    slots: List[Optional[Tuple[SimulationResult, ...]]] = [None] * len(tasks)
-    failed = False
-    for completion in iter_task_results(
-            tasks, jobs=min(interval_jobs, len(tasks)), cancel=cancel):
-        if completion.failed:
-            # One segment exhausted its retry budget: stop dispatching
-            # and let the serial walk (which has its own fallback
-            # states) produce the run instead of a partial estimate.
-            failed = True
-            cancel.set()
-            continue
-        slots[completion.index] = completion.result
-    if failed or any(slot is None for slot in slots):
-        return None
-    interval_results: List[Optional[SimulationResult]] = [None] * selection.k
-    for indices, results in zip(segments, slots):
-        if len(results) != len(indices):
-            return None
-        for index, result in zip(indices, results):
-            interval_results[index] = result
-    if any(result is None for result in interval_results):
-        return None
-    weights = [interval.weight for interval in selection.intervals]
-    return interval_results, weights
-
-
 def _execute_sampled(
     config: SimulationConfig,
     workload: Union[Workload, str],
     max_instructions: Optional[int] = None,
     spec: Optional[SamplingSpec] = None,
     store: CheckpointStore = DEFAULT_STORE,
-    interval_jobs: Optional[int] = None,
 ) -> SimulationResult:
     """Sampled run of one configuration on one benchmark (the executor
     primitive behind ``SimTask(sampled=True)``; the public entry point is
@@ -436,18 +324,9 @@ def _execute_sampled(
         interval_results = list(measured["interval_results"])
         weights = list(measured["weights"])
     else:
-        measured_parallel = None
-        if interval_jobs is not None and interval_jobs > 1:
-            measured_parallel = _measure_intervals_parallel(
-                config, workload, selection, spec, store, total,
-                interval_jobs,
-            )
-        if measured_parallel is not None:
-            interval_results, weights = measured_parallel
-        else:
-            interval_results, weights = _measure_intervals(
-                config, workload, selection, spec, store
-            )
+        interval_results, weights = _measure_intervals(
+            config, workload, selection, spec, store
+        )
         if measurement_key is not None:
             disk.put("measurement", measurement_key, {
                 "selection": selection_fingerprint,

@@ -37,13 +37,10 @@ from ..simulator.plan import TaskFailure
 CODEC_VERSION = 1
 
 #: ``ExecutionOptions`` fields a client may set.  The rest -- ``jobs``,
-#: ``interval_jobs``, ``cache_dir``/``cache``, ``faults`` -- are *server
-#: policy*: worker counts (across tasks and inside a sampled run alike)
-#: and store location belong to the operator, and letting a client
+#: ``cache_dir``/``cache``, ``faults`` -- are *server policy*: worker
+#: counts and store location belong to the operator, and letting a client
 #: inject chaos or redirect the cache would let one tenant corrupt the
-#: results every other tenant dedups against.  ``interval_jobs`` is also
-#: excluded from :func:`request_key` on purpose: intra-run parallelism
-#: is bit-identical to the serial walk, so it never changes a result.
+#: results every other tenant dedups against.
 CLIENT_OPTION_FIELDS = (
     "sampled", "sampling", "result_cache", "task_timeout", "max_retries",
 )
@@ -133,8 +130,7 @@ def decode_options(payload: Any) -> ExecutionOptions:
     if payload is None:
         return ExecutionOptions()
     payload = dict(_require_object(payload, "options"))
-    refused = sorted(set(payload) & {"jobs", "interval_jobs", "cache_dir",
-                                     "cache", "faults"})
+    refused = sorted(set(payload) & {"jobs", "cache_dir", "cache", "faults"})
     if refused:
         raise CodecError(
             f"option(s) {', '.join(map(repr, refused))} are server policy "

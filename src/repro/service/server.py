@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import dataclasses
 import itertools
 import threading
 from collections import deque
@@ -218,18 +217,8 @@ class ExperimentServer:
         self.stats["runs_started"] += 1
         self._running += 1
         loop = self._loop
-        options = job.options
-        if options is not None and options.sampled \
-                and options.interval_jobs is None and self.parallel > 1:
-            # Server policy: a sampled run's intervals may fan out over
-            # as many workers as the server would run whole jobs -- so a
-            # single queued request's latency scales with ``--parallel``
-            # instead of pinning one core (the results are bit-identical
-            # to the serial walk, so dedup is unaffected).
-            options = dataclasses.replace(options,
-                                          interval_jobs=self.parallel)
         try:
-            job.handle = self.session.submit(job.spec, options)
+            job.handle = self.session.submit(job.spec, job.options)
         except Exception as exc:
             self._finalize(job, "failed", f"{type(exc).__name__}: {exc}")
             return

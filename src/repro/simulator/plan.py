@@ -39,43 +39,6 @@ class SimTask:
     sampled: bool = False
     sampling: Optional[object] = None
     key: Tuple = ()
-    #: Worker processes for *intra-run* interval parallelism of a sampled
-    #: task (``None``/1 = measure intervals serially in this process).
-    #: Only meaningful with ``sampled=True``; see
-    #: :func:`repro.sampling.sampled._measure_intervals_parallel`.
-    interval_jobs: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SegmentTask:
-    """One contiguous stretch of a sampled run's selected intervals.
-
-    The intra-run parallel path of a sampled simulation partitions the
-    interval selection into maximal contiguous segments (adjacent
-    intervals share one timed stretch; a jumped interval restores a
-    checkpoint and functionally skips) and schedules each segment as one
-    of these through the same supervised executor that runs
-    :class:`SimTask` entries.  ``profile`` is the workload's
-    :class:`~repro.workloads.generator.WorkloadProfile` (small and
-    picklable; the worker rebuilds -- or fetches from its per-process
-    cache -- the deterministic workload from it), ``indices`` are the
-    positions of this segment's intervals within the run's
-    :class:`~repro.sampling.simpoint.IntervalSelection` (recomputed
-    deterministically worker-side), and ``weight`` is the parent's
-    scheduling-weight estimate (timed instructions plus a discounted
-    functional-skip cost) used by the workload-affine chunker.
-    """
-
-    config: SimulationConfig
-    profile: object
-    total_instructions: int
-    indices: Tuple[int, ...]
-    sampling: Optional[object] = None
-    weight: int = 0
-
-    @property
-    def benchmark(self) -> str:
-        return self.profile.name
 
 
 @dataclass(frozen=True)
@@ -188,7 +151,6 @@ class ExperimentPlan:
         key: Tuple = (),
         sampled: bool = False,
         sampling: Optional[object] = None,
-        interval_jobs: Optional[int] = None,
     ) -> SimTask:
         """Append one task and return it."""
         task = SimTask(
@@ -198,7 +160,6 @@ class ExperimentPlan:
             sampled=sampled,
             sampling=sampling,
             key=key,
-            interval_jobs=interval_jobs,
         )
         self.tasks.append(task)
         return task

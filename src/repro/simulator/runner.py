@@ -54,7 +54,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..cache.traces import ensure_compiled_trace
@@ -62,12 +62,9 @@ from ..context import current_context, use_context
 from ..workloads.spec2000 import DEFAULT_MIX, SPECINT2000_NAMES, profile_for
 from ..workloads.trace import Workload, build_workload
 from .config import SimulationConfig
-from .plan import SegmentTask, SimTask, TaskFailure, TaskFailureError, TaskOutcome
+from .plan import SimTask, TaskFailure, TaskFailureError, TaskOutcome
 from .simulator import _DEFAULT_MAX_CPI, Simulator
 from .stats import SimulationResult
-
-#: What the executor runs: a whole run, or one segment of a sampled run.
-Task = Union[SimTask, SegmentTask]
 
 #: Cache of built workloads, keyed by (benchmark name, seed).
 _WORKLOAD_CACHE: Dict[tuple, Workload] = {}
@@ -75,17 +72,7 @@ _WORKLOAD_CACHE: Dict[tuple, Workload] = {}
 
 def get_workload(name: str) -> Workload:
     """Build (or fetch from cache) the synthetic workload for a benchmark."""
-    return get_workload_for_profile(profile_for(name))
-
-
-def get_workload_for_profile(profile) -> Workload:
-    """Build (or fetch from cache) the workload for a profile.
-
-    Keyed like :func:`get_workload` so a profile that *is* a registered
-    benchmark shares its cache slot; segment tasks ship profiles rather
-    than names so sampled runs over unregistered workloads (tests, ad-hoc
-    profiles) can still fan their intervals out.
-    """
+    profile = profile_for(name)
     key = (profile.name, profile.seed)
     if key not in _WORKLOAD_CACHE:
         _WORKLOAD_CACHE[key] = build_workload(profile)
@@ -223,8 +210,8 @@ def _execute_single(
     return result
 
 
-def _run_task(task: Task) -> SimulationResult:
-    """Pool worker: run one :class:`SimTask` or :class:`SegmentTask`.
+def _run_task(task: SimTask) -> SimulationResult:
+    """Pool worker: run one :class:`SimTask`.
 
     Top-level function so it pickles; the workload cache is the worker
     process's own module-global, so each worker builds a given synthetic
@@ -233,12 +220,6 @@ def _run_task(task: Task) -> SimulationResult:
     :mod:`repro.sampling`, whose per-process checkpoint/selection caches
     play the same role for the warm-up and profiling passes.
     """
-    if isinstance(task, SegmentTask):
-        # One contiguous stretch of a sampled run's intervals (the
-        # intra-run parallel path; see repro.sampling.sampled).
-        from ..sampling.sampled import _execute_segment
-
-        return _execute_segment(task)
     if task.sampled:
         # Imported lazily: repro.sampling imports this module.
         from ..sampling.sampled import _execute_sampled
@@ -247,7 +228,6 @@ def _run_task(task: Task) -> SimulationResult:
             task.config, task.benchmark,
             max_instructions=task.max_instructions,
             spec=task.sampling,
-            interval_jobs=task.interval_jobs,
         )
     return _execute_single(task.config, task.benchmark,
                            task.max_instructions)
@@ -359,18 +339,14 @@ def shutdown_idle_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def _task_weight(task: Task) -> int:
+def _task_weight(task: SimTask) -> int:
     """Scheduling weight of one task: its instruction budget.
 
     Mixed-budget plans balance far better weighted by instructions than
     by task count (a 100k-instruction run is ~100x a 1k one); sampled
     tasks still carry the full budget -- their fixed profile/warm-up cost
     tracks the budget too, so the budget stays the best available proxy.
-    Segment tasks carry the parent's per-segment estimate (timed
-    instructions plus a discounted skip cost) instead.
     """
-    if isinstance(task, SegmentTask):
-        return max(1, int(task.weight or 1))
     budget = task.max_instructions or task.config.max_instructions
     return max(1, int(budget or 1))
 
@@ -391,7 +367,7 @@ def _result_hits() -> int:
 
 
 def _timed_task(
-    index: int, task: Task
+    index: int, task: SimTask
 ) -> Tuple[int, SimulationResult, float, int, int]:
     """Run one task, measuring wall-clock seconds, store hits and
     full-run result replays (reported distinctly: a result replay skips
@@ -440,8 +416,8 @@ def _run_supervised_chunk(payload) -> tuple:
 
 
 def _affine_chunks(
-    tasks: Sequence[Task], jobs: int
-) -> List[List[Tuple[int, Task]]]:
+    tasks: Sequence[SimTask], jobs: int
+) -> List[List[Tuple[int, SimTask]]]:
     """Workload-affine schedule: tasks grouped by benchmark, groups split
     only as far as keeping ``jobs`` workers busy requires.
 
@@ -465,9 +441,9 @@ def _affine_chunks(
     # chunks overall.
     target_chunks = max(jobs, len(groups))
     weight_cap = max(_MIN_CHUNK_WEIGHT, -(-total_weight // target_chunks))
-    weighted_chunks: List[Tuple[int, List[Tuple[int, Task]]]] = []
+    weighted_chunks: List[Tuple[int, List[Tuple[int, SimTask]]]] = []
     for indices in groups.values():
-        current: List[Tuple[int, Task]] = []
+        current: List[Tuple[int, SimTask]] = []
         current_weight = 0
         for index in indices:
             weight = _task_weight(tasks[index])
@@ -530,7 +506,7 @@ def _effective_parallelism(jobs: int) -> int:
 
 
 def _plan_prefers_inline(
-    tasks: Sequence[Task], jobs: int
+    tasks: Sequence[SimTask], jobs: int
 ) -> bool:
     """Whether running this plan inline beats fanning it over the pool.
 
@@ -643,10 +619,10 @@ def _backoff(attempt: int) -> float:
     return min(RETRY_BACKOFF_CAP, RETRY_BACKOFF * (2 ** max(0, attempt - 1)))
 
 
-def _failure(index: int, task: Task, kind: str,
+def _failure(index: int, task: SimTask, kind: str,
              message: str, attempts: int) -> TaskCompletion:
     failure = TaskFailure(index=index, benchmark=task.benchmark,
-                          key=getattr(task, "key", ()), kind=kind,
+                          key=task.key, kind=kind,
                           message=message, attempts=attempts)
     return TaskCompletion(index, failure, 0.0, 0, 0, attempts)
 
@@ -989,7 +965,7 @@ def _supervise(tasks, chunks, cancel, task_timeout, max_retries,
 
 
 def iter_task_results(
-    tasks: Sequence[Task],
+    tasks: Sequence[SimTask],
     jobs: int = 1,
     cancel=None,
     task_timeout: Optional[float] = None,
@@ -1031,7 +1007,7 @@ def iter_task_results(
 
 
 def run_tasks(
-    tasks: Sequence[Task],
+    tasks: Sequence[SimTask],
     jobs: int = 1,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,

@@ -112,6 +112,16 @@ class TestSessionLifecycle:
         assert runner_module._POOL is None
         assert session.closed
 
+    def test_close_shuts_down_the_pool_of_a_deadline_run(self):
+        # A task deadline sends even a one-task jobs=1 run to the pool.
+        runner_module.shutdown_pool()
+        with Session(jobs=1, cache=False) as session:
+            result = session.run(fast_spec(),
+                                 ExecutionOptions(task_timeout=60))
+            assert not result.failed_tasks
+            assert runner_module._POOL is not None
+        assert runner_module._POOL is None
+
     def test_submit_after_close_raises(self):
         session = Session()
         session.close()

@@ -586,9 +586,9 @@ class TestEveryKindSurvivesCorruption:
         kmeans = _sampled_once(cls.SAMPLED_CONFIG,
                                SamplingSpec(max_intervals=4,
                                             method="kmeans"))
-        # Only the parallel interval path publishes the warm state (the
-        # positioned checkpoint at offset 0); publish it explicitly and
-        # run from it, so a corrupted warm state is covered too.
+        # No run publishes the warm state (the positioned checkpoint at
+        # offset 0) on its own; publish it explicitly and run from it,
+        # so a corrupted warm state is covered too.
         clear_process_caches()
         workload = build_workload(MEDIUM_PROFILE)
         warm = Simulator(cls.SAMPLED_CONFIG, workload)

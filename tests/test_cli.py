@@ -128,6 +128,26 @@ class TestSampleCommand:
         assert code == 0
         assert "method kmeans" in capsys.readouterr().out
 
+    def test_no_result_cache_remeasures_the_intervals(self, tmp_path,
+                                                      monkeypatch):
+        from repro.sampling import sampled
+
+        argv = ["sample", "gzip", "--instructions", "6000",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        calls = []
+        measure = sampled._measure_intervals
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(sampled, "_measure_intervals", counting)
+        assert main(argv) == 0
+        assert calls == []          # the stored measurement replays
+        assert main(argv + ["--no-result-cache"]) == 0
+        assert len(calls) == 1
+
     def test_unknown_benchmark_rejected(self, capsys):
         code = main(["sample", "quake"])
         assert code == 2

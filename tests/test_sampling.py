@@ -1,7 +1,13 @@
 """Tests for the sampled-simulation subsystem (BBV, selection, runner)."""
 
+import math
+import pickle
+
 import pytest
 
+from repro.cache import active_store
+from repro.cache.keys import content_key, stable_repr
+from repro.context import current_context, use_context
 from repro.sampling import (
     SamplingSpec,
     get_selection,
@@ -11,9 +17,10 @@ from repro.sampling import (
     select_intervals,
     select_stratified,
 )
-from repro.sampling.sampled import _execute_sampled
-from repro.sampling.checkpoint import CheckpointStore
+from repro.sampling.sampled import _execute_sampled, _segments
+from repro.sampling.checkpoint import POSITIONED, CheckpointStore
 from repro.sampling.proxy import functional_profile, proxy_cycles
+from repro.simulator.runner import get_workload
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 
@@ -182,3 +189,145 @@ class TestRunSampled:
         assert result.extras["sampling_intervals"] >= 1
         assert (result.extras["sampled_instructions"]
                 < result.committed_instructions)
+
+
+# ----------------------------------------------------------------------
+# the segment walk: partitioning, checkpoint reuse, replay guard
+# ----------------------------------------------------------------------
+TOTAL = 40_000
+
+#: gcc's k-means selection at ``max_instructions=40000`` (engine
+#: "clgp") is three singleton segments, each reached by a jump.
+ALL_JUMPED = SamplingSpec(max_intervals=3, method="kmeans")
+
+
+def run_sampled(benchmark, spec, store=None):
+    config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+    return _execute_sampled(config, benchmark, spec=spec,
+                            store=store if store is not None
+                            else CheckpointStore())
+
+
+def assert_identical(a, b):
+    assert a == b
+    assert pickle.dumps(a) == pickle.dumps(b)
+
+
+def under(**policy):
+    """Run the block under the current context overridden by ``policy``."""
+    return use_context(current_context().override(**policy))
+
+
+@pytest.fixture
+def fresh_measurements():
+    """Disable measurement replay so every run really measures (the
+    artifact store is shared session-wide)."""
+    with under(result_cache=False):
+        yield
+
+
+class _Interval:
+    def __init__(self, start, length):
+        self.start_instruction = start
+        self.length = length
+
+
+@pytest.mark.usefixtures("fresh_measurements")
+class TestSegments:
+    def test_empty(self):
+        assert _segments([]) == []
+
+    def test_singleton(self):
+        assert _segments([_Interval(500, 100)]) == [(0,)]
+
+    def test_all_adjacent_is_one_segment(self):
+        intervals = [_Interval(0, 100), _Interval(100, 100),
+                     _Interval(200, 100)]
+        assert _segments(intervals) == [(0, 1, 2)]
+
+    def test_mixed_breaks_on_gaps(self):
+        intervals = [_Interval(0, 100), _Interval(100, 100),
+                     _Interval(500, 100), _Interval(600, 100),
+                     _Interval(900, 100)]
+        assert _segments(intervals) == [(0, 1), (2, 3), (4,)]
+
+    def test_touching_but_reordered_lengths(self):
+        intervals = [_Interval(0, 250), _Interval(250, 100),
+                     _Interval(351, 100)]
+        assert _segments(intervals) == [(0, 1), (2,)]
+
+
+@pytest.mark.usefixtures("fresh_measurements")
+class TestSegmentWalk:
+    def test_store_off_serial_walk_resumes_previous_segment(self):
+        # Segments are measured in order: each jump restores the
+        # post-skip state the previous segment published, and with no
+        # store nothing is snapshotted for the last segment.
+        store = CheckpointStore()
+        with under(cache=False):
+            run_sampled("gcc", ALL_JUMPED, store=store)
+            config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+            selection = get_selection(get_workload("gcc"), TOTAL,
+                                      ALL_JUMPED, store=store, config=config)
+        later = len(_segments(selection.intervals)) - 1
+        assert later >= 2
+        assert store.counts[POSITIONED, "hit"] == later
+        assert store.counts[POSITIONED, "publish"] == later
+
+    def test_store_off_serial_walk_restores_the_warm_state(self):
+        # The warm state is the positioned checkpoint at offset 0: once it
+        # is published, the first jumped segment restores it instead of
+        # warming up, and the result does not change.
+        config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+        with under(cache=False):
+            cold_store = CheckpointStore()
+            cold = run_sampled("gcc", ALL_JUMPED, store=cold_store)
+            store = CheckpointStore()
+            store.warm_checkpoint(config, get_workload("gcc"))
+            warm = run_sampled("gcc", ALL_JUMPED, store=store)
+        assert store.counts[POSITIONED, "hit"] \
+            == cold_store.counts[POSITIONED, "hit"] + 1
+        assert_identical(cold, warm)
+
+
+@pytest.mark.usefixtures("fresh_measurements")
+class TestReplayGuard:
+    """Replayed measurement payloads are validated, not trusted."""
+
+    @staticmethod
+    def _measurement_key(config, workload, spec):
+        return content_key(
+            "sampled-measurements", stable_repr(config),
+            workload.name, workload.profile.seed, TOTAL, stable_repr(spec),
+        )
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda weights: weights[:-1],                 # short list
+        lambda weights: [math.nan] + list(weights[1:]),   # non-finite
+        lambda weights: ["0.25"] + list(weights[1:]),     # non-numeric
+        lambda weights: [True] + list(weights[1:]),       # bool imposter
+    ])
+    def test_bad_weights_force_remeasure(self, corrupt):
+        spec = SamplingSpec(max_intervals=3)
+        with under(result_cache=True):   # replay on for this test
+            clean = run_sampled("gcc", spec)
+            config = make_sim_config(engine="clgp", max_instructions=TOTAL)
+            workload = get_workload("gcc")
+            disk = active_store()
+            key = self._measurement_key(config, workload, spec)
+            payload = disk.get("measurement", key)
+            assert payload is not None and len(payload["weights"]) == 3
+            disk.put("measurement", key,
+                     dict(payload, weights=corrupt(list(payload["weights"]))))
+            again = run_sampled("gcc", spec)
+        assert_identical(clean, again)
+        # The recompute must have replaced the corrupt payload.
+        healed = disk.get("measurement", key)
+        assert healed["weights"] == payload["weights"]
+
+    def test_good_payload_replays(self):
+        spec = SamplingSpec(max_intervals=3)
+        with under(result_cache=True):
+            first = run_sampled("gcc", spec)
+            second = run_sampled("gcc", spec)
+        assert_identical(first, second)

@@ -167,6 +167,116 @@ class TestFairScheduler:
         assert scheduler.discard("a", "missing") is False
 
 
+class TestSchedulerForgetsIdleClients:
+    def test_churning_identities_do_not_accumulate(self):
+        scheduler = FairScheduler(quota=8, max_queue_depth=256)
+        for i in range(100):
+            client = f"client-{i}"
+            scheduler.submit(client, f"job-{i}")
+            assert scheduler.next_ready() == f"job-{i}"
+            scheduler.finish(client, seconds=0.01)
+        assert scheduler._queues == {}
+        assert scheduler._rotation == []
+        assert scheduler._charged == {}
+        assert scheduler.queued == 0
+
+    def test_client_with_queued_work_is_kept(self):
+        scheduler = FairScheduler()
+        scheduler.submit("a", "j1")
+        scheduler.submit("a", "j2")
+        assert scheduler.next_ready() == "j1"
+        scheduler.finish("a")
+        assert "a" in scheduler._queues
+        assert "a" in scheduler._rotation
+        assert scheduler.next_ready() == "j2"
+        scheduler.finish("a")
+        assert scheduler._queues == {}
+        assert scheduler._rotation == []
+
+    def test_running_client_survives_empty_queue_sweeps(self):
+        scheduler = FairScheduler()
+        scheduler.submit("a", "j1")
+        scheduler.submit("b", "j2")
+        assert scheduler.next_ready() == "j1"
+        # "a" is running with an empty queue: sweeps must keep it until
+        # finish() releases the charge, else finish() would miss it.
+        assert scheduler.next_ready() == "j2"
+        assert scheduler.next_ready() is None
+        assert "a" in scheduler._rotation
+        scheduler.finish("a")
+        scheduler.finish("b")
+        assert scheduler._rotation == []
+        assert scheduler._queues == {}
+
+    def test_discard_forgets_too(self):
+        scheduler = FairScheduler()
+        scheduler.submit("a", "j1")
+        assert scheduler.discard("a", "j1")
+        assert scheduler._queues == {}
+        assert scheduler._rotation == []
+
+    def test_round_robin_still_fair(self):
+        scheduler = FairScheduler()
+        for job in ("a1", "a2", "a3"):
+            scheduler.submit("a", job)
+        scheduler.submit("b", "b1")
+        order = [scheduler.next_ready() for _ in range(4)]
+        assert order == ["a1", "b1", "a2", "a3"]
+
+
+# ----------------------------------------------------------------------
+# client: the advertised Retry-After is honored
+# ----------------------------------------------------------------------
+class TestClientBackoff:
+    def _client_with_responses(self, monkeypatch, responses, sleeps):
+        client = ServiceClient(client_id="t")
+        queue = list(responses)
+
+        def fake_request(method, path, body=None, stream=False):
+            return queue.pop(0)
+
+        monkeypatch.setattr(client, "_request", fake_request)
+        monkeypatch.setattr("repro.service.client.time.sleep",
+                            sleeps.append)
+        return client
+
+    @staticmethod
+    def _spec():
+        return ExperimentSpec(scheme="base", benchmarks=("gzip",),
+                              max_instructions=800)
+
+    def test_sleeps_the_full_advertised_backoff(self, monkeypatch):
+        sleeps = []
+        client = self._client_with_responses(monkeypatch, [
+            (429, {"retry-after": "37"}, b'{"error": "busy"}'),
+            (200, {}, b'{"job": "abc"}'),
+        ], sleeps)
+        assert client.submit(self._spec(), wait_on_quota=True) \
+            == {"job": "abc"}
+        assert sleeps == [37.0]
+
+    def test_max_backoff_caps_the_sleep(self, monkeypatch):
+        sleeps = []
+        client = self._client_with_responses(monkeypatch, [
+            (429, {"retry-after": "90"}, b'{"error": "busy"}'),
+            (429, {"retry-after": "2"}, b'{"error": "busy"}'),
+            (200, {}, b'{"job": "abc"}'),
+        ], sleeps)
+        assert client.submit(self._spec(), wait_on_quota=True,
+                             max_backoff=5.0) == {"job": "abc"}
+        assert sleeps == [5.0, 2.0]
+
+    def test_without_wait_on_quota_raises(self, monkeypatch):
+        sleeps = []
+        client = self._client_with_responses(monkeypatch, [
+            (429, {"retry-after": "7"}, b'{"error": "busy"}'),
+        ], sleeps)
+        with pytest.raises(RetryLater) as excinfo:
+            client.submit(self._spec())
+        assert excinfo.value.retry_after == 7
+        assert sleeps == []
+
+
 # ----------------------------------------------------------------------
 # concurrent execution: no run waits for another's policy
 # ----------------------------------------------------------------------
