@@ -9,8 +9,8 @@ submitted, observed and collected through this package:
 ...                                         max_instructions=5000))
 ...     print(result.results[0].ipc)
 
-* :class:`Session` owns execution policy (worker processes, the shared
-  pool lifecycle, artifact-cache configuration, the workload registry),
+* :class:`Session` owns execution policy (worker processes and their
+  lifecycle, artifact-cache configuration, the workload registry),
 * :class:`ExperimentSpec` / :class:`ExecutionOptions` are the typed,
   frozen request models,
 * :meth:`Session.submit` returns a :class:`RunHandle` exposing

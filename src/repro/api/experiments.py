@@ -8,7 +8,7 @@ form.
 
 Each builder declares its simulations as a flat
 :class:`~repro.simulator.plan.ExperimentPlan`, runs it through
-``session.run`` (inheriting the session's jobs/pool/cache policy, with
+``session.run`` (inheriting the session's jobs/cache policy, with
 per-call :class:`~repro.api.spec.ExecutionOptions` overrides), and
 regroups the results into plain dictionaries shaped like the figure:
 

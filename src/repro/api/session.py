@@ -6,10 +6,10 @@
 :class:`ProgressEvent` fields are stable.  New methods and event fields
 may be added; none of the above is repurposed or removed within v1.
 
-A session owns execution policy -- worker-process count, the shared pool
-lifecycle, artifact-cache directory/enable, and the workload registry --
-so callers describe experiments (:class:`~repro.api.spec.ExperimentSpec`)
-instead of re-wiring jobs/cache/pool plumbing per call:
+A session owns execution policy -- worker-process count and lifecycle,
+artifact-cache directory/enable, and the workload registry -- so callers
+describe experiments (:class:`~repro.api.spec.ExperimentSpec`) instead
+of re-wiring jobs/cache plumbing per call:
 
 >>> from repro.api import ExperimentSpec, Session
 >>> with Session(jobs=0) as session:            # doctest: +SKIP
@@ -28,7 +28,7 @@ Each submission runs under its own execution context
 the session's ``cache_dir``/``cache``, overridden by the submission's
 :class:`~repro.api.spec.ExecutionOptions`.  Nothing process-wide is
 configured, so submissions of any policy run concurrently (the shared
-pool and the workers' in-memory caches are reused across them).
+worker processes and their in-memory caches are reused across them).
 """
 
 from __future__ import annotations
@@ -241,8 +241,9 @@ class RunHandle:
     def cancel(self) -> bool:
         """Request cancellation; returns ``False`` if already finished.
 
-        Queued runs never start; running ones stop at the next task
-        boundary (pool runs additionally tear down outstanding chunks).
+        Queued runs never start; inline runs stop at the next task
+        boundary, parallel ones within a supervision tick, dropping their
+        queued chunks and killing the workers that hold their chunks.
         """
         with self._lock:
             if self._done.is_set():
@@ -276,9 +277,9 @@ class Session:
     Owns the execution policy every submission inherits:
 
     * ``jobs`` -- worker processes for the simulation grid (``0``/``None``
-      = all cores, ``1`` = inline).  The shared multiprocessing pool is
-      reused across submissions and torn down by :meth:`close` /
-      ``__exit__``.
+      = every CPU the process may use, ``1`` = inline).  The worker
+      processes are shared by every run in the process (a run that asks
+      for more adds them) and stopped by :meth:`close` / ``__exit__``.
     * ``cache_dir`` / ``cache`` -- artifact-cache root and enable flag
       for the session's own submissions (``None`` inherits the
       submitting thread's context, then environment/defaults); the
@@ -316,9 +317,9 @@ class Session:
         return self._jobs
 
     def close(self) -> None:
-        """Finish this session's outstanding submissions, then shut the
-        shared pool down if this session fanned out and no run of any
-        session is fanned out on it (atexit reaps a pool left alive)."""
+        """Finish this session's outstanding submissions, then stop the
+        shared workers if this session used them and no live run of any
+        session has a chunk on them (atexit stops workers left alive)."""
         with self._lock:
             if self._closed:
                 return
@@ -410,7 +411,7 @@ class Session:
         jobs = resolve_jobs(self._jobs if options.jobs is None
                             else options.jobs)
         # A task deadline needs a killable process, so a run with one
-        # reaches the pool whatever its size (see iter_task_results).
+        # reaches the workers whatever its size (see iter_task_results).
         if (jobs > 1 and len(plan) > 1) or options.task_timeout is not None:
             self._used_pool = True
         context = current_context().override(

@@ -439,7 +439,7 @@ class ArtifactStore:
     def put_bytes(self, kind: str, key: str, data: bytes) -> None:
         """Atomically publish ``data``; concurrent writers are safe (all
         produce identical content for one key, and ``os.replace`` is
-        atomic), so pool workers may publish the same artifact freely.
+        atomic), so worker processes may publish the same artifact freely.
         The one exception is a workload's ``trace``, whose writers may
         publish prefixes of one walk of different lengths: any of them
         is valid, the last writer wins, and a reader that needs more

@@ -3,7 +3,7 @@
 A thin shell over the :mod:`repro.api` façade -- every subcommand builds
 an :class:`~repro.api.ExperimentSpec` (or calls a ``Session`` experiment
 method) and runs it through one :class:`~repro.api.Session`, which owns
-the worker pool and artifact-cache policy for the whole invocation.
+the worker processes and artifact-cache policy for the whole invocation.
 
 Subcommands:
 
@@ -21,8 +21,8 @@ Subcommands:
 
 ``run``, ``figure`` and ``speedups`` accept ``--jobs N`` (0 = all cores)
 -- the session plans each sweep as a flat task list, so the whole grid
-fans out over one workload-affine process pool that is reused across the
-figures of a ``figure all`` invocation.  ``figure`` and ``speedups``
+fans out, workload-affine, over worker processes that are reused across
+the figures of a ``figure all`` invocation.  ``figure`` and ``speedups``
 also accept ``--sampled`` to run every simulation in SimPoint-style
 sampled mode.  Simulation commands accept ``--cache-dir`` (default
 ``.repro-cache/``, env ``REPRO_CACHE_DIR``) and ``--no-cache``
@@ -240,10 +240,10 @@ def _aggregate_faults(fn) -> int:
 def _cmd_figure(session: Session, args: argparse.Namespace) -> int:
     def render() -> int:
         if args.number == "all":
-            # One invocation, one session, one worker pool, one artifact
-            # cache: later figures reuse every workload/trace/profile
-            # artifact the earlier ones computed (in memory with jobs=1,
-            # in the pool workers' caches with jobs>1).
+            # One invocation, one session, one set of workers, one
+            # artifact cache: later figures reuse every workload/trace/
+            # profile artifact the earlier ones computed (in memory with
+            # jobs=1, in the workers' caches with jobs>1).
             for number in FIGURE_NUMBERS:
                 code = _render_figure(session, number, args)
                 if code:
@@ -364,8 +364,7 @@ def _cmd_cache(session: Session, args: argparse.Namespace) -> int:
         sup = supervisor_stats()
         print("supervision (this process)")
         print(f"  retries {sup.retries}  worker_losses {sup.worker_losses}  "
-              f"timeouts {sup.timeouts}  task_errors {sup.task_errors}  "
-              f"pool_respawns {sup.pool_respawns}")
+              f"timeouts {sup.timeouts}  task_errors {sup.task_errors}")
         return 0
     if args.action == "gc":
         if args.max_size is None:

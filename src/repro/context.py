@@ -10,8 +10,8 @@ Threads start with an empty context, so work handed to another thread
 runs under a context captured where it was handed over:
 ``Session.submit`` runs its executor thread under the submission's
 resolved context, ``ServerThread`` runs its event loop under
-:func:`contextvars.copy_context`, and every pool chunk carries the
-resolved context its worker runs under.
+:func:`contextvars.copy_context`, and every chunk sent to a worker
+process carries the resolved context the worker runs it under.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ exist.  This module injects the three failure classes the supervised
 executor (:mod:`repro.simulator.runner`) and the artifact store
 (:mod:`repro.cache.store`) must survive:
 
-* ``worker_kill`` -- a pool worker calls ``os._exit`` at a chunk
+* ``worker_kill`` -- a worker process calls ``os._exit`` at a chunk
   boundary, exactly as if the OS had OOM-killed it mid-sweep,
 * ``artifact_corrupt`` -- bytes are truncated or bit-flipped at artifact
   *write* time, exactly as a torn write or bad disk would,
@@ -25,7 +25,7 @@ Decisions are **pure functions of the fault seed and the injection
 site's identity** (task index + dispatch attempt for kills, artifact
 kind + content key for corruption), derived through SHA-256 -- not from
 a stateful RNG -- so a chaos run is reproducible regardless of process
-scheduling, pool size or retry interleaving.  A killed chunk's retry is
+scheduling, worker count or retry interleaving.  A killed chunk's retry is
 a *different* identity (the attempt number changed), so with any kill
 probability below 1.0 retries converge; a corrupted artifact's identity
 never changes, so it stays corrupted for the whole run and every read
@@ -36,7 +36,7 @@ context's ``faults`` (:mod:`repro.context`; the CLI's ``--faults`` and
 ``ExecutionOptions(faults=...)`` set it per submission), else the
 ``REPRO_FAULTS`` environment variable (e.g.
 ``REPRO_FAULTS=worker_kill:0.1,artifact_corrupt:0.05,io_delay:20ms,seed:7``).
-Pool workers run every chunk under the dispatching run's resolved
+Worker processes run every chunk under the dispatching run's resolved
 context, so they inject the same plan as the parent.
 """
 
@@ -201,7 +201,7 @@ def active_plan() -> FaultPlan:
 
 
 def mark_worker(value: bool = True) -> None:
-    """Flag this process as a pool worker (kills only fire in workers --
+    """Flag this process as a worker (kills only fire in workers --
     killing the supervisor would defeat the exercise)."""
     global _IN_WORKER
     _IN_WORKER = value
@@ -227,7 +227,7 @@ def maybe_kill_worker(*identity) -> None:
 
     ``identity`` should include the dispatch attempt so retries of a
     killed chunk draw fresh decisions and eventually get through.
-    No-op outside pool workers.
+    No-op outside worker processes.
     """
     plan = active_plan()
     if not plan.worker_kill or not _IN_WORKER:

@@ -20,7 +20,7 @@ selections (and the BBV profiles behind them) per (workload, sampling
 parameters) and functional proxy profiles per (workload, geometry), so a
 sweep profiles each benchmark once however many configurations it runs.
 
-Everything here is deterministic, so pool workers that rebuild these
+Everything here is deterministic, so worker processes that rebuild these
 caches -- or load them from disk -- produce identical results.  Keys come
 from :func:`repro.cache.keys.stable_repr` (independent of hash
 randomization and dataclass field order); format changes bump the

@@ -7,8 +7,8 @@ loops (which kept ``jobs=N`` from working anywhere but ``repro-clgp
 run``), builders append typed :class:`SimTask` entries to an
 :class:`ExperimentPlan` and call :meth:`ExperimentPlan.run`; the plan
 hands the flat task list to the one executor in
-:mod:`repro.simulator.runner`, which runs it inline or over the shared
-multiprocessing pool.  Results come back in task order regardless of
+:mod:`repro.simulator.runner`, which runs it inline or on the worker
+processes the runner owns.  Results come back in task order regardless of
 ``jobs`` and are regrouped by each task's ``key``.
 """
 

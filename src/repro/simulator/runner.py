@@ -4,34 +4,35 @@ The paper's figures are produced by sweeping a set of configurations over
 a set of benchmarks (and usually over L1 cache sizes).  Those sweeps are
 declared as flat lists of typed :class:`~repro.simulator.plan.SimTask`
 (see :mod:`repro.simulator.plan`); this module provides the executor that
-runs them -- inline or over a ``multiprocessing`` pool -- plus a workload
+runs them -- inline or on worker processes it owns -- plus a workload
 cache so each synthetic program is built only once per process, and the
 environment-controlled defaults used by the benchmark harness.
 
 Sweeps are embarrassingly parallel (one process per simulation), so
-``run_tasks`` accepts ``jobs=N`` to fan out over a pool.  Scheduling is
-**workload-affine**: tasks are grouped by benchmark and the groups --
-not individual tasks -- are placed onto the pool, so one worker
-compiles/loads each benchmark's synthetic program, compiled trace and
-sampling artifacts exactly once and serves every configuration of that
-benchmark; artifacts missing from the persistent store
+``run_tasks`` accepts ``jobs=N`` to fan out over worker processes.
+Scheduling is **workload-affine**: tasks are grouped by benchmark and
+the groups -- not individual tasks -- are placed onto the workers, so
+one worker compiles/loads each benchmark's synthetic program, compiled
+trace and sampling artifacts exactly once and serves every configuration
+of that benchmark; artifacts missing from the persistent store
 (:mod:`repro.cache`) are therefore computed by exactly one worker and
-published for every later process.  The pool itself is shared across
+published for every later process.  The workers are shared across
 ``run_tasks`` calls (and hence across every ``ExperimentPlan.run`` of a
-CLI invocation such as ``repro-clgp figure all``), so workers keep their
+CLI invocation such as ``repro-clgp figure all``), so they keep their
 in-memory caches between sweeps.  ``jobs=1`` (the default) runs inline
 with identical results and identical ordering.  Tasks flagged
 ``sampled=True`` dispatch to the sampled-simulation runner in
 :mod:`repro.sampling` instead of a full run.
 
-The pool drive loop is **supervised**: workers announce each chunk they
-pick up over a sentinel queue before running it, so when a worker
+The parallel drive loop is **supervised**, and each worker reads chunks
+from its own pipe, fed by one driver thread in this process, so the
+runner always knows which run's chunk each worker holds.  When a worker
 process dies (OOM kill, crash, injected chaos -- see
-:mod:`repro.faults`) the supervisor attributes the loss to exactly the
-chunks that were on it, re-dispatches only their unfinished tasks with
-exponential backoff, and lets ``multiprocessing.Pool`` respawn the
-worker -- a sweep survives worker loss instead of hanging on a result
-that will never arrive.  Each task has a bounded retry budget
+:mod:`repro.faults`) its pipe reads end-of-file: exactly that chunk is
+lost, and only its tasks are re-dispatched, with exponential backoff, on
+a fresh worker -- a sweep survives worker loss instead of hanging on a
+result that will never arrive.  A deadline or a cancel kills exactly the
+workers that hold the run's chunks.  Each task has a bounded retry budget
 (``max_retries``, env ``REPRO_MAX_RETRIES``) and an optional per-task
 deadline (``task_timeout``); a task that exhausts either surfaces a
 typed :class:`~repro.simulator.plan.TaskFailure` in its result slot and
@@ -46,19 +47,18 @@ one ``.repro-cache/`` while ``cache gc``/``fsck`` run against it.
 from __future__ import annotations
 
 import atexit
+import collections
 import multiprocessing
-import itertools
 import os
 import queue
-import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..cache.traces import ensure_compiled_trace
-from ..context import current_context, use_context
+from ..context import ExecutionContext, current_context, use_context
 from ..workloads.spec2000 import DEFAULT_MIX, SPECINT2000_NAMES, profile_for
 from ..workloads.trace import Workload, build_workload
 from .config import SimulationConfig
@@ -211,11 +211,11 @@ def _execute_single(
 
 
 def _run_task(task: SimTask) -> SimulationResult:
-    """Pool worker: run one :class:`SimTask`.
+    """Run one :class:`SimTask`, in a worker process or inline.
 
-    Top-level function so it pickles; the workload cache is the worker
-    process's own module-global, so each worker builds a given synthetic
-    program at most once no matter how many tasks it serves.  Sampled
+    The workload cache is the process's own module-global, so each
+    worker builds a given synthetic program at most once no matter how
+    many tasks it serves.  Sampled
     tasks dispatch to the sampled-simulation runner in
     :mod:`repro.sampling`, whose per-process checkpoint/selection caches
     play the same role for the warm-up and profiling passes.
@@ -233,107 +233,235 @@ def _run_task(task: SimTask) -> SimulationResult:
                            task.max_instructions)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a cpuset-limited container sees its own share, not every
+    host core), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalise a ``jobs`` argument: ``None``/0 -> all cores, negative ->
-    ValueError, otherwise the value itself."""
+    """Normalise a ``jobs`` argument: ``None``/0 -> every usable CPU,
+    negative -> ValueError, otherwise the value itself."""
     if jobs is None or jobs == 0:
-        return max(1, os.cpu_count() or 1)
+        return max(1, _usable_cpus())
     if jobs < 0:
         raise ValueError("jobs must be >= 1 (or None/0 for all cores)")
     return jobs
 
 
 # ----------------------------------------------------------------------
-# the shared worker pool (reused across run_tasks / ExperimentPlan.run
-# calls so workers keep their in-memory caches between sweeps)
+# the worker processes (shared by every run, so workers keep their
+# in-memory caches between sweeps)
 # ----------------------------------------------------------------------
-_POOL: Optional[multiprocessing.pool.Pool] = None
-_POOL_PROCESSES = 0
-#: Parent-side handle of the worker start-event queue (one per pool).
-_POOL_EVENTS = None
-#: Worker-side handle of the same queue, installed by ``_worker_init``.
-_WORKER_EVENTS = None
-#: Serializes pool build/teardown and the user count below; reentrant
-#: because ``_shared_pool`` may call ``shutdown_pool`` while holding it.
-_POOL_GUARD = threading.RLock()
-#: Supervisors currently fanned out over the shared pool.  A cancelled
-#: run only tears the pool down when it is the sole user -- runs of any
-#: session may be in flight concurrently on the same workers.
-_POOL_USERS = 0
+def _worker_main(conn) -> None:
+    """Worker process: run each chunk of (index, attempt, task) items the
+    parent sends, under the run's execution context that rides with it
+    (so one worker serves runs of any policy), and send back per-task
+    outcomes; return when the parent closes the pipe.
 
-#: chunk_id -> the dispatching supervisor's in-flight entry.  Worker
-#: pickup sentinels arrive on one queue shared by every concurrent
-#: supervisor; this registry routes each event to the supervisor that
-#: owns the chunk instead of letting whichever supervisor drains the
-#: queue first silently drop its siblings' attributions.
-_PICKUP_LOCK = threading.Lock()
-_PICKUP_ENTRIES: Dict[int, dict] = {}
-#: pid -> entry of the last chunk that worker announced (``None`` if
-#: already retired), whichever supervisor owns it: a death one supervisor
-#: sees may be another's loss.  Dropped with the pool.
-_PID_CHUNKS: Dict[int, Optional[dict]] = {}
-
-
-def _worker_init(events) -> None:
-    """Mark a new pool worker and hand it the sentinel queue it announces
-    chunk pickups on.  Policy does not live here: every chunk carries the
-    dispatching run's resolved execution context (cache, result replay,
-    faults), so one pool serves runs of any policy."""
-    global _WORKER_EVENTS
+    All tasks of a chunk share one benchmark, so the worker builds (or
+    loads from the artifact store) that benchmark's program, compiled
+    trace, warm-up artifacts and sampling artifacts once and serves
+    every configuration from them.  Per-task timing and store-hit deltas
+    ride along so progress consumers (:class:`repro.api.RunHandle`) can
+    stream them without a second channel.  A task that raises becomes an
+    ``("err", ...)`` outcome rather than poisoning the chunk: its
+    chunk-mates' finished work still returns.
+    """
     faults.mark_worker()
-    _WORKER_EVENTS = events
+    while True:
+        try:
+            context, items = conn.recv()
+        except EOFError:
+            return
+        with use_context(context):
+            faults.maybe_kill_worker(items[0][0], items[0][1])
+            outcomes = []
+            for index, _attempt, task in items:
+                try:
+                    outcomes.append(("ok", _timed_task(index, task)))
+                except Exception as exc:
+                    outcomes.append(("err", index,
+                                     f"{type(exc).__name__}: {exc}"))
+        conn.send(outcomes)
 
 
-def _shared_pool(processes: int) -> multiprocessing.pool.Pool:
-    global _POOL, _POOL_PROCESSES, _POOL_EVENTS
-    with _POOL_GUARD:
-        if _POOL is not None and _POOL_PROCESSES != processes \
-                and _POOL_USERS == 0:
-            # Only an *idle* pool resizes: ``processes`` is just an upper
-            # bound (min(jobs, len(chunks)) differs per run), and tearing
-            # the pool down while a sibling is fanned out would kill its
-            # chunks mid-sweep -- its respawn would then kill ours in
-            # turn, ping-ponging until retry budgets burn out.
-            shutdown_pool()
-        if _POOL is None:
-            _POOL_EVENTS = multiprocessing.SimpleQueue()
-            _POOL = multiprocessing.Pool(
-                processes=processes,
-                initializer=_worker_init,
-                initargs=(_POOL_EVENTS,),
-            )
-            _POOL_PROCESSES = processes
-        return _POOL
+#: Held from ``Pipe()`` until the parent closes the child's end: a worker
+#: forked in between would inherit that end, and the first worker's
+#: death would then never read as end-of-file.
+_SPAWN_LOCK = threading.Lock()
+
+
+def _spawn_worker():
+    """Start one worker process; returns it and the parent's pipe end."""
+    with _SPAWN_LOCK:
+        conn, child = multiprocessing.Pipe()
+        process = multiprocessing.Process(target=_worker_main,
+                                          args=(child,), daemon=True)
+        process.start()
+        child.close()
+    return process, conn
+
+
+def _reap(process, conn) -> None:
+    """Kill one worker if it still runs, join it and close its pipe."""
+    if process is not None:
+        conn.close()
+        process.kill()
+        process.join()
+
+
+@dataclass(eq=False)
+class _Run:
+    """One supervised run as the drivers see it: its chunks' context and
+    deadline, its event queue, and whether it has ended."""
+
+    context: ExecutionContext
+    task_timeout: Optional[float]
+    events: queue.Queue = field(default_factory=queue.Queue)
+    ended: bool = False
+
+
+#: Failure message of the chunks a shutdown takes from a live run.
+_SHUT_DOWN = "worker processes shut down mid-run"
+
+
+class _WorkerSet:
+    """The worker processes the runner owns, one driver thread each.
+
+    Every run's chunks go into one FIFO.  A driver takes the next chunk
+    of a run that has not ended, sends it down its worker's pipe and
+    waits there, so it always knows which run's chunk its worker holds.
+    It reports the chunk's fate to that run alone as a ``(kind, payload,
+    detail)`` event -- ``done`` with the outcomes, ``worker-lost`` on
+    end-of-file or a shutdown, ``timeout`` past the deadline -- or
+    nothing once the run has ended.  Anything but ``done`` kills the
+    worker, joined before the driver takes another chunk; a worker that
+    died idle is replaced at the next chunk, costing no run a retry.
+    The set only grows: a busy worker is never replaced.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._fifo: collections.deque = collections.deque()
+        #: Runs whose chunk a driver currently holds (one entry per chunk).
+        self._held: List[_Run] = []
+        self._drivers: List[threading.Thread] = []
+        #: Bumped by :meth:`stop`; a driver of an older generation exits.
+        self._generation = 0
+
+    def submit(self, run: _Run, payload: list, workers: int) -> None:
+        """Queue one chunk, first growing the set to ``workers``."""
+        with self._cond:
+            while len(self._drivers) < workers:
+                driver = threading.Thread(
+                    target=self._drive, args=(self._generation,),
+                    daemon=True, name="repro-worker-driver")
+                driver.start()
+                self._drivers.append(driver)
+            self._fifo.append((run, payload))
+            self._cond.notify()
+
+    def stop(self, unless_busy: bool = False) -> None:
+        """Stop every driver and its worker (see :func:`shutdown_pool`),
+        unless ``unless_busy`` and a live run has a chunk held or queued."""
+        with self._cond:
+            held_or_queued = self._held + [run for run, _ in self._fifo]
+            if unless_busy and any(not run.ended for run in held_or_queued):
+                return
+            self._generation += 1
+            queued = list(self._fifo)
+            self._fifo.clear()
+            drivers, self._drivers = self._drivers, []
+            self._cond.notify_all()
+        for run, payload in queued:
+            run.events.put(("worker-lost", payload, _SHUT_DOWN))
+        for driver in drivers:
+            driver.join()
+
+    def _take(self, generation: int):
+        """Block for the next chunk of a live run (``None`` once stopped)."""
+        with self._cond:
+            while True:
+                while not self._fifo and generation == self._generation:
+                    self._cond.wait()
+                if generation != self._generation:
+                    return None
+                run, payload = self._fifo.popleft()
+                if not run.ended:
+                    self._held.append(run)
+                    return run, payload
+
+    def _drive(self, generation: int) -> None:
+        process = conn = None
+        while True:
+            taken = self._take(generation)
+            if taken is None:
+                break
+            run, payload = taken
+            try:
+                if process is None or not process.is_alive():
+                    _reap(process, conn)   # died idle: no chunk was lost
+                    process, conn = _spawn_worker()
+                event = self._run_chunk(run, payload, conn, generation)
+            except EOFError:
+                event = ("worker-lost", payload,
+                         "worker process died mid-chunk")
+            except Exception as exc:
+                # A failed fork, pipe or pickle loses the chunk too: the
+                # run retries it, then fails it typed, instead of hanging.
+                event = ("worker-lost", payload,
+                         f"{type(exc).__name__}: {exc}")
+            if event is None or event[0] != "done":
+                _reap(process, conn)
+                process = conn = None
+            with self._cond:
+                self._held.remove(run)
+            if event is not None:
+                run.events.put(event)
+        _reap(process, conn)
+
+    def _run_chunk(self, run: _Run, payload: list, conn,
+                   generation: int) -> Optional[tuple]:
+        """Send one chunk and wait for its fate: the event for its run,
+        or ``None`` if the run ended first."""
+        deadline = (None if run.task_timeout is None
+                    else time.monotonic() + run.task_timeout)
+        conn.send((run.context, payload))
+        while not conn.poll(SUPERVISION_TICK):
+            if run.ended:
+                return None
+            if deadline is not None and time.monotonic() > deadline:
+                return ("timeout", payload,
+                        f"exceeded task deadline of {run.task_timeout}s")
+            if generation != self._generation:
+                return ("worker-lost", payload, _SHUT_DOWN)
+        return ("done", payload, conn.recv())
+
+
+#: The worker set every run shares.
+_WORKERS = _WorkerSet()
 
 
 def shutdown_pool() -> None:
-    """Tear down the shared worker pool (atexit, tests).
+    """Stop the shared worker processes (atexit, tests).
 
-    ``terminate`` rather than ``close``: shutdown only happens between
-    sweeps, so any still-queued chunks are leftovers of a sweep that
-    raised -- draining them would block process exit for as long as the
-    abandoned simulations take (the behaviour ``with Pool(...)`` used to
-    provide via its ``__exit__``).
+    Never waits for a simulation to finish: a worker holding a chunk is
+    killed within one supervision tick, and a run still supervised gets
+    its held and queued chunks back as worker losses and retries them on
+    fresh workers.
     """
-    global _POOL, _POOL_PROCESSES, _POOL_EVENTS
-    with _POOL_GUARD:
-        if _POOL is not None:
-            _POOL.terminate()
-            _POOL.join()
-            _POOL = None
-            _POOL_PROCESSES = 0
-        if _POOL_EVENTS is not None:
-            _POOL_EVENTS.close()
-            _POOL_EVENTS = None
-        _PID_CHUNKS.clear()
+    _WORKERS.stop()
 
 
 def shutdown_idle_pool() -> None:
-    """Tear the shared pool down unless a supervisor is fanned out on it
-    (``Session.close``: another session's run may still be using it)."""
-    with _POOL_GUARD:
-        if _POOL_USERS == 0:
-            shutdown_pool()
+    """Stop the shared workers unless a live run has a chunk on them
+    (``Session.close``: another session's run may still be using them)."""
+    _WORKERS.stop(unless_busy=True)
 
 
 atexit.register(shutdown_pool)
@@ -380,39 +508,6 @@ def _timed_task(
     return (index, result, time.perf_counter() - start,
             _store_hits() - hits_before,
             _result_hits() - result_hits_before)
-
-
-def _run_supervised_chunk(payload) -> tuple:
-    """Pool worker: run one dispatched chunk of (index, attempt, task)
-    items under the dispatching run's execution context and return
-    per-task outcomes.
-
-    All tasks of a chunk share one benchmark, so the worker builds (or
-    loads from the artifact store) that benchmark's program, compiled
-    trace, warm-up artifacts and sampling artifacts once and serves
-    every configuration from them.  Per-task timing and store-hit deltas
-    ride along so progress consumers (:class:`repro.api.RunHandle`) can
-    stream them without a second channel.
-
-    The worker announces the pickup on the sentinel queue *before* doing
-    anything that can die (including the injected ``worker_kill`` site),
-    so the supervisor can attribute a worker loss to exactly this chunk.
-    A task that raises becomes an ``("err", ...)`` outcome rather than
-    poisoning the chunk: its chunk-mates' finished work still returns.
-    """
-    chunk_id, context, items = payload
-    if _WORKER_EVENTS is not None:
-        _WORKER_EVENTS.put((chunk_id, os.getpid()))
-    with use_context(context):
-        faults.maybe_kill_worker(items[0][0], items[0][1])
-        outcomes = []
-        for index, _attempt, task in items:
-            try:
-                outcomes.append(("ok", _timed_task(index, task)))
-            except Exception as exc:
-                outcomes.append(("err", index,
-                                 f"{type(exc).__name__}: {exc}"))
-    return chunk_id, outcomes
 
 
 def _affine_chunks(
@@ -467,13 +562,13 @@ def _affine_chunks(
 #: instructions: below it, per-chunk dispatch overhead exceeds the work.
 _MIN_CHUNK_WEIGHT = 2000
 
-#: Measured per-chunk dispatch cost on a warm pool (pickle + queue +
-#: result marshalling) and the one-time cost of spawning a cold pool.
+#: Measured per-chunk dispatch cost on warm workers (pickle + pipe +
+#: result marshalling) and the one-time cost of starting cold workers.
 _CHUNK_OVERHEAD_S = 0.004
-_POOL_SPAWN_S = 0.35
+_SPAWN_S = 0.35
 
 #: EWMA of observed full-simulation throughput (instructions/second),
-#: fed by real (non-replayed) task completions so the inline-vs-pool
+#: fed by real (non-replayed) task completions so the inline-vs-workers
 #: estimate tracks the machine it is running on.
 _DEFAULT_TASK_RATE = 80_000.0
 _task_rate_ewma = _DEFAULT_TASK_RATE
@@ -496,28 +591,24 @@ def _observe_task_rate(weight: int, seconds: float,
 
 def _effective_parallelism(jobs: int) -> int:
     """How many tasks can actually run at once: ``jobs`` capped by the
-    CPUs this process may schedule on (affinity-aware -- in a one-core
-    container ``jobs=2`` buys context switches, not concurrency)."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
-    return max(1, min(jobs, cores))
+    CPUs this process may schedule on (in a one-core container
+    ``jobs=2`` buys context switches, not concurrency)."""
+    return max(1, min(jobs, _usable_cpus()))
 
 
 def _plan_prefers_inline(
     tasks: Sequence[SimTask], jobs: int
 ) -> bool:
-    """Whether running this plan inline beats fanning it over the pool.
+    """Whether running this plan inline beats fanning it over the workers.
 
-    The pool only pays off when the parallel saving (serial estimate
+    The workers only pay off when the parallel saving (serial estimate
     from the throughput EWMA, scaled by the parallelism actually
-    available) exceeds dispatch overhead plus -- when no pool exists
+    available) exceeds dispatch overhead plus -- when no workers exist
     yet -- the spawn cost.  Small sweeps at small budgets therefore run
     inline even with ``jobs>1``, which is also the only way ``jobs=2``
     can avoid losing to ``jobs=1`` on a single-CPU host.  Disabled
     whenever a fault plan is active: chaos must exercise the real
-    supervised pool path it is designed to test.
+    supervised worker path it is designed to test.
     """
     if faults.active_plan() is not faults.NO_FAULTS:
         return False
@@ -528,8 +619,8 @@ def _plan_prefers_inline(
     est_serial = total_weight / max(1.0, _task_rate_ewma)
     savings = est_serial * (1.0 - 1.0 / effective)
     overhead = len(_affine_chunks(tasks, jobs)) * _CHUNK_OVERHEAD_S
-    if _POOL is None:
-        overhead += _POOL_SPAWN_S
+    if not _WORKERS._drivers:
+        overhead += _SPAWN_S
     return savings <= overhead
 
 
@@ -575,7 +666,6 @@ class SupervisorStats:
     worker_losses: int = 0    #: chunks lost to a dead worker process
     timeouts: int = 0         #: per-task deadline overruns
     task_errors: int = 0      #: in-task exceptions caught by a worker
-    pool_respawns: int = 0    #: full pool rebuilds after brokenness
 
 
 SUPERVISOR_STATS = SupervisorStats()
@@ -592,19 +682,14 @@ def reset_supervisor_stats() -> None:
 #: Default per-task retry budget (env: ``REPRO_MAX_RETRIES``).
 DEFAULT_MAX_RETRIES = 2
 
-#: How long the supervisor blocks for a completion before running its
-#: housekeeping pass (deadlines, dead-worker scan, deferred retries).
+#: How long a supervisor blocks on its run's events, and a driver on its
+#: worker's pipe, before checking for a cancel, deferred retries, an
+#: ended run, a deadline or a shutdown.
 SUPERVISION_TICK = 0.2
 
 #: Exponential-backoff base/cap for task re-dispatch, in seconds.
 RETRY_BACKOFF = 0.05
 RETRY_BACKOFF_CAP = 2.0
-
-#: Chunk ids must be unique across every run sharing the pool (stale
-#: sentinel events from a previous sweep must never attribute to a new
-#: chunk), so the counter is module-level.
-_CHUNK_IDS = itertools.count()
-
 
 def default_max_retries() -> int:
     """Per-task retry budget (env: ``REPRO_MAX_RETRIES``, default 2)."""
@@ -629,7 +714,7 @@ def _failure(index: int, task: SimTask, kind: str,
 
 def _run_inline(tasks, cancel, max_retries) -> Iterator[TaskCompletion]:
     """The ``jobs=1`` executor: in task order, with the same retry budget
-    as the pool path (an in-task exception is retried with backoff, then
+    as the parallel path (an in-task exception is retried with backoff, then
     surfaces as a :class:`TaskFailure` rather than aborting the sweep)."""
     for index, task in enumerate(tasks):
         if cancel is not None and cancel.is_set():
@@ -657,311 +742,104 @@ def _run_inline(tasks, cancel, max_retries) -> Iterator[TaskCompletion]:
 
 def _run_supervised(tasks, jobs, cancel, task_timeout,
                     max_retries) -> Iterator[TaskCompletion]:
-    """The pool executor: dispatch workload-affine chunks, supervise the
-    workers, survive their deaths.
+    """The parallel executor: dispatch workload-affine chunks to the
+    shared workers, re-dispatch what a worker loss took, yield
+    completions.
 
-    Chunks are submitted with ``apply_async`` and completions funnel into
-    a local queue the supervisor *blocks* on (no polling); every
-    ``SUPERVISION_TICK`` it additionally enforces deadlines, scans for
-    vanished worker pids, and fires deferred (backed-off) re-dispatches.
-    Worker-loss attribution comes from the sentinel pickup events: a
-    chunk whose worker died is re-dispatched (its already-yielded tasks
-    excluded) while ``multiprocessing.Pool`` replaces the worker; a
-    death is charged to the run owning the worker's last announced
-    chunk, so one run's lost workers cost a concurrent run no retries.
-    Every chunk carries the caller's execution context, resolved once
-    here, so the workers read the caller's store, replay policy and
-    faults.  With ``task_timeout`` chunks are singletons, so cancelling
-    a stuck task is exactly one ``SIGKILL`` of its worker; a deadline
-    overrun is terminal (a deterministic simulation that blew its
-    deadline once will blow it again) and yields a
-    ``TaskFailure(kind="timeout")``.
+    The drivers report each chunk's fate on this run's own event queue
+    (see :class:`_WorkerSet`); the loop blocks on it for up to
+    ``SUPERVISION_TICK``, then checks for a cancel and fires deferred
+    (backed-off) re-dispatches.  A lost chunk's tasks are re-dispatched
+    while their retry budget lasts.  Every chunk carries the caller's
+    execution context, resolved once here, so the workers read the
+    caller's store, replay policy and faults.  With ``task_timeout``
+    chunks are singletons, so a deadline kills exactly one task's
+    worker; an overrun is terminal (a deterministic simulation that blew
+    its deadline once will blow it again) and yields a
+    ``TaskFailure(kind="timeout")``.  However the run ends -- finished,
+    cancelled, or its consumer stopped iterating -- its workers are
+    freed within one tick and its queued chunks dropped.
     """
     if task_timeout is not None:
         chunks = [[pair] for chunk in _affine_chunks(tasks, jobs)
                   for pair in chunk]
     else:
         chunks = _affine_chunks(tasks, jobs)
-    global _POOL_USERS
-    context = current_context().resolved()
-    processes = min(jobs, len(chunks))
-    with _POOL_GUARD:
-        pool = _shared_pool(processes)
-        _POOL_USERS += 1
-    completions: queue.Queue = queue.Queue()
+    run = _Run(current_context().resolved(), task_timeout)
+    workers = min(jobs, len(chunks))
     attempts = {index: 0 for index in range(len(tasks))}
-    #: chunk_id -> {items, pid, started, finished, lost}
-    inflight: Dict[int, dict] = {}
     deferred: List[Tuple[float, list]] = []   # (eligible_at, items)
-    done = set()
-    known_pids: set = set()
-    expected_deaths: set = set()     # pids we SIGKILLed on a deadline
-    #: Vanished pids whose last chunk is another run's, still running.
-    pending_deaths: set = set()
+    remaining = len(tasks)
 
     def dispatch(items) -> None:
-        nonlocal pool
-        chunk_id = next(_CHUNK_IDS)
         payload = []
         for index, task in items:
             attempts[index] += 1
             payload.append((index, attempts[index], task))
-        entry = {"items": list(items), "pid": None, "started": None,
-                 "finished": False, "lost": False}
-        # Registered before submission, so the pickup always finds it.
-        with _PICKUP_LOCK:
-            _PICKUP_ENTRIES[chunk_id] = entry
+        _WORKERS.submit(run, payload, workers)
 
-        # The pool's result thread runs these even after this run's
-        # supervisor has gone, so ``finished`` never goes stale.
-        def on_done(result):
-            entry["finished"] = True
-            completions.put(("done", result))
-
-        def on_error(exc, cid=chunk_id):
-            entry["finished"] = True
-            completions.put(("chunk-error", cid, exc))
-
-        for resubmission in (False, True):
-            try:
-                pool.apply_async(_run_supervised_chunk,
-                                 ((chunk_id, context, payload),),
-                                 callback=on_done, error_callback=on_error)
-                break
-            except Exception:
-                # The pool died under us (terminated/broken): rebuild it,
-                # requeue its in-flight chunks, resubmit this one once.
-                if resubmission:
-                    raise
-                respawn_pool()
-        inflight[chunk_id] = entry
-
-    def resolve_chunk(chunk_id: int, kind: str, message: str,
-                      retry: bool = True) -> None:
-        """Retire a lost/expired chunk: unfinished tasks go back to the
-        deferred queue if budget (and ``retry``) allow, else fail."""
-        entry = inflight.pop(chunk_id, None)
-        with _PICKUP_LOCK:
-            _PICKUP_ENTRIES.pop(chunk_id, None)
-        if entry is None:
-            return
-        entry["lost"] = True
-        retry_items = []
-        for index, task in entry["items"]:
-            if index in done:
-                continue
-            if retry and attempts[index] <= max_retries:
-                retry_items.append((index, task))
-            else:
-                completions.put(("failed", index, kind, message))
-        if retry_items:
-            SUPERVISOR_STATS.retries += len(retry_items)
-            delay = _backoff(max(attempts[index] for index, _ in retry_items))
-            deferred.append((time.monotonic() + delay, retry_items))
-
-    def respawn_pool() -> None:
-        nonlocal pool
-        SUPERVISOR_STATS.pool_respawns += 1
-        shutdown_pool()
-        pool = _shared_pool(processes)
-        known_pids.clear()
-        pending_deaths.clear()
-        for chunk_id in list(inflight):
-            SUPERVISOR_STATS.worker_losses += 1
-            resolve_chunk(chunk_id, "worker-lost", "worker pool respawned")
-
-    def drain_pickup_events() -> None:
-        events = _POOL_EVENTS
-        if events is None:
-            return
-        try:
-            # The lock makes the empty()/get() pair atomic across
-            # concurrent supervisors: SimpleQueue.get() has no timeout,
-            # so two drainers both observing a single queued event
-            # would leave the loser blocked forever once the winner
-            # consumes it (and with it that run's completion handling
-            # and deadline enforcement).
-            with _PICKUP_LOCK:
-                while not events.empty():
-                    chunk_id, pid = events.get()
-                    # Route through the shared registry: this
-                    # supervisor may drain a pickup that belongs to a
-                    # concurrent sibling's chunk, and the attribution
-                    # must land on *their* entry.
-                    entry = _PICKUP_ENTRIES.get(chunk_id)
-                    _PID_CHUNKS[pid] = entry
-                    if entry is not None:
-                        entry["pid"] = pid
-                        entry["started"] = time.monotonic()
-        except (EOFError, OSError):
-            # A sibling tore the pool (and its queue) down mid-drain.
-            return
-
-    def enforce_deadlines() -> None:
-        if task_timeout is None:
-            return
-        now = time.monotonic()
-        for chunk_id in list(inflight):
-            entry = inflight[chunk_id]
-            if entry["started"] is None \
-                    or now - entry["started"] <= task_timeout:
-                continue
-            SUPERVISOR_STATS.timeouts += 1
-            pid = entry["pid"]
-            if pid is not None:
-                expected_deaths.add(pid)
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass
-            resolve_chunk(
-                chunk_id, "timeout",
-                f"exceeded task deadline of {task_timeout}s", retry=False)
-
-    def scan_for_dead_workers() -> None:
-        workers = getattr(pool, "_pool", None)
-        if workers is None:
-            return
-        current = {worker.pid for worker in workers
-                   if worker.pid is not None}
-        vanished = (known_pids - current) - expected_deaths
-        expected_deaths.intersection_update(known_pids - current)
-        known_pids.clear()
-        known_pids.update(current)
-        # An attributed pid that is no longer a live pool worker is a
-        # loss even if the pid-set diff missed it: a worker can pick up
-        # a chunk, die, and be replaced between two scans (the pool
-        # respawns workers on its own), so the dead pid may never have
-        # been observed in ``known_pids`` at all.
-        lost = [chunk_id for chunk_id, entry in inflight.items()
-                if entry["pid"] is not None
-                and entry["pid"] not in current
-                and entry["pid"] not in expected_deaths]
-        for chunk_id in lost:
-            SUPERVISOR_STATS.worker_losses += 1
-            resolve_chunk(chunk_id, "worker-lost",
-                          "worker process died mid-chunk")
-        # A vanished pid is explained once its last announced chunk was
-        # lost (ours just above, or another run's); while that chunk is
-        # still running it is another run's loss not yet seen: recheck.
-        pending_deaths.update(vanished)
-        unexplained = False
-        with _PICKUP_LOCK:
-            for pid in list(pending_deaths):
-                entry = _PID_CHUNKS.get(pid)
-                if entry is None or entry["finished"]:
-                    unexplained = True
-                elif not entry["lost"]:
-                    continue
-                pending_deaths.discard(pid)
-        if unexplained:
-            # The worker announced nothing, or its last chunk finished,
-            # so it may have died holding one of our chunks before its
-            # pickup could attribute it: conservatively requeue every
-            # unattributed chunk -- duplicate completions dedupe on the
-            # ``done`` set, a hang would not.
-            for chunk_id in [chunk_id for chunk_id, entry in inflight.items()
-                             if entry["pid"] is None]:
-                SUPERVISOR_STATS.worker_losses += 1
-                resolve_chunk(chunk_id, "worker-lost",
-                              "worker process died mid-chunk")
+    def defer(items) -> None:
+        SUPERVISOR_STATS.retries += len(items)
+        delay = _backoff(max(attempts[index] for index, _task in items))
+        deferred.append((time.monotonic() + delay, items))
 
     try:
-        yield from _supervise(tasks, chunks, cancel, task_timeout,
-                              max_retries, dispatch, resolve_chunk,
-                              drain_pickup_events, enforce_deadlines,
-                              scan_for_dead_workers, completions,
-                              inflight, deferred, done, attempts)
-    finally:
-        with _POOL_GUARD:
-            _POOL_USERS -= 1
-        with _PICKUP_LOCK:
-            for chunk_id in list(inflight):
-                _PICKUP_ENTRIES.pop(chunk_id, None)
-
-
-def _supervise(tasks, chunks, cancel, task_timeout, max_retries,
-               dispatch, resolve_chunk, drain_pickup_events,
-               enforce_deadlines, scan_for_dead_workers, completions,
-               inflight, deferred, done, attempts) -> Iterator[TaskCompletion]:
-    """The supervision loop of :func:`_run_supervised` (split out so the
-    caller can bracket it with pool-user bookkeeping in a ``finally``)."""
-    for chunk in chunks:
-        dispatch(chunk)
-    while len(done) < len(tasks):
-        if cancel is not None and cancel.is_set():
-            with _POOL_GUARD:
-                if _POOL_USERS == 1:
-                    # Sole user: kill outstanding chunks with the pool.
-                    # With concurrent supervisors the pool stays up for
-                    # the others; this run's chunks finish as no-ops
-                    # (completions are simply not consumed).
-                    shutdown_pool()
-            return
-        now = time.monotonic()
-        ready = [items for eligible_at, items in deferred
-                 if eligible_at <= now]
-        deferred[:] = [(eligible_at, items) for eligible_at, items
-                       in deferred if eligible_at > now]
-        for items in ready:
-            dispatch(items)
-        drain_pickup_events()
-        enforce_deadlines()
-        scan_for_dead_workers()
-        tick = SUPERVISION_TICK
-        if deferred:
-            tick = min(tick, max(0.01, min(
-                eligible_at for eligible_at, _ in deferred) - now))
-        try:
-            message = completions.get(timeout=tick)
-        except queue.Empty:
-            continue
-        while message is not None:
-            if message[0] == "done":
-                chunk_id, outcomes = message[1]
-                inflight.pop(chunk_id, None)
-                with _PICKUP_LOCK:
-                    _PICKUP_ENTRIES.pop(chunk_id, None)
-                for outcome in outcomes:
+        for chunk in chunks:
+            dispatch(chunk)
+        while remaining:
+            if cancel is not None and cancel.is_set():
+                return
+            now = time.monotonic()
+            ready = [items for eligible_at, items in deferred
+                     if eligible_at <= now]
+            deferred[:] = [(eligible_at, items) for eligible_at, items
+                           in deferred if eligible_at > now]
+            for items in ready:
+                dispatch(items)
+            tick = SUPERVISION_TICK
+            if deferred:
+                tick = min(tick, max(0.01, min(
+                    eligible_at for eligible_at, _ in deferred) - now))
+            try:
+                kind, payload, detail = run.events.get(timeout=tick)
+            except queue.Empty:
+                continue
+            if kind == "done":
+                for outcome in detail:
                     if outcome[0] == "ok":
                         index, result, seconds, hits, result_hits = \
                             outcome[1]
-                        if index in done:
-                            continue
-                        done.add(index)
+                        remaining -= 1
                         _observe_task_rate(_task_weight(tasks[index]),
                                            seconds, result_hits)
                         yield TaskCompletion(index, result, seconds, hits,
                                              result_hits, attempts[index])
                     else:
                         _tag, index, error = outcome
-                        if index in done:
-                            continue
                         SUPERVISOR_STATS.task_errors += 1
                         if attempts[index] <= max_retries:
-                            SUPERVISOR_STATS.retries += 1
-                            deferred.append((
-                                time.monotonic() + _backoff(attempts[index]),
-                                [(index, tasks[index])]))
+                            defer([(index, tasks[index])])
                         else:
-                            done.add(index)
+                            remaining -= 1
                             yield _failure(index, tasks[index], "error",
                                            error, attempts[index])
-            elif message[0] == "chunk-error":
-                _tag, chunk_id, exc = message
+                continue
+            if kind == "worker-lost":
                 SUPERVISOR_STATS.worker_losses += 1
-                resolve_chunk(chunk_id, "worker-lost",
-                              f"{type(exc).__name__}: {exc}")
-            elif message[0] == "failed":
-                _tag, index, kind, error = message
-                if index not in done:
-                    done.add(index)
-                    yield _failure(index, tasks[index], kind, error,
+            else:
+                SUPERVISOR_STATS.timeouts += 1
+            retry = []
+            for index, _attempt, task in payload:
+                if kind == "worker-lost" and attempts[index] <= max_retries:
+                    retry.append((index, task))
+                else:
+                    remaining -= 1
+                    yield _failure(index, task, kind, detail,
                                    attempts[index])
-            try:
-                message = completions.get_nowait()
-            except queue.Empty:
-                message = None
+            if retry:
+                defer(retry)
+    finally:
+        run.ended = True
 
 
 def iter_task_results(
@@ -976,10 +854,10 @@ def iter_task_results(
     The incremental counterpart of :func:`run_tasks` and the channel
     :class:`repro.api.RunHandle` streams progress from.  ``jobs=1`` runs
     inline in task order; ``jobs>1`` fans workload-affine chunks over the
-    shared pool under the supervisor (see :func:`_run_supervised`) and
-    yields completions unordered (consumers reassemble by index) --
-    unless the plan is small enough that pool dispatch overhead would
-    exceed the parallel saving (see :func:`_plan_prefers_inline`), in
+    shared worker processes under the supervisor (see
+    :func:`_run_supervised`) and yields completions unordered (consumers
+    reassemble by index) -- unless the plan is small enough that
+    dispatch overhead would exceed the parallel saving (see :func:`_plan_prefers_inline`), in
     which case it runs inline with identical results.
 
     ``max_retries`` bounds re-dispatches per task (default: env
@@ -987,11 +865,11 @@ def iter_task_results(
     a :class:`~repro.simulator.plan.TaskFailure` result instead of
     raising, so the rest of the sweep still finishes.  ``task_timeout``
     (seconds) adds a per-task deadline; deadlines need a killable
-    process, so a timeout forces the pool path even for ``jobs=1``.
+    process, so a timeout forces the worker path even for ``jobs=1``.
     ``cancel`` is an optional ``threading.Event``: once set, no further
-    task is started -- inline runs stop between tasks, pool runs stop at
-    the next supervision tick and tear the pool down so outstanding
-    chunks die with it.
+    task is started -- inline runs stop between tasks, parallel runs
+    stop at the next supervision tick, drop their queued chunks and kill
+    the workers that hold their chunks.
     """
     jobs = resolve_jobs(jobs)
     if max_retries is None:
@@ -1012,8 +890,8 @@ def run_tasks(
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
 ) -> List[SimulationResult]:
-    """Run :class:`SimTask` entries, optionally on the shared process
-    pool.  Results keep task order regardless of ``jobs``.
+    """Run :class:`SimTask` entries, optionally on the shared worker
+    processes.  Results keep task order regardless of ``jobs``.
 
     This is the strict surface: tasks that still failed after the retry
     budget raise :class:`~repro.simulator.plan.TaskFailureError` (the

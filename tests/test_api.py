@@ -1,10 +1,11 @@
 """Tests for the ``repro.api`` Session/Experiment façade.
 
-Covers the v1 surface: session lifecycle (shared-pool shutdown on
+Covers the v1 surface: session lifecycle (shared-worker shutdown on
 ``__exit__``), eager spec validation, sampled-vs-full parity through
 ``submit()``, progress-event ordering and payloads, and cancellation.
 """
 
+import multiprocessing
 import threading
 
 import pytest
@@ -102,25 +103,25 @@ class TestSpecPlans:
 
 class TestSessionLifecycle:
     def test_context_manager_shuts_down_pool(self, monkeypatch):
-        # Force the pool path: this fast plan is small enough that the
+        # Force the worker path: this fast plan is small enough that the
         # overhead-aware planner would otherwise run it inline.
         monkeypatch.setattr(runner_module, "_plan_prefers_inline",
                             lambda tasks, jobs: False)
         with Session(jobs=2) as session:
             session.run(fast_spec(benchmarks=("gzip", "mcf")))
-            assert runner_module._POOL is not None
-        assert runner_module._POOL is None
+            assert multiprocessing.active_children()
+        assert not multiprocessing.active_children()
         assert session.closed
 
     def test_close_shuts_down_the_pool_of_a_deadline_run(self):
-        # A task deadline sends even a one-task jobs=1 run to the pool.
+        # A task deadline sends even a one-task jobs=1 run to a worker.
         runner_module.shutdown_pool()
         with Session(jobs=1, cache=False) as session:
             result = session.run(fast_spec(),
                                  ExecutionOptions(task_timeout=60))
             assert not result.failed_tasks
-            assert runner_module._POOL is not None
-        assert runner_module._POOL is None
+            assert multiprocessing.active_children()
+        assert not multiprocessing.active_children()
 
     def test_submit_after_close_raises(self):
         session = Session()

@@ -1,7 +1,7 @@
 """Tests for fault-tolerant execution: the deterministic fault injector,
-the supervised runner (worker loss, retry with backoff, deadlines), the
-resilient artifact store, and the typed-failure surfaces of the façade
-and the CLI.
+the supervised runner (worker loss, retry with backoff, deadlines,
+cancellation, dead and stopped workers), the resilient artifact store,
+and the typed-failure surfaces of the façade and the CLI.
 
 The chaos tests are the point of the subsystem: with a fixed fault seed,
 runs under injected worker kills and artifact corruption must complete
@@ -9,9 +9,12 @@ without hanging and produce results bit-identical to a fault-free run.
 """
 
 import errno
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -273,6 +276,165 @@ class TestConcurrentChaosIsolation:
             assert result.results == solo, f"seed {seed}"
             if seed >= 2 and time.monotonic() > deadline:
                 break
+
+
+class TestCancelFreesSharedWorkers:
+    def test_cancel_frees_the_workers_a_queued_run_waits_for(
+            self, monkeypatch):
+        """Cancelling a run that holds every shared worker kills exactly
+        those workers at once, so a run queued behind it finishes
+        promptly, with no retries and its solo results."""
+        from repro.api import Session
+        from repro.simulator import runner
+
+        monkeypatch.setattr(runner, "_plan_prefers_inline",
+                            lambda tasks, jobs: False)
+        short = ExperimentPlan("short")
+        for name in ("mcf", "eon"):
+            short.add(fast_config(), name, 800, key=(name,))
+        with Session(jobs=1, cache=False) as session:
+            solo = session.run(short).results
+        long = ExperimentPlan("long")
+        for name in ("gzip", "gcc"):
+            long.add(fast_config(max_instructions=50_000_000), name,
+                     50_000_000, key=(name,))
+        with Session(jobs=2, cache=False) as first, \
+                Session(jobs=2) as second:
+            held = first.submit(long)
+            deadline = time.monotonic() + 30
+            while len(multiprocessing.active_children()) < 2:
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.02)
+            holders = multiprocessing.active_children()
+            queued = second.submit(short)
+            try:
+                time.sleep(0.5)   # the short run's chunks wait in line
+                cancelled_at = time.monotonic()
+                held.cancel()
+                result = queued.result(timeout=10)
+                while any(p.is_alive() for p in holders) \
+                        and time.monotonic() < cancelled_at + 2.0:
+                    time.sleep(0.02)
+                assert not any(p.is_alive() for p in holders)
+            finally:
+                queued.cancel()
+                held.cancel()
+        assert result.task_retries == 0
+        assert result.results == solo
+
+
+class TestSharedWorkerStress:
+    def test_concurrent_runs_of_every_width_keep_their_results(
+            self, monkeypatch):
+        """Four runs at once on the shared workers, asking for 2 to 4 of
+        them (more than there are cores), under a short switch interval:
+        every run returns its solo results with no retries, and no worker
+        outlives the shutdown."""
+        from repro.simulator import runner
+
+        monkeypatch.setattr(runner, "_plan_prefers_inline",
+                            lambda tasks, jobs: False)
+        tasks = [SimTask(config=fast_config(), benchmark=name,
+                         max_instructions=600)
+                 for name in ("gzip", "mcf", "eon", "gcc")]
+        solo = run_tasks(tasks, jobs=1)
+        no_store = current_context().override(cache=False)
+        outcomes = []
+
+        def run(jobs):
+            with use_context(no_store):
+                outcomes.append(run_tasks(tasks, jobs=jobs))
+
+        threads = [threading.Thread(target=run, args=(jobs,), daemon=True)
+                   for jobs in (2, 3, 4, 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [solo] * 4
+        assert supervisor_stats().retries == 0
+        shutdown_pool()
+        assert not multiprocessing.active_children()
+
+
+class TestDeadWorkers:
+    """A dead or stopped worker never hangs a run.  Each scenario runs in
+    a child interpreter that leads its own process group, so a hang is
+    killed with all its workers instead of hanging the suite."""
+
+    PRELUDE = """
+import faulthandler, multiprocessing, os, signal, threading, time
+from repro.simulator import runner
+from repro.simulator.config import SimulationConfig
+from repro.simulator.plan import SimTask
+
+runner._plan_prefers_inline = lambda tasks, jobs: False
+
+def tasks(instructions):
+    config = SimulationConfig(
+        engine="baseline", technology="0.045um", l1_size_bytes=4096,
+        max_instructions=instructions, warmup_instructions=2000)
+    return [SimTask(config=config, benchmark=name,
+                    max_instructions=instructions)
+            for name in ("gzip", "mcf", "eon", "gcc")]
+"""
+    SCENARIOS = {
+        "idle-workers-killed": """
+batch = tasks(800)
+expected = runner.run_tasks(batch, jobs=1)
+faulthandler.dump_traceback_later(30, exit=True)
+assert runner.run_tasks(batch, jobs=2) == expected
+for child in multiprocessing.active_children():
+    os.kill(child.pid, signal.SIGKILL)
+assert runner.run_tasks(batch, jobs=2) == expected
+""",
+        "shutdown-mid-run": """
+batch = tasks(300_000)
+expected = runner.run_tasks(batch, jobs=1)
+faulthandler.dump_traceback_later(30, exit=True)
+out = {}
+run = threading.Thread(
+    target=lambda: out.update(results=runner.run_tasks(batch, jobs=2)))
+run.start()
+while len(multiprocessing.active_children()) < 2:
+    time.sleep(0.01)
+runner.shutdown_pool()
+run.join()
+assert out["results"] == expected
+""",
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_a_dead_worker_never_hangs_a_run(self, scenario, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_CACHE_DISABLE"] = "1"   # every run must simulate
+        script = (self.PRELUDE + self.SCENARIOS[scenario]
+                  + "faulthandler.cancel_dump_traceback_later()\n"
+                  + "runner.shutdown_pool()\n")
+        log = tmp_path / "child.log"
+        with open(log, "w") as output:
+            # A file, not a pipe: nothing has to drain it while the child
+            # runs, and workers orphaned by a hang cannot hold it open.
+            child = subprocess.Popen([sys.executable, "-c", script],
+                                     env=env, stdout=output,
+                                     stderr=subprocess.STDOUT,
+                                     start_new_session=True)
+            try:
+                returncode = child.wait(timeout=120)
+            finally:
+                try:
+                    os.killpg(child.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert returncode == 0, log.read_text()
 
 
 class TestDeadlines:

@@ -1,5 +1,9 @@
 """Tests for the experiment runner and its environment knobs."""
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.simulator.config import SimulationConfig
@@ -111,6 +115,13 @@ class TestResolveJobs:
         with pytest.raises(ValueError):
             resolve_jobs(-2)
 
+    def test_zero_counts_only_the_cpus_this_process_may_use(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_jobs(0) == resolve_jobs(None) == 1
+
 
 class TestExperimentPlan:
     def test_tasks_keep_insertion_order_and_keys(self):
@@ -166,24 +177,35 @@ class TestParallelOrdering:
         assert [r.workload for r in results] == ["mcf", "gzip", "eon"]
 
 
-class TestSharedPoolReuse:
-    def test_busy_pool_is_not_resized_by_a_differently_sized_run(self):
-        """A concurrent same-policy run asking for a different worker
-        count must share the live pool (``processes`` is only an upper
-        bound), not tear it down under the sibling's sweep."""
+class TestSharedWorkers:
+    def test_a_wider_run_adds_a_worker_beside_a_busy_one(self, monkeypatch):
+        """A run asking for more workers than exist gets them at once,
+        even while another run holds the only worker on a long task."""
+        from repro.api import ExecutionOptions, Session
         from repro.simulator import runner
 
+        monkeypatch.setattr(runner, "_plan_prefers_inline",
+                            lambda tasks, jobs: False)
         runner.shutdown_pool()
-        try:
-            first = runner._shared_pool(1)
-            runner._POOL_USERS += 1   # a sibling is fanned out
+        slow = ExperimentPlan("slow")
+        slow.add(fast_config(max_instructions=50_000_000), "gzip",
+                 50_000_000, key=("slow",))
+        short = ExperimentPlan("short")
+        for name in ("mcf", "eon"):
+            short.add(fast_config(), name, 800, key=(name,))
+        with Session(jobs=1, cache=False) as narrow, \
+                Session(jobs=2, cache=False) as wide:
+            held = narrow.submit(slow, ExecutionOptions(task_timeout=120))
+            deadline = time.monotonic() + 30
+            while not multiprocessing.active_children():
+                assert time.monotonic() < deadline, "no worker started"
+                time.sleep(0.02)
+            queued = wide.submit(short)
             try:
-                assert runner._shared_pool(2) is first
-                assert runner._POOL_PROCESSES == 1
+                result = queued.result(timeout=10)
+                assert len(multiprocessing.active_children()) == 2
             finally:
-                runner._POOL_USERS -= 1
-            # Idle again: a size mismatch may now rebuild.
-            assert runner._shared_pool(2) is not first
-            assert runner._POOL_PROCESSES == 2
-        finally:
-            runner.shutdown_pool()
+                queued.cancel()
+                held.cancel()
+        assert not result.failed_tasks
+        assert [r.workload for r in result.results] == ["mcf", "eon"]
