@@ -100,7 +100,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: is mid-run and has no trace.
 #: v8: one ``trace`` artifact per workload (keyed without a length
 #: bucket), and stream predictors pickle their tables as int columns.
-SCHEMA_VERSION = 8
+#: v9: caches and pre-buffers keep LRU recency as dict order (no
+#: replacement-policy objects or LRU stamps); a v8 set's order is not
+#: its recency, so restoring one would silently change results.
+SCHEMA_VERSION = 9
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -6,12 +6,15 @@ becomes *available* (replaceable) as soon as the line is used once, and the
 used line is promoted into the I-cache (or the L0 cache when present).
 
 The CLGP *prestage buffer* (:mod:`repro.core.prestage_buffer`) extends this
-structure with a consumers counter; both share :class:`PreBufferBase`.
+structure with a consumers counter; both share :class:`PreBufferBase`,
+which keeps the entries least recently used first (the same dict-order LRU
+as :class:`repro.memory.cache.Cache`'s sets), so each buffer's victim is
+the first eligible entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..memory.port import AccessPort
@@ -26,7 +29,6 @@ class PreBufferEntry:
     valid: bool = False                 #: True once the line has arrived
     available: bool = True              #: FDP: replaceable after first use
     consumers: int = 0                  #: CLGP: outstanding CLTQ references
-    lru_stamp: int = 0
     source: Optional[str] = None        #: where the prefetch was served from
 
     @property
@@ -49,7 +51,12 @@ class PreBufferStats:
 
 
 class PreBufferBase:
-    """Common storage/lookup/LRU behaviour of prefetch and prestage buffers."""
+    """Common storage/lookup/LRU behaviour of prefetch and prestage buffers.
+
+    ``_entries`` maps line addresses to entries, least recently used
+    first: an allocation appends, and :meth:`touch` moves an entry to the
+    end.  Subclasses pick their victim (``_victim``) by eligibility.
+    """
 
     def __init__(self, entries: int, latency: int = 1, pipelined: bool = False):
         if entries < 1:
@@ -59,7 +66,6 @@ class PreBufferBase:
         self.pipelined = pipelined
         self.port = AccessPort(latency, pipelined=pipelined)
         self._entries: Dict[int, PreBufferEntry] = {}
-        self._clock = 0
         self.stats = PreBufferStats()
 
     # -- lookup ----------------------------------------------------------
@@ -80,27 +86,18 @@ class PreBufferBase:
         return line_addr in self._entries
 
     def touch(self, entry: PreBufferEntry) -> None:
-        """Update the entry's LRU stamp (most recently used)."""
-        self._clock += 1
-        entry.lru_stamp = self._clock
+        """Make ``entry`` the most recently used.  An entry the buffer no
+        longer holds (removed, or replaced by a newer entry for the same
+        line) is left alone: it has no place in the order."""
+        entries = self._entries
+        line_addr = entry.line_addr
+        if entries.get(line_addr) is entry:
+            del entries[line_addr]
+            entries[line_addr] = entry
 
     # -- allocation -------------------------------------------------------
-    def replaceable_entries(self) -> List[PreBufferEntry]:
-        """Entries eligible for replacement, oldest (LRU) first.
-
-        Subclasses define eligibility (FDP: ``available``; CLGP:
-        ``consumers == 0``).
-        """
-        raise NotImplementedError
-
     def has_free_entry(self) -> bool:
         return len(self._entries) < self.capacity or self._victim() is not None
-
-    def _victim(self) -> Optional[PreBufferEntry]:
-        """Preferred replacement victim (same choice as
-        ``replaceable_entries()[0]``, without building/sorting the list)."""
-        candidates = self.replaceable_entries()
-        return candidates[0] if candidates else None
 
     def allocate(self, line_addr: int) -> Optional[PreBufferEntry]:
         """Allocate an entry for a new prefetch of ``line_addr``.
@@ -116,8 +113,7 @@ class PreBufferBase:
                 return None
             self._evict(victim)
         entry = PreBufferEntry(line_addr=line_addr, available=False)
-        self._entries[line_addr] = entry
-        self.touch(entry)
+        self._entries[line_addr] = entry        # most recently used
         self.stats.allocations += 1
         return entry
 
@@ -164,20 +160,21 @@ class PrefetchBuffer(PreBufferBase):
     """
 
     def replaceable_entries(self) -> List[PreBufferEntry]:
+        """Valid entries in replacement order: used ones first, each group
+        least recently used first."""
         valid = [e for e in self._entries.values() if e.valid]
-        return sorted(valid, key=lambda e: (not e.available, e.lru_stamp))
+        return sorted(valid, key=lambda e: not e.available)
 
     def _victim(self) -> Optional[PreBufferEntry]:
-        best = None
-        best_key = None
+        """``replaceable_entries()[0]`` without building the list."""
+        unused = None
         for e in self._entries.values():
-            if not e.valid:
-                continue
-            key = (not e.available, e.lru_stamp)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = e
-        return best
+            if e.valid:
+                if e.available:
+                    return e
+                if unused is None:
+                    unused = e
+        return unused
 
     def mark_used(self, entry: PreBufferEntry) -> None:
         """Called when the fetch unit consumes the line: the entry becomes

@@ -6,7 +6,8 @@ A prestage buffer entry has four fields (paper section 3.2.2):
 * a **consumers counter**, initially 0, counting how many CLTQ entries will
   fetch from this line,
 * a **valid bit**, set when the line arrives from the cache hierarchy,
-* an **LRU field** used for replacement.
+* an **LRU field** used for replacement -- here the entry's place in the
+  buffer's least-recently-used-first order (:class:`PreBufferBase`).
 
 Replacement differs fundamentally from FDP's prefetch buffer: an entry may
 be replaced *only* while its consumers counter is zero, i.e. only when the
@@ -45,19 +46,14 @@ class PrestageBuffer(PreBufferBase):
         been reset by a misprediction may be replaced; the late-arriving
         line is simply dropped.
         """
-        free = [e for e in self._entries.values() if e.consumers == 0]
-        return sorted(free, key=lambda e: e.lru_stamp)
+        return [e for e in self._entries.values() if e.consumers == 0]
 
-    def _victim(self):
-        best = None
-        best_stamp = None
+    def _victim(self) -> Optional[PreBufferEntry]:
+        """``replaceable_entries()[0]`` without building the list."""
         for e in self._entries.values():
-            if e.consumers:
-                continue
-            if best_stamp is None or e.lru_stamp < best_stamp:
-                best_stamp = e.lru_stamp
-                best = e
-        return best
+            if not e.consumers:
+                return e
+        return None
 
     # -- CLGP bookkeeping ---------------------------------------------------
     def add_consumer(self, entry: PreBufferEntry) -> None:

@@ -267,8 +267,8 @@ class PredictionUnit:
         #: consumed)``.  A later skip resuming from exactly that position
         #: consumes the remainder without retraining the predictor, so a
         #: skip split at an arbitrary point (checkpoint + resume) is
-        #: bit-identical to one continuous skip.  Invalidated implicitly
-        #: whenever the oracle moves (the position no longer matches).
+        #: bit-identical to one continuous skip.  Dropped by
+        #: :meth:`attach`: skips only run before the first timed run.
         self._skip_partial: Optional[tuple] = None
 
         self.trace: Optional[PredictionTrace] = None

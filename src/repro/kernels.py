@@ -9,9 +9,8 @@ primitives that consume those columns wholesale instead of block-by-block:
   draws of the proxy base pass, accumulated per interval;
 * :func:`interval_block_counts` -- interval-boundary slicing of the block
   columns into per-interval basic-block vectors for BBV profiling;
-* :class:`TwoLevelLRUReplay` -- a lean two-level LRU cache replay that is
-  count-equivalent to the throwaway ``Cache`` pair the proxy feature pass
-  would otherwise build per call.
+* :class:`TwoLevelLRUReplay` -- the proxy feature pass's L1-I/L2 miss
+  counts, replayed through a :class:`~repro.memory.cache.Cache` pair.
 
 Each kernel is plain Python and the only implementation of its pass;
 profiles and proxy features are persisted and compared across processes,
@@ -23,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .backend.dcache import _hash01
+from .memory.cache import Cache
 
 __all__ = [
     "grouped_load_miss_counts",
@@ -99,98 +99,27 @@ def interval_block_counts(
 
 
 class TwoLevelLRUReplay:
-    """Lean L1-I/L2 miss-count replay for the proxy feature pass.
+    """L1-I/L2 miss-count replay for the proxy feature pass.
 
-    ``proxy.functional_profile`` only needs to count the fills that miss
-    in a throwaway :class:`Cache` pair, whose stamp-based LRU bookkeeping
-    would dominate the loop.  Each cache set here is a plain dict used
-    as an ordered LRU (move-to-end on touch, evict the first key):
-    because the stamp clock in ``memory.replacement.LRUPolicy`` is
-    strictly increasing, insertion order *is* stamp order, so the victim
-    choice -- and therefore every hit/miss count -- is identical.  Only
-    counts escape this class, never cache state, so the equivalence is
-    all that matters.
-
-    The replay mirrors the exact probe/fill sequence of a Cache pair:
-    ``contains(l1)`` then ``contains(l2)`` then ``l2.fill`` then
-    ``l1.fill`` -- with the hit-path touches that implies.
+    ``proxy.functional_profile`` only needs to count, per interval, the
+    fetch lines that miss in a warm L1 and, of those, the ones that also
+    miss in the L2.  Each level is a plain :class:`Cache`: a line fills
+    the L1, and only an L1 miss goes on to fill the L2, so one batched
+    :meth:`Cache.fill_span` per level replays a whole line list.
     """
 
-    __slots__ = (
-        "_l1_sets", "_l1_line", "_l1_nsets", "_l1_assoc",
-        "_l2_sets", "_l2_line", "_l2_nsets", "_l2_assoc",
-    )
+    __slots__ = ("l1", "l2")
 
     def __init__(self, l1_size, l1_line, l1_assoc, l2_size, l2_line, l2_assoc):
-        self._l1_line, self._l1_nsets, self._l1_assoc = self._geometry(
-            l1_size, l1_line, l1_assoc
-        )
-        self._l2_line, self._l2_nsets, self._l2_assoc = self._geometry(
-            l2_size, l2_line, l2_assoc
-        )
-        self._l1_sets: Dict[int, Dict[int, bool]] = {}
-        self._l2_sets: Dict[int, Dict[int, bool]] = {}
+        self.l1 = Cache("il1", l1_size, l1_line, l1_assoc)
+        self.l2 = Cache("ul2", l2_size, l2_line, l2_assoc)
 
-    @staticmethod
-    def _geometry(size, line_size, associativity):
-        # Mirrors Cache.__init__'s normalization: associativity None (or
-        # larger than the cache) means fully associative.
-        num_lines = max(1, size // line_size)
-        if associativity is None or associativity >= num_lines:
-            associativity = num_lines
-        num_sets = max(1, num_lines // associativity)
-        return line_size, num_sets, associativity
-
-    @staticmethod
-    def _fill(sets, index, line, associativity) -> bool:
-        """One LRU fill; returns True when the line was absent (a miss)."""
-        cset = sets.get(index)
-        if cset is None:
-            cset = sets[index] = {}
-        if line in cset:
-            del cset[line]
-            cset[line] = True
-            return False
-        if len(cset) >= associativity:
-            del cset[next(iter(cset))]
-        cset[line] = True
-        return True
-
-    def warm(self, lines: Iterable[int]) -> None:
+    def warm(self, lines: Sequence[int]) -> None:
         """Replay a warmup line trace (l1-line-aligned) into both levels."""
-        l2_line = self._l2_line
-        for line in lines:
-            l2_tag = line - line % l2_line
-            self._fill(self._l2_sets, (l2_tag // l2_line) % self._l2_nsets,
-                       l2_tag, self._l2_assoc)
-            self._fill(self._l1_sets, (line // self._l1_line) % self._l1_nsets,
-                       line, self._l1_assoc)
+        self.l2.fill_span(lines)
+        self.l1.fill_span(lines)
 
     def replay(self, lines: Iterable[int]) -> Tuple[int, int]:
         """Replay fetch lines; returns ``(l1_misses, l2_misses)``."""
-        i1 = 0
-        i2 = 0
-        l1_sets = self._l1_sets
-        l1_line = self._l1_line
-        l1_nsets = self._l1_nsets
-        l1_assoc = self._l1_assoc
-        l2_line = self._l2_line
-        for line in lines:
-            index = (line // l1_line) % l1_nsets
-            cset = l1_sets.get(index)
-            if cset is None:
-                cset = l1_sets[index] = {}
-            if line in cset:
-                # L1 hit: a Cache pair still calls l1.fill -> touch.
-                del cset[line]
-                cset[line] = True
-                continue
-            i1 += 1
-            l2_tag = line - line % l2_line
-            if self._fill(self._l2_sets, (l2_tag // l2_line) % self._l2_nsets,
-                          l2_tag, self._l2_assoc):
-                i2 += 1
-            if len(cset) >= l1_assoc:
-                del cset[next(iter(cset))]
-            cset[line] = True
-        return i1, i2
+        missed = self.l1.fill_span(lines)
+        return len(missed), len(self.l2.fill_span(missed))

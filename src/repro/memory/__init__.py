@@ -31,7 +31,6 @@ from .latency import (
     table3_rows,
 )
 from .port import AccessPort
-from .replacement import FIFOPolicy, LRUPolicy, RandomPolicy, make_policy
 
 __all__ = [
     "AccessPort",
@@ -44,15 +43,12 @@ __all__ = [
     "estimate_structure",
     "front_end_budget",
     "FETCH_SOURCES",
-    "FIFOPolicy",
     "HierarchyConfig",
     "L1_SIZES_BYTES",
     "L2Bus",
     "L2_SIZE_BYTES",
-    "LRUPolicy",
     "MEMORY_LATENCY_CYCLES",
     "MemoryHierarchy",
-    "RandomPolicy",
     "SOURCE_L0",
     "SOURCE_L1",
     "SOURCE_L2",
@@ -61,7 +57,6 @@ __all__ = [
     "access_latency",
     "l1_latency_table",
     "l2_latency",
-    "make_policy",
     "one_cycle_prebuffer_entries",
     "pipelined_prebuffer_stages",
     "table3_rows",

@@ -1,20 +1,21 @@
 """Set-associative cache model (tags only).
 
 Only tag state matters to the study, so the model stores which line
-addresses are resident, with a pluggable replacement policy per set.
-Latency and port behaviour live in :mod:`repro.memory.port`; this class is
-purely about contents.
+addresses are resident.  Replacement is LRU, as in the paper's caches:
+each set is a dict held least-recently-used first, so a hit moves its
+line to the end and the victim is the first key.  Latency and port
+behaviour live in :mod:`repro.memory.port`; this class is purely about
+contents.
 
-Used for the L0 filter cache, the L1 instruction cache, the unified L2 and
-(structurally) the fully-associative pre-buffers.
+Used for the L0 filter cache, the L1 instruction cache and the unified
+L2.  The fully-associative pre-buffers (:mod:`repro.core.prefetch_buffer`)
+keep recency the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _replace
-from typing import Dict, List, Optional
-
-from .replacement import ReplacementPolicy, make_policy
+from typing import Dict, Iterable, List, Optional
 
 
 @dataclass
@@ -55,8 +56,6 @@ class Cache:
     associativity:
         Number of ways; ``None`` or a value >= number of lines means fully
         associative.
-    policy:
-        Replacement policy name ('lru', 'fifo', 'random').
     """
 
     def __init__(
@@ -65,8 +64,6 @@ class Cache:
         size_bytes: int,
         line_size: int = 64,
         associativity: Optional[int] = 2,
-        policy: str = "lru",
-        policy_seed: int = 0,
     ) -> None:
         if size_bytes <= 0 or line_size <= 0:
             raise ValueError("cache size and line size must be positive")
@@ -90,13 +87,11 @@ class Cache:
         self._line_mask = ~(line_size - 1) if line_size & (line_size - 1) == 0 else None
         self.associativity = associativity
         self.num_sets = num_lines // associativity
-        self.policy_name = policy
-        self._policy_seed = policy_seed
-        # Sets and their policies are allocated lazily on first touch: large
-        # caches (the 1 MB L2 has 4096 sets) would otherwise pay thousands
-        # of allocations per Simulator even when a run touches a handful.
+        # Sets are allocated lazily on first touch: large caches (the 1 MB
+        # L2 has 4096 sets) would otherwise pay thousands of allocations
+        # per Simulator even when a run touches a handful.  Each set maps
+        # its resident lines to True, least recently used first.
         self._sets: Dict[int, Dict[int, bool]] = {}
-        self._policies: Dict[int, ReplacementPolicy] = {}
         self.stats = CacheStats()
 
     # -- address mapping ---------------------------------------------------
@@ -109,19 +104,9 @@ class Cache:
     def _set_index(self, line_addr: int) -> int:
         return (line_addr // self.line_size) % self.num_sets
 
-    def _set_and_policy(self, idx: int):
-        """Set contents + policy for ``idx``, allocating them on demand."""
-        cset = self._sets.get(idx)
-        if cset is None:
-            cset = self._sets[idx] = {}
-            self._policies[idx] = make_policy(
-                self.policy_name, self._policy_seed + idx
-            )
-        return cset, self._policies[idx]
-
     # -- content queries ----------------------------------------------------
     def contains(self, addr: int) -> bool:
-        """Tag check without touching replacement state or statistics.
+        """Tag check without touching LRU order or statistics.
 
         This models a *tag probe* (e.g. FDP's Enqueue Cache Probe
         Filtering, which uses "an additional tag port or replicated tags").
@@ -134,12 +119,12 @@ class Cache:
         return cset is not None and line in cset
 
     def lookup(self, addr: int) -> bool:
-        """A real access: updates replacement state and hit/miss counters."""
+        """A real access: updates LRU order and hit/miss counters."""
         line = self.line_address(addr)
-        idx = self._set_index(line)
-        cset = self._sets.get(idx)
+        cset = self._sets.get(self._set_index(line))
         if cset is not None and line in cset:
-            self._policies[idx].touch(line)
+            del cset[line]          # most recently used: to the end
+            cset[line] = True
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -147,51 +132,45 @@ class Cache:
 
     # -- content updates -----------------------------------------------------
     def fill(self, addr: int) -> Optional[int]:
-        """Insert the line containing ``addr``.
+        """Insert the line containing ``addr`` (a resident line is only
+        made most recently used).
 
         Returns the evicted line address (or ``None`` if no eviction /
         the line was already present).
         """
         line = self.line_address(addr)
         idx = self._set_index(line)
-        cset, policy = self._set_and_policy(idx)
-        if line in cset:
-            policy.touch(line)
+        cset = self._sets.get(idx)
+        if cset is None:
+            cset = self._sets[idx] = {}
+        elif line in cset:
+            del cset[line]
+            cset[line] = True
             return None
         evicted = None
         if len(cset) >= self.associativity:
-            evicted = policy.victim(list(cset.keys()))
+            evicted = next(iter(cset))
             del cset[evicted]
-            policy.evict(evicted)
             self.stats.evictions += 1
         cset[line] = True
-        policy.insert(line)
         self.stats.fills += 1
         return evicted
 
-    def fill_span(self, addrs) -> None:
-        """Insert a pre-computed run of line addresses, as :meth:`fill`
-        would one by one.
+    def fill_span(self, addrs: Iterable[int]) -> List[int]:
+        """Insert a run of addresses exactly as :meth:`fill` would one by
+        one, and return the lines that were absent (the misses, in order).
 
-        The batched functional pass (``simulator.warming``) replays whole
-        fetch-stream spans at once; per-line ``fill`` calls then dominate.
-        For the default LRU policy the set/policy bookkeeping is inlined
-        here -- contents, stamp order, clock values and statistics evolve
-        exactly as the equivalent ``fill`` sequence (evicted lines are not
-        reported; no batched caller consumes them).  Other policies fall
-        back to plain ``fill`` calls.
+        The batched functional passes (``simulator.warming``, the proxy's
+        I-cache replay) fill whole fetch-stream spans at once; per-line
+        ``fill`` calls would dominate them.  A two-level replay feeds one
+        level's misses to the next.
         """
-        if self.policy_name != "lru":
-            for addr in addrs:
-                self.fill(addr)
-            return
         mask = self._line_mask
         line_size = self.line_size
         num_sets = self.num_sets
         associativity = self.associativity
         sets = self._sets
-        policies = self._policies
-        fills = 0
+        inserted: List[int] = []
         evictions = 0
         for addr in addrs:
             line = addr & mask if mask is not None else addr - (addr % line_size)
@@ -199,36 +178,25 @@ class Cache:
             cset = sets.get(idx)
             if cset is None:
                 cset = sets[idx] = {}
-                policy = policies[idx] = make_policy(
-                    self.policy_name, self._policy_seed + idx
-                )
-            else:
-                policy = policies[idx]
-            stamps = policy._stamp
-            if line in cset:
-                policy._clock += 1
-                stamps[line] = policy._clock
+            elif line in cset:
+                del cset[line]
+                cset[line] = True
                 continue
-            if len(cset) >= associativity:
-                victim = min(cset, key=lambda tag: stamps.get(tag, -1))
-                del cset[victim]
-                stamps.pop(victim, None)
+            elif len(cset) >= associativity:
+                del cset[next(iter(cset))]
                 evictions += 1
             cset[line] = True
-            policy._clock += 1
-            stamps[line] = policy._clock
-            fills += 1
-        self.stats.fills += fills
+            inserted.append(line)
+        self.stats.fills += len(inserted)
         self.stats.evictions += evictions
+        return inserted
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line containing ``addr``; returns True if present."""
         line = self.line_address(addr)
-        idx = self._set_index(line)
-        cset = self._sets.get(idx)
+        cset = self._sets.get(self._set_index(line))
         if cset is not None and line in cset:
             del cset[line]
-            self._policies[idx].evict(line)
             self.stats.invalidations += 1
             return True
         return False
@@ -240,24 +208,19 @@ class Cache:
 
     # -- snapshots (warm-state reuse across runs) -----------------------------
     def snapshot(self) -> tuple:
-        """Capture contents, replacement state and statistics.
+        """Capture contents (in LRU order) and statistics.
 
         Used to warm many simulations from one replayed line trace: the
         warm-up replays once into a fresh cache, snapshots it, and later
         runs restore the snapshot instead of re-running thousands of
         :meth:`fill` calls.
         """
-        return (
-            {i: dict(s) for i, s in self._sets.items()},
-            {i: p.clone() for i, p in self._policies.items()},
-            _replace(self.stats),
-        )
+        return {i: dict(s) for i, s in self._sets.items()}, _replace(self.stats)
 
     def restore(self, snap: tuple) -> None:
-        """Restore a :meth:`snapshot` (contents, policies and statistics)."""
-        sets, policies, stats = snap
+        """Restore a :meth:`snapshot` (contents and statistics)."""
+        sets, stats = snap
         self._sets = {i: dict(s) for i, s in sets.items()}
-        self._policies = {i: p.clone() for i, p in policies.items()}
         self.stats = _replace(stats)
 
     def __deepcopy__(self, memo: dict) -> "Cache":
@@ -266,7 +229,7 @@ class Cache:
         Simulator checkpoints deep-copy whole machines; the caches are by
         far the largest objects involved, and the generic ``copy.deepcopy``
         walk over thousands of per-set dict entries dominates checkpoint
-        cost.  Contents, replacement state and statistics are copied; the
+        cost.  Contents (in LRU order) and statistics are copied; the
         geometry scalars are immutable and shared.
         """
         new = object.__new__(Cache)
@@ -276,10 +239,7 @@ class Cache:
         new._line_mask = self._line_mask
         new.associativity = self.associativity
         new.num_sets = self.num_sets
-        new.policy_name = self.policy_name
-        new._policy_seed = self._policy_seed
         new._sets = {i: dict(s) for i, s in self._sets.items()}
-        new._policies = {i: p.clone() for i, p in self._policies.items()}
         new.stats = _replace(self.stats)
         memo[id(self)] = new
         return new

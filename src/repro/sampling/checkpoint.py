@@ -15,10 +15,13 @@ plus one of two advances, saved at an instruction ``offset``:
 Each (kind, state key, workload) has one offset-indexed memo in front of
 the artifact store (:mod:`repro.cache`); checkpoints cross the process
 boundary with workload-aware pickling (:mod:`repro.cache.shared`).  The
-store also caches, through :func:`repro.cache.store.cached`, interval
-selections (and the BBV profiles behind them) per (workload, sampling
-parameters) and functional proxy profiles per (workload, geometry), so a
-sweep profiles each benchmark once however many configurations it runs.
+artifact store keys a workload by its name and seed, the memo by the
+workload object: a checkpoint shares its workload's objects, so it
+restores only into machines built on that same object.  The store also
+caches, through :func:`repro.cache.store.cached`, interval selections
+(and the BBV profiles behind them) per (workload, sampling parameters)
+and functional proxy profiles per (workload, geometry), so a sweep
+profiles each benchmark once however many configurations it runs.
 
 Everything here is deterministic, so worker processes that rebuild these
 caches -- or load them from disk -- produce identical results.  Keys come
@@ -100,7 +103,9 @@ class CheckpointStore:
     """
 
     def __init__(self) -> None:
-        #: {(kind, state key, workload name, seed): {offset: checkpoint}}.
+        #: {(kind, state key, workload name, seed, id(workload)):
+        #: {offset: checkpoint}}.  Each checkpoint holds its workload, so
+        #: the id cannot be reused while the entry exists.
         self._states: Dict[Tuple, Dict[int, SimulatorCheckpoint]] = {}
         self._selections: Dict[Tuple, IntervalSelection] = {}
         self._profiles: Dict[Tuple, FunctionalProfile] = {}
@@ -113,8 +118,20 @@ class CheckpointStore:
     @staticmethod
     def _record(kind: str, config: SimulationConfig,
                 workload: Workload) -> Tuple:
+        """The store's key for ``kind`` states: the workload by name and
+        seed."""
         return (kind, _STATE_KEYS[kind](config), workload.name,
                 workload.profile.seed)
+
+    def _memo(self, record: Tuple, workload: Workload
+              ) -> Dict[int, SimulatorCheckpoint]:
+        """The in-memory states of ``record`` on this workload object."""
+        return self._states.get((*record, id(workload)), {})
+
+    def _remember(self, record: Tuple, workload: Workload, offset: int,
+                  checkpoint: SimulatorCheckpoint) -> None:
+        memo = self._states.setdefault((*record, id(workload)), {})
+        memo[offset] = checkpoint
 
     @staticmethod
     def _index(disk: ArtifactStore, record: Tuple) -> Set[int]:
@@ -135,7 +152,7 @@ class CheckpointStore:
         the store (whose index lists the offsets); one that fails to
         load falls through to the next deepest."""
         record = self._record(kind, config, workload)
-        memo = self._states.get(record, {})
+        memo = self._memo(record, workload)
         offsets = set(memo)
         disk = active_store()
         if disk is not None:
@@ -181,7 +198,7 @@ class CheckpointStore:
             disk.stats.corrupt += 1
             disk.discard(kind, key)
             return None
-        self._states.setdefault(record, {})[offset] = checkpoint
+        self._remember(record, workload, offset, checkpoint)
         return checkpoint
 
     def published(
@@ -195,7 +212,7 @@ class CheckpointStore:
         record = self._record(kind, config, workload)
         disk = active_store()
         if disk is None:
-            return offset in self._states.get(record, {})
+            return offset in self._memo(record, workload)
         return offset in self._index(disk, record)
 
     def publish(
@@ -207,7 +224,7 @@ class CheckpointStore:
         read-merge-written: a concurrent publisher can lose an entry to
         a race, costing a future reuse, never correctness."""
         record = self._record(kind, config, workload)
-        self._states.setdefault(record, {})[offset] = checkpoint
+        self._remember(record, workload, offset, checkpoint)
         self.counts[kind, "publish"] += 1
         disk = active_store()
         if disk is None:

@@ -237,9 +237,6 @@ def functional_profile(
         max_stream_instructions=config.max_stream_instructions,
         line_size=config.line_size,
     )
-    # The per-size caches here are throwaway (only miss counts escape),
-    # so the replay runs on the lean ordered-dict LRU model -- count-
-    # equivalent to a Cache pair by construction (see TwoLevelLRUReplay).
     replay = kernels.TwoLevelLRUReplay(
         config.l1_size_bytes, config.line_size, config.l1_associativity,
         config.l2_size_bytes, config.l2_line_size, config.l2_associativity,
@@ -250,17 +247,13 @@ def functional_profile(
     span_cache: dict = {}    # (addr, take) -> touched cache lines
     counts = []
     for interval_spans in spans:
-        i1 = i2 = 0
-        for addr, take in interval_spans:
-            lines = span_cache.get((addr, take))
-            if lines is None:
-                lines = span_cache[(addr, take)] = tuple(
-                    span_lines(addr, take, line_size)
-                )
-            d1, d2 = replay.replay(lines)
-            i1 += d1
-            i2 += d2
-        counts.append((i1, i2))
+        lines: List[int] = []
+        for span in interval_spans:
+            touched = span_cache.get(span)
+            if touched is None:
+                touched = span_cache[span] = span_lines(*span, line_size)
+            lines += touched
+        counts.append(replay.replay(lines))
 
     count = len(rows)
     lengths = [

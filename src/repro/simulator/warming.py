@@ -132,10 +132,7 @@ def clear_warmup_cache() -> None:
 
 
 def _cache_geometry(cache: Cache) -> Tuple:
-    return (
-        cache.size_bytes, cache.line_size, cache.associativity,
-        cache.policy_name, cache._policy_seed,
-    )
+    return cache.size_bytes, cache.line_size, cache.associativity
 
 
 def _cache_is_fresh(cache: Cache) -> bool:
@@ -156,8 +153,8 @@ def apply_warmup(
     The L2 and the L1 never interact during the replay, so each cache's
     warm state depends only on its own geometry and the line trace: it
     is replayed once per geometry and snapshotted, and later runs
-    restore the snapshot (identical contents, replacement state and
-    fill statistics).
+    restore the snapshot (identical contents, LRU order and fill
+    statistics).
     """
     predictor = artifacts.predictor.clone()
     if warm_caches and hierarchy is not None:
@@ -206,77 +203,54 @@ def functional_advance(
     load count lets the caller keep the data-cache model's positional
     miss hashing aligned with a full run (its decisions are a function of
     the dynamic load index).
+
+    Skips happen only before a timed run (``Simulator.skip_to``), so a
+    skip starts at offset 0, on a canonical stream boundary, or exactly
+    where its own cut stream stopped; any other start raises
+    ``RuntimeError``.
     """
     oracle = prediction.oracle
-    predictor = prediction.predictor
-    loads_for = prediction.bbdict.loads_for
     start = oracle.consumed_instructions
     loads = 0
     line_size = hierarchy.line_size if hierarchy is not None else 64
     fill_caches = warm_caches and hierarchy is not None
-    if fill_caches:
-        l1_fill, l2_fill = hierarchy.l1.fill, hierarchy.l2.fill
     # Resume a stream a previous skip cut short: the predictor already
     # trained on the full stream at its start address, so only consume.
-    partial = getattr(prediction, "_skip_partial", None)
-    if partial is not None:
+    partial = prediction._skip_partial
+    if partial is not None and start < target_instructions:
         position, actual, consumed = partial
-        if position != oracle.consumed_instructions:
-            # The machine moved past the recorded position (a timed run
-            # intervened): the leftover no longer applies.
-            prediction._skip_partial = None
-        elif oracle.consumed_instructions < target_instructions:
-            left = actual.length - consumed
-            take = min(left, target_instructions - oracle.consumed_instructions)
-            addr = oracle.current_address()
-            loads += loads_for(addr, take)
-            if fill_caches:
-                for line in span_lines(addr, take, line_size):
-                    l2_fill(line)
-                    l1_fill(line)
-            oracle.advance(take)
-            if take == left:
-                prediction._apply_terminator(actual)
-                prediction._skip_partial = None
-            else:
-                prediction._skip_partial = (
-                    oracle.consumed_instructions, actual, consumed + take
-                )
-    # Batched stride: once the cursor sits exactly on a canonical stream
-    # boundary, consume whole pre-segmented streams straight from the
-    # segment columns -- no peek_stream re-derivation, no per-block dict
-    # work, O(1) cursor jumps.  A cursor left mid-stream by the timed loop
-    # realigns after the next taken-ended stream (see StreamSegments), so
-    # the per-stream loop below only runs those few realigning streams.
-    segments = oracle.segments(prediction.max_stream)
-    while oracle.consumed_instructions < target_instructions:
-        index = segments.aligned_index(oracle.consumed_instructions)
-        if index is not None:
-            loads += _advance_segments(
-                prediction, hierarchy, segments, index,
-                target_instructions, fill_caches, line_size,
-            )
-            break
+        if position != start:
+            raise RuntimeError("a functional skip must resume where the "
+                               "previous one stopped")
+        left = actual.length - consumed
+        take = min(left, target_instructions - start)
         addr = oracle.current_address()
-        actual = oracle.peek_stream(prediction.max_stream)
-        predictor.train(addr, prediction.history, actual)
-        remaining = target_instructions - oracle.consumed_instructions
-        take = min(actual.length, remaining)
-        loads += loads_for(addr, take)
+        loads += prediction.bbdict.loads_for(addr, take)
         if fill_caches:
-            for line in span_lines(addr, take, line_size):
-                l2_fill(line)
-                l1_fill(line)
-        if actual.length <= remaining:
-            oracle.advance(actual.length)
-            # Full stream consumed: apply its terminator to RAS/history,
-            # exactly as a correctly-predicted stream would.
+            lines = span_lines(addr, take, line_size)
+            hierarchy.l2.fill_span(lines)
+            hierarchy.l1.fill_span(lines)
+        oracle.advance(take)
+        if take == left:
             prediction._apply_terminator(actual)
+            prediction._skip_partial = None
         else:
-            oracle.advance(remaining)
             prediction._skip_partial = (
-                oracle.consumed_instructions, actual, take
+                oracle.consumed_instructions, actual, consumed + take
             )
+    # Consume whole pre-segmented streams straight from the segment
+    # columns -- no peek_stream re-derivation, no per-block dict work,
+    # O(1) cursor jumps.
+    if oracle.consumed_instructions < target_instructions:
+        segments = oracle.segments(prediction.max_stream)
+        index = segments.aligned_index(oracle.consumed_instructions)
+        if index is None:
+            raise RuntimeError("a functional skip must start on a stream "
+                               "boundary")
+        loads += _advance_segments(
+            prediction, hierarchy, segments, index,
+            target_instructions, fill_caches, line_size,
+        )
     return oracle.consumed_instructions - start, loads
 
 
@@ -291,13 +265,13 @@ def _advance_segments(
 ) -> int:
     """Consume canonical streams from segment ``index`` up to the target.
 
-    Performs exactly the per-stream work of the realigning loop in
-    :func:`functional_advance` -- predictor training, RAS/history
-    updates, load counting and cache fills -- but reads every stream from
-    the shared :class:`~repro.workloads.trace.StreamSegments` columns and
-    moves the oracle cursor once at the end.  Returns the skipped load
-    count; always reaches the target (cutting the final stream and
-    recording ``_skip_partial`` exactly like the realigning loop).
+    Does the per-stream work of a correctly-predicted stream --
+    predictor training, RAS/history updates, load counting and cache
+    fills -- reading every stream from the shared
+    :class:`~repro.workloads.trace.StreamSegments` columns and moving the
+    oracle cursor once at the end.  Returns the skipped load count;
+    always reaches the target (cutting the final stream and recording
+    ``_skip_partial``).
     """
     oracle = prediction.oracle
     ras = prediction.ras
@@ -356,7 +330,7 @@ def _advance_segments(
             i += 1
         else:
             # The stream straddles the target: consume only the prefix
-            # and remember the cut stream, as the realigning loop does.
+            # and remember the cut stream.
             take = remaining
             loads += bbdict.loads_for(addr, take)
             if fill_caches:

@@ -372,12 +372,7 @@ class StreamSegments:
     block through ``peek_stream``.
 
     Alignment: a position produced by consuming whole canonical streams
-    is itself a canonical stream start.  Positions reached some other way
-    (e.g. a mispredict redirect stopping mid-stream in the timed loop)
-    realign after the next *taken*-ended stream, because a capped stream
-    never ends exactly at a taken block's terminator (``peek_stream``
-    extends through it) -- so every taken-block end a per-stream step
-    stops at is also a boundary of the from-zero segmentation.
+    is itself a canonical stream start (:meth:`aligned_index`).
 
     Each segment row records, besides the :class:`ActualStream` fields,
     the oracle block cursor *after* the stream (``end_index`` /

@@ -91,6 +91,37 @@ class TestLookupAndFill:
         assert 0x2000 not in cache
 
 
+class TestLRU:
+    """Each set replaces its least recently used line."""
+
+    def _three_way(self):
+        cache = Cache("c", 192, 64, None)      # one set, three ways
+        for addr in (0x0000, 0x0040, 0x0080):
+            cache.fill(addr)
+        return cache
+
+    def test_victim_is_least_recently_used_after_a_hit(self):
+        cache = self._three_way()
+        assert cache.lookup(0x0000)
+        assert cache.fill(0x00C0) == 0x0040
+        assert cache.fill(0x0100) == 0x0080
+        assert cache.fill(0x0140) == 0x0000
+
+    def test_fill_of_a_resident_line_refreshes_it(self):
+        cache = self._three_way()
+        assert cache.fill(0x0000) is None
+        assert cache.stats.fills == 3
+        assert cache.fill(0x00C0) == 0x0040
+
+    def test_refilled_invalidated_line_is_the_newest(self):
+        cache = self._three_way()
+        assert cache.invalidate(0x0000)
+        assert cache.fill(0x0000) is None       # a free way, no eviction
+        assert cache.fill(0x00C0) == 0x0040
+        assert cache.fill(0x0100) == 0x0080
+        assert cache.fill(0x0140) == 0x0000
+
+
 class TestSetMapping:
     def test_conflicting_lines_evict_within_set(self):
         # 2-way, 4 sets; lines mapping to the same set conflict.

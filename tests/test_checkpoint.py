@@ -16,10 +16,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.store import temporary_cache_dir
-from repro.sampling.checkpoint import FRONTIER, POSITIONED, CheckpointStore
+from repro.sampling.checkpoint import (
+    DEFAULT_STORE,
+    FRONTIER,
+    POSITIONED,
+    CheckpointStore,
+)
+from repro.sampling.sampled import SamplingSpec, _execute_sampled
+from repro.simulator.config import SimulationConfig
+from repro.simulator.runner import (
+    _execute_single,
+    clear_process_caches,
+    clear_workload_cache,
+)
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.workloads.generator import WorkloadProfile
+from repro.workloads.spec2000 import profile_for
 from repro.workloads.trace import Workload, build_workload
 
 ENGINES = ["baseline", "fdp", "clgp", "next-line", "target-line"]
@@ -177,6 +190,19 @@ class TestSkipTo:
         sim.run(500)
         with pytest.raises(RuntimeError):
             sim.skip_to(5000)
+
+    def test_skip_off_a_stream_boundary_raises(self, medium_workload):
+        """A skip strides over the canonical stream segmentation, so it
+        refuses to start where no skip can have stopped."""
+        sim = Simulator(make_sim_config(max_instructions=1000),
+                        medium_workload)
+        sim.warm_up()
+        oracle = sim.prediction.oracle
+        assert oracle.segments(sim.prediction.max_stream).aligned_index(1) \
+            is None
+        oracle.advance(1)
+        with pytest.raises(RuntimeError, match="stream boundary"):
+            sim.skip_to(500)
 
 
 class TestPositionalProperties:
@@ -343,3 +369,42 @@ class TestCheckpointStore:
         restored = Simulator(config, medium_workload)
         restored.restore(store.warm_checkpoint(config, medium_workload))
         _assert_identical(restored.run(1500), expected)
+
+
+class TestCheckpointsFollowTheirWorkload:
+    """A checkpoint shares its workload's objects (CFG, trace, lock), so
+    one taken on a workload object never restores into a machine built
+    on another object of the same benchmark; with the store off, that
+    other object simply runs without it."""
+
+    CONFIG = SimulationConfig(engine="clgp", technology="0.045um",
+                              l1_size_bytes=4096, max_instructions=800,
+                              warmup_instructions=2000)
+
+    @pytest.fixture(autouse=True)
+    def _fresh_caches(self, tmp_path):
+        clear_process_caches()
+        with temporary_cache_dir(tmp_path / "off", enabled=False):
+            yield
+        clear_process_caches()
+
+    def test_larger_budget_after_clear_workload_cache(self):
+        _execute_single(self.CONFIG, "gzip", 800)
+        clear_workload_cache()
+        after_clear = _execute_single(self.CONFIG, "gzip", 1000)
+        clear_process_caches()
+        _assert_identical(after_clear,
+                          _execute_single(self.CONFIG, "gzip", 1000))
+
+    def test_sampled_run_on_a_second_workload_object(self):
+        spec = SamplingSpec(max_intervals=8)
+        first = _execute_sampled(self.CONFIG, "gcc", 10_000, spec)
+        # The run jumped more than once, so it left positioned states.
+        assert DEFAULT_STORE.counts[POSITIONED, "publish"] > 0
+        second = _execute_sampled(
+            self.CONFIG, build_workload(profile_for("gcc")), 10_000, spec)
+        clear_process_caches()
+        fresh = _execute_sampled(
+            self.CONFIG, build_workload(profile_for("gcc")), 10_000, spec)
+        _assert_identical(second, fresh)
+        _assert_identical(first, fresh)

@@ -395,7 +395,7 @@ for child in multiprocessing.active_children():
 assert runner.run_tasks(batch, jobs=2) == expected
 """,
         "shutdown-mid-run": """
-batch = tasks(300_000)
+batch = tasks(40_000)
 expected = runner.run_tasks(batch, jobs=1)
 faulthandler.dump_traceback_later(30, exit=True)
 out = {}
@@ -407,6 +407,8 @@ while len(multiprocessing.active_children()) < 2:
 runner.shutdown_pool()
 run.join()
 assert out["results"] == expected
+# The shutdown took a running chunk away, and the run retried it.
+assert runner.supervisor_stats().worker_losses >= 1
 """,
     }
 

@@ -45,10 +45,10 @@ def test_grouped_load_miss_counts_empty_and_certain():
 
 
 # ----------------------------------------------------------------------
-# TwoLevelLRUReplay vs a real Cache pair
+# TwoLevelLRUReplay's batched levels vs per-line probes and fills
 # ----------------------------------------------------------------------
 def _reference_replay(l1, l2, lines):
-    """The probe/fill sequence the replay models, on real caches."""
+    """The per-line probe/fill sequence the replay batches."""
     i1 = i2 = 0
     for line in lines:
         if not l1.contains(line):
@@ -84,15 +84,22 @@ def test_two_level_lru_replay_matches_cache_pair():
 
 
 def test_fill_span_matches_fill_sequence():
+    """Contents, each set's LRU order (its key order), statistics and the
+    returned misses all match the equivalent ``fill`` sequence."""
     rng = random.Random(7)
     batched = Cache("il1", 1024, line_size=32, associativity=2)
     reference = Cache("il1", 1024, line_size=32, associativity=2)
     for _round in range(20):
         addrs = [4 * rng.randrange(0, 2048) for _ in range(rng.randint(1, 40))]
-        batched.fill_span(addrs)
+        inserted = batched.fill_span(addrs)
+        missed = []
         for addr in addrs:
+            if not reference.contains(addr):
+                missed.append(reference.line_address(addr))
             reference.fill(addr)
-        assert batched._sets == reference._sets
+        assert inserted == missed
+        assert ({i: list(s) for i, s in batched._sets.items()}
+                == {i: list(s) for i, s in reference._sets.items()})
         assert batched.stats == reference.stats
 
 

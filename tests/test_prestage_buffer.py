@@ -76,6 +76,26 @@ class TestReplacement:
         assert len(buffer.replaceable_entries()) == 2
         assert buffer.counter_resets == 1
 
+    def test_touching_a_detached_entry_leaves_the_order_alone(self):
+        """The fetch stage may consume a line whose entry has since left
+        the buffer; touching it must not move or resurrect anything."""
+        buffer = PrestageBuffer(entries=4)
+        removed = buffer.allocate_for_prefetch(0x1000)
+        old = buffer.allocate_for_prefetch(0x2000)
+        buffer.remove(removed)
+        buffer.remove(old)
+        newer = buffer.allocate_for_prefetch(0x2000)   # same line, new entry
+        live = buffer.allocate_for_prefetch(0x3000)
+        for entry in (newer, live):
+            buffer.consume(entry)
+        for stale in (removed, old):
+            buffer.touch(stale)
+            buffer.consume(stale)
+            # Identity, not ==: ``old`` and ``newer`` are equal dataclasses.
+            assert list(map(id, buffer.entries())) == [id(newer), id(live)]
+        assert buffer.get(0x2000) is newer
+        assert buffer._victim() is newer
+
     def test_valid_lines_survive_reset_until_replaced(self):
         buffer = PrestageBuffer(entries=2)
         a = buffer.allocate_for_prefetch(0x1000)

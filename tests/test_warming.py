@@ -89,12 +89,8 @@ class TestFunctionalWarmup:
 
 
 def _cache_state(cache):
-    """Contents, LRU stamps and clocks, and statistics of ``cache``."""
-    return (
-        {i: list(s) for i, s in cache._sets.items()},
-        {i: (p._stamp, p._clock) for i, p in cache._policies.items()},
-        cache.stats,
-    )
+    """Contents of ``cache`` in each set's LRU order, and statistics."""
+    return {i: list(s) for i, s in cache._sets.items()}, cache.stats
 
 
 class TestPerCacheSnapshots:
