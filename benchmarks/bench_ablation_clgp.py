@@ -35,7 +35,7 @@ def test_clgp_design_ablation(benchmark, api_session, report, bench_params):
     # filtering (prestaging even cache-resident lines); reverting it must
     # hurt, and the full design must beat the FDP reference.  The other two
     # choices (free-on-use, copy-to-cache) are reported but may be close to
-    # neutral at this design point -- see EXPERIMENTS.md for the discussion.
+    # neutral at this design point.
     assert full >= data["CLGP+L0 with filtering"], "filtering should hurt CLGP"
     assert full >= data["FDP+L0 (reference)"] * 0.97
     assert data["CLGP+L0 free-on-use"] <= full * 1.05

@@ -39,12 +39,12 @@ from repro.cache import temporary_cache_dir
 from repro.cache.traces import ensure_compiled_trace
 from repro.sampling import proxy as proxy_module
 from repro.sampling.bbv import profile_workload
-from repro.sampling.checkpoint import clear_checkpoint_store
 from repro.simulator.runner import (
     bench_instruction_budget,
     clear_process_caches,
     get_workload,
 )
+from repro.workloads.trace import Workload
 
 from conftest import run_plan
 
@@ -192,17 +192,26 @@ def test_proxy_profile_throughput(benchmark, bench_metrics):
                           max_instructions=PASS_INSTRUCTIONS,
                           warmup_instructions=20_000)
     workload = get_workload("gcc")
-    ensure_compiled_trace(workload, PASS_INSTRUCTIONS + 20_000)
+    trace = ensure_compiled_trace(workload, PASS_INSTRUCTIONS + 20_000)
 
-    def profile_once():
-        # The memoized base pass would answer every later round for
-        # free; clearing it makes each round do the real work.
-        proxy_module.clear_base_profile_cache()
+    def fresh_workload():
+        # The base pass is kept on its workload and would answer every
+        # later round for free, so each round profiles a fresh workload
+        # object; it shares the built program and the compiled trace,
+        # and warms up here, outside the timed call.
+        fresh = Workload(profile=workload.profile, cfg=workload.cfg,
+                         bbdict=workload.bbdict)
+        fresh.attach_compiled_trace(trace)
+        Simulator(config, fresh).warm_up()
+        return (fresh,), {}
+
+    def profile_once(fresh):
         return proxy_module.functional_profile(
-            workload, config, PASS_INSTRUCTIONS, PASS_INTERVAL
+            fresh, config, PASS_INSTRUCTIONS, PASS_INTERVAL
         )
 
-    benchmark.pedantic(profile_once, rounds=5, iterations=1, warmup_rounds=1)
+    benchmark.pedantic(profile_once, setup=fresh_workload, rounds=5,
+                       iterations=1, warmup_rounds=1)
     _record_pass(bench_metrics, benchmark, "proxy_profile", PASS_INSTRUCTIONS)
 
 
@@ -217,8 +226,8 @@ def test_sampled_vs_full(benchmark, api_session, scheme, bench_metrics,
     timed once alongside and both the wall-clock ratio and the
     per-benchmark worst IPC relative error land in ``extra_info``.
     The persistent artifact cache is disabled for the whole test: with it
-    enabled the sampled rounds would replay measurement artifacts instead
-    of simulating, and this bench tracks the sampling subsystem itself
+    enabled the sampled rounds would replay their results instead of
+    simulating, and this bench tracks the sampling subsystem itself
     (the cache's own effect is tracked by
     :func:`test_artifact_cache_cold_vs_warm`).
     """
@@ -255,7 +264,7 @@ def test_sampled_vs_full(benchmark, api_session, scheme, bench_metrics,
             return dict(zip(names, run_plan(api_session, config, names,
                                             instructions, sampled=True)))
 
-        clear_checkpoint_store()
+        clear_process_caches()
         sampled = benchmark.pedantic(run_sampled_mix, rounds=2, iterations=1,
                                      warmup_rounds=1)
     sampled_seconds = benchmark.stats.stats.min
@@ -286,10 +295,11 @@ def test_artifact_cache_cold_vs_warm(benchmark, api_session, bench_metrics,
     """Cold-vs-warm persistent-cache timings for a sampled mix.
 
     Cold: empty artifact store, empty in-memory caches -- every compiled
-    trace, profile, selection and interval measurement is computed and
+    trace, profile, selection, checkpoint and result is computed and
     published.  Warm: the same work with in-memory caches cleared before
     every round, so all reuse comes from the on-disk store alone (the
-    fresh-CLI-invocation model).  Results must be bit-identical.
+    fresh-CLI-invocation model: every task replays its result).  Results
+    must be bit-identical.
     """
     instructions = bench_instruction_budget()
     names = SWEEP_BENCHMARKS

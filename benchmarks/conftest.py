@@ -12,8 +12,7 @@ workload sizes are reduced; they can be scaled with environment variables:
   (default: 256,1K,4K,16K,64K).
 
 Each benchmark prints the regenerated rows/series (like the paper reports
-them) and also writes them to ``benchmarks/results/<name>.txt`` so the
-numbers recorded in EXPERIMENTS.md can be refreshed easily.
+them) and also writes them to ``benchmarks/results/<name>.txt``.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
-from ..simulator.stats import SimulationResult, harmonic_mean, speedup
+from ..simulator.stats import harmonic_mean, speedup
 
 __all__ = [
     "harmonic_mean",

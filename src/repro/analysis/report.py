@@ -7,7 +7,7 @@ stacked source-distribution rows for Figures 7/8).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Mapping
 
 from ..memory.hierarchy import FETCH_SOURCES
 

@@ -70,9 +70,10 @@ class ProgressEvent:
     ``"cancelled"``.  ``completed`` counts finished tasks and is
     monotonically non-decreasing across a handle's event stream.
     ``cache_hits`` counts ordinary artifact-store reads (traces,
-    warm-ups, checkpoints, ...); ``result_cache_hits`` counts full-run
-    **result replays** -- tasks whose complete ``SimulationResult`` came
-    off disk with no simulation at all -- and is reported distinctly so
+    warm-ups, checkpoints, ...); ``result_cache_hits`` counts **result
+    replays** -- tasks, full or sampled, whose complete
+    ``SimulationResult`` came off disk with no simulation at all -- and
+    is reported distinctly so
     consumers can tell "warm artifacts" from "did not simulate".
     ``retries`` is how many times the task had to be re-dispatched
     (worker loss, in-task error) before this completion.
@@ -136,7 +137,8 @@ class RunResult(PlanResults):
 
     elapsed_seconds: float = 0.0
     cache_hits: int = 0
-    #: Tasks answered by a full-run result replay (no simulation ran).
+    #: Tasks, full or sampled, answered by a result replay (no
+    #: simulation ran).
     result_cache_hits: int = 0
     #: Total task re-dispatches the supervisor performed (worker loss,
     #: in-task errors) across the whole run.

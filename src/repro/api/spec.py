@@ -139,11 +139,9 @@ class ExecutionOptions:
     overriding the default :class:`~repro.sampling.sampled.SamplingSpec`.
     ``cache_dir``/``cache`` override the artifact-cache configuration
     for this submission only (``None`` inherits the ambient setting).
-    ``result_cache=False`` (the CLI's ``--no-result-cache``) forces full
-    runs to resimulate instead of replaying persisted
-    ``SimulationResult`` artifacts -- and sampled runs to re-measure
-    their intervals instead of replaying the persisted measurement
-    payload; ``True`` forces replay on even under
+    ``result_cache=False`` (the CLI's ``--no-result-cache``) forces every
+    run, full or sampled, to simulate instead of replaying its persisted
+    ``SimulationResult``; ``True`` forces replay on even under
     ``REPRO_RESULT_CACHE_DISABLE``; ``None`` inherits.
 
     Fault-tolerance knobs: ``task_timeout`` (seconds) is a per-task

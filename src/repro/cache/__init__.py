@@ -6,14 +6,14 @@ Public surface:
   :data:`SCHEMA_VERSION` -- the content-addressed on-disk store, chosen
   by the execution context (:mod:`repro.context`;
   :func:`temporary_cache_dir` runs a block against another root),
-* :func:`repro.cache.store.cached` -- the one memory-then-store
-  get-or-compute,
+* :func:`repro.cache.store.cached` -- the one get-or-compute: the
+  workload's memory first, then the store,
 * :func:`repro.cache.keys.content_key` / :func:`stable_repr` -- stable,
   process-independent artifact keys,
 * :func:`repro.cache.traces.ensure_compiled_trace` -- compiled
   correct-path traces,
-* :mod:`repro.cache.results` -- full-run result caching
-  (:func:`result_cache_enabled`),
+* :mod:`repro.cache.results` -- the results of full and sampled runs,
+  replayed whole (:func:`result_cache_enabled`),
 * :mod:`repro.cache.shared` -- workload-aware checkpoint pickling.
 """
 
@@ -40,7 +40,7 @@ from .store import (
     temporary_cache_dir,
     unframe_digest,
 )
-from .traces import clear_trace_cache, ensure_compiled_trace
+from .traces import ensure_compiled_trace
 
 __all__ = [
     "ArtifactStore",
@@ -55,7 +55,6 @@ __all__ = [
     "active_store",
     "cache_enabled",
     "cached",
-    "clear_trace_cache",
     "content_key",
     "ensure_compiled_trace",
     "frame_digest",

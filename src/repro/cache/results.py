@@ -1,12 +1,12 @@
-"""Full-run result caching: persist complete ``SimulationResult``\\ s.
+"""Result caching: persist the complete ``SimulationResult`` of every run.
 
-A full (non-sampled) simulation is deterministic given its configuration,
-workload and instruction budget, so its complete
+A simulation, full or sampled, is deterministic given its configuration,
+workload, instruction budget and sampling spec, so its complete
 :class:`~repro.simulator.stats.SimulationResult` is itself an artifact:
-any later invocation of the same (config, workload, budget) replays the
-stored result byte-identically instead of resimulating.  This is the
-non-sampled counterpart of the sampled runner's per-interval measurement
-artifacts -- with it, *every* simulation path replays warm.
+any later invocation of the same run replays the stored result
+byte-identically instead of simulating.  The runner's ``_run_task``
+asks here first for every task, so this is the one replay path: a hit
+needs neither the built workload nor any other artifact.
 
 Policy
 ------
@@ -26,10 +26,11 @@ simulation left to observe):
   replay with it.
 
 Keys bind the full configuration (:func:`repro.cache.keys.stable_repr`),
-the workload identity (name + generator seed) and the resolved
-instruction budget; the store's ``SCHEMA_VERSION`` guards format
-evolution, and the store's universal digest frame (schema v4) rejects a
-torn or bit-rotted result file before it can replay as a wrong result.
+the workload identity (name + generator seed), the resolved instruction
+budget and the resolved sampling spec (``None`` for a full run); the
+store's ``SCHEMA_VERSION`` guards format evolution, and the store's
+universal digest frame (schema v4) rejects a torn or bit-rotted result
+file before it can replay as a wrong result.
 Hits/misses/stores are counted in :data:`RESULT_CACHE_STATS`
 so callers (``repro.api.RunHandle`` progress events, tests) can report
 result replays distinctly from ordinary artifact-store hits.
@@ -44,7 +45,7 @@ from ..context import current_context
 from .keys import content_key, stable_repr
 from .store import active_store
 
-#: Artifact kind under which full-run results are stored.
+#: Artifact kind under which run results are stored.
 RESULT_KIND = "result"
 
 #: Environment-level opt-out, for contexts that leave replay unset.
@@ -55,7 +56,7 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 @dataclass
 class ResultCacheStats:
-    """Per-process counters of full-run result replay traffic."""
+    """Per-process counters of result replay traffic."""
 
     hits: int = 0
     misses: int = 0
@@ -68,7 +69,7 @@ RESULT_CACHE_STATS = ResultCacheStats()
 
 
 def result_cache_enabled() -> bool:
-    """Whether full-run results may be replayed instead of resimulated."""
+    """Whether run results may be replayed instead of simulated."""
     enabled = current_context().result_cache
     if enabled is not None:
         return enabled
@@ -91,16 +92,17 @@ def result_cache_hits() -> int:
 
 
 def result_key(config, workload_name: str, workload_seed: int,
-               total_instructions: int) -> str:
-    """Content key of one full run's result."""
+               total_instructions: int, sampling=None) -> str:
+    """Content key of one run's result (``sampling``: the run's resolved
+    sampling spec, ``None`` for a full run)."""
     return content_key(
         "sim-result", stable_repr(config),
-        workload_name, workload_seed, total_instructions,
+        workload_name, workload_seed, total_instructions, sampling,
     )
 
 
 def load_cached_result(config, workload_name: str, workload_seed: int,
-                       total_instructions: int):
+                       total_instructions: int, sampling=None):
     """The persisted :class:`SimulationResult` for this run, or ``None``.
 
     ``None`` both on a miss and whenever result replay is disabled (the
@@ -115,7 +117,7 @@ def load_cached_result(config, workload_name: str, workload_seed: int,
     from ..simulator.stats import SimulationResult
 
     key = result_key(config, workload_name, workload_seed,
-                     total_instructions)
+                     total_instructions, sampling)
     loaded = store.get(RESULT_KIND, key)
     if isinstance(loaded, SimulationResult) \
             and loaded.workload == workload_name:
@@ -132,13 +134,14 @@ def load_cached_result(config, workload_name: str, workload_seed: int,
 
 
 def store_result(config, workload_name: str, workload_seed: int,
-                 total_instructions: int, result) -> None:
-    """Publish one full run's result (no-op when replay is disabled)."""
+                 total_instructions: int, sampling, result) -> None:
+    """Publish one run's result (no-op when replay is disabled)."""
     if not result_cache_enabled():
         return
     store = active_store()
     if store is None:
         return
     store.put(RESULT_KIND, result_key(
-        config, workload_name, workload_seed, total_instructions), result)
+        config, workload_name, workload_seed, total_instructions, sampling),
+        result)
     RESULT_CACHE_STATS.stores += 1

@@ -4,11 +4,11 @@ Every expensive derived artifact of the toolkit -- compiled traces
 (kind ``trace``), warm-up artifacts (``warmup``), BBV profiles, proxy
 profiles and interval selections (``bbv``, ``fprofile``, ``selection``),
 positioned and frontier checkpoints and their offset indexes
-(``positioned``, ``frontier``, ``*-index``), sampled measurements
-(``measurement``), full-run results (``result``) -- is deterministic
-given its key material, so it is computed once and replayed by every
-later process.  This module holds the store and :func:`cached`, the one
-memory-then-store get-or-compute in front of it:
+(``positioned``, ``frontier``, ``*-index``), and the results of full
+and sampled runs (``result``) -- is deterministic given its key
+material, so it is computed once and replayed by every later process.
+This module holds the store and :func:`cached`, the one
+workload-memory-then-store get-or-compute in front of it:
 
 * **Layout** -- ``<root>/v<SCHEMA_VERSION>/<kind>/<sha256>.pkl``.  The
   schema version is baked into the directory name, so bumping
@@ -74,7 +74,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 #: Version of the on-disk artifact schema.  Bump whenever the format of
 #: any persisted artifact changes incompatibly (new columnar layout,
-#: different checkpoint pickling, changed measurement payloads); old
+#: different checkpoint pickling, changed result keys); old
 #: versions' directories are ignored and reclaimed by ``cache clear``.
 #: v2: split-invariant functional skips (``PredictionUnit._skip_partial``
 #: rides in checkpoints and changes how resumed skips train the
@@ -103,7 +103,10 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: v9: caches and pre-buffers keep LRU recency as dict order (no
 #: replacement-policy objects or LRU stamps); a v8 set's order is not
 #: its recency, so restoring one would silently change results.
-SCHEMA_VERSION = 9
+#: v10: a ``result`` is keyed by its sampling spec too and covers
+#: sampled runs, which replay it as a whole; the ``measurement`` kind
+#: is gone.
+SCHEMA_VERSION = 10
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -784,26 +787,26 @@ def active_store() -> Optional[ArtifactStore]:
     return get_store() if cache_enabled() else None
 
 
-def cached(memo: Dict, kind: str, key: Tuple, expected_type: type, compute):
-    """Get-or-compute through both tiers: the per-process ``memo``
-    dictionary first, then the active store's ``kind`` artifact for
-    ``key`` (type-checked, so a foreign or stale payload degrades to
-    recompute), computing and publishing on a full miss."""
-    value = memo.get(key)
-    if value is not None:
-        return value
-    disk = active_store()
-    if disk is not None:
+def cached(workload, kind: str, key: Tuple, expected_type: type, compute):
+    """Get-or-compute through both tiers: the value ``workload`` already
+    derived under ``(kind, *key)`` (:meth:`Workload.derived`) first, then
+    the active store's ``kind`` artifact for ``key`` (type-checked, so a
+    foreign or stale payload degrades to recompute), computing and
+    publishing on a full miss."""
+
+    def load_or_compute():
+        disk = active_store()
+        if disk is None:
+            return compute()
         disk_key = content_key(kind, *key)
         loaded = disk.get(kind, disk_key)
         if isinstance(loaded, expected_type):
-            memo[key] = loaded
             return loaded
-    value = compute()
-    memo[key] = value
-    if disk is not None:
+        value = compute()
         disk.put(kind, disk_key, value)
-    return value
+        return value
+
+    return workload.derived((kind, *key), load_or_compute)
 
 
 @contextlib.contextmanager

@@ -15,8 +15,6 @@ writer wins, and a reader of the shorter trace grows it).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from ..workloads.trace import CompiledTrace, Workload, compile_trace
 from .keys import content_key
 from .store import active_store
@@ -24,10 +22,6 @@ from .store import active_store
 #: Instructions beyond the requested budget compiled into the prefix, so
 #: a final stream that straddles the budget stays inside the arrays.
 TRACE_MARGIN = 4096
-
-#: Per-process compiled traces, keyed by (workload name, seed) -- one
-#: load/compile per process however many tasks share the workload.
-_TRACES: Dict[Tuple[str, int], CompiledTrace] = {}
 
 
 def ensure_compiled_trace(
@@ -38,39 +32,28 @@ def ensure_compiled_trace(
     Decides persistence only: every workload already owns a trace that
     grows on demand, so with caching disabled (or a trace that already
     covers the budget) this returns the workload's own trace untouched.
-    Otherwise it attaches the longest of the workload's own trace, the
-    per-process one and the stored one; if even that falls short, it is
-    compiled (or grown) to the budget plus the margin and republished.
+    Otherwise it attaches the longer of the workload's own trace and the
+    stored one; if even that falls short, it is compiled (or grown) to
+    the budget plus the margin and republished.
     """
     trace = workload._compiled_trace
     target = instructions + TRACE_MARGIN
     store = active_store()
     if store is None or trace.compiled_instructions >= target:
         return trace
-    key = (workload.profile.name, workload.profile.seed)
-    # Ties keep the trace already in hand (max returns the first).
-    trace = max(trace, _TRACES.get(key, trace), key=_covered)
+    disk_key = content_key("trace", workload.profile.name,
+                           workload.profile.seed)
+    stored = store.get("trace", disk_key)
+    # Ties keep the trace already in hand.
+    if (isinstance(stored, CompiledTrace)
+            and stored.compiled_instructions > trace.compiled_instructions):
+        trace = stored
     if trace.compiled_instructions < target:
-        disk_key = content_key("trace", *key)
-        stored = store.get("trace", disk_key)
-        if isinstance(stored, CompiledTrace):
-            trace = max(trace, stored, key=_covered)
-        if trace.compiled_instructions < target:
-            if trace.compiled_instructions:
-                trace.bind(workload.cfg)
-                trace.cover(target)
-            else:
-                trace = compile_trace(workload, target)
-            store.put("trace", disk_key, trace)
-    _TRACES[key] = trace
+        if trace.compiled_instructions:
+            trace.bind(workload.cfg)
+            trace.cover(target)
+        else:
+            trace = compile_trace(workload, target)
+        store.put("trace", disk_key, trace)
     workload.attach_compiled_trace(trace)
     return trace
-
-
-def _covered(trace: CompiledTrace) -> int:
-    return trace.compiled_instructions
-
-
-def clear_trace_cache() -> None:
-    """Drop the per-process compiled-trace cache (tests, benchmarks)."""
-    _TRACES.clear()

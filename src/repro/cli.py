@@ -28,10 +28,10 @@ sampled mode.  Simulation commands accept ``--cache-dir`` (default
 ``.repro-cache/``, env ``REPRO_CACHE_DIR``) and ``--no-cache``
 (env ``REPRO_CACHE_DISABLE=1``) to steer the artifact cache, plus
 ``--no-result-cache`` (env ``REPRO_RESULT_CACHE_DISABLE=1``) to force
-full runs to resimulate instead of replaying persisted
-``SimulationResult`` artifacts -- with it off (the default), a repeated
-``figure``/``speedups`` invocation without ``--sampled`` returns
-byte-identical results straight from the store.
+every run to simulate instead of replaying its persisted
+``SimulationResult`` -- without it (the default), a repeated
+``figure``/``speedups`` invocation, with or without ``--sampled``,
+returns byte-identical results straight from the store.
 
 Fault tolerance: simulation commands accept ``--task-timeout SECONDS``
 (per-task deadline; an overrunning task is killed and reported as a
@@ -93,8 +93,8 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
                         help="bypass the persistent artifact cache "
                              "(recompute everything in-process)")
     parser.add_argument("--no-result-cache", action="store_true",
-                        help="always resimulate full runs instead of "
-                             "replaying persisted SimulationResults "
+                        help="always simulate, full or sampled, instead "
+                             "of replaying persisted SimulationResults "
                              "(other artifact kinds still replay; env: "
                              "REPRO_RESULT_CACHE_DISABLE=1)")
 

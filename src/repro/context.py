@@ -27,8 +27,8 @@ class ExecutionContext:
     """One run's cache, result-replay and fault policy (picklable).
 
     ``cache_dir`` is the artifact-store root, ``cache`` whether the
-    store is used at all, ``result_cache`` whether full-run results and
-    sampled measurements may replay, and ``faults`` the
+    store is used at all, ``result_cache`` whether the results of full
+    and sampled runs may replay, and ``faults`` the
     :class:`~repro.faults.FaultPlan` to inject.  ``None`` defers to the
     matching environment variable (``REPRO_CACHE_DIR``,
     ``REPRO_CACHE_DISABLE``, ``REPRO_RESULT_CACHE_DISABLE``,

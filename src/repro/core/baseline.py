@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..frontend.fetch_block import FetchBlock, FetchLineRequest
 from ..memory.hierarchy import (
-    SOURCE_L0,
     SOURCE_L1,
     SOURCE_MEMORY,
     SOURCE_L2,

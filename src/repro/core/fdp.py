@@ -24,7 +24,6 @@ from typing import Deque, Optional
 
 from ..frontend.fetch_block import FetchBlock, FetchLineRequest
 from ..memory.hierarchy import (
-    SOURCE_L0,
     SOURCE_L1,
     SOURCE_L2,
     SOURCE_MEMORY,

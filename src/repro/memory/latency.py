@@ -16,7 +16,7 @@ reproduces the part of it the paper actually consumes:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from ..technology import TECH_045, TECH_090, TechnologyNode, resolve_technology
 

@@ -16,7 +16,7 @@ Workflow (see README "Sampled simulation"):
 """
 
 from .bbv import BBVProfile, DEFAULT_PROJECTION_DIM, profile_workload, project_counts
-from .checkpoint import CheckpointStore, DEFAULT_STORE, clear_checkpoint_store
+from .checkpoint import CheckpointStore, DEFAULT_STORE
 from .proxy import FunctionalProfile, functional_profile, proxy_cycles
 from .sampled import DEFAULT_SPEC, SamplingSpec, get_selection
 from .simpoint import (
@@ -37,7 +37,6 @@ __all__ = [
     "IntervalSelection",
     "SamplingSpec",
     "SelectedInterval",
-    "clear_checkpoint_store",
     "functional_profile",
     "get_selection",
     "kmeans",

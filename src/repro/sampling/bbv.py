@@ -18,7 +18,7 @@ so intervals of different lengths remain comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .. import kernels
 from ..workloads.trace import IntervalRecord, Workload

@@ -1,4 +1,4 @@
-"""Checkpoint store: machine states at offsets, plus the sampling caches.
+"""Checkpoint store: machine states at instruction offsets.
 
 A **checkpoint** is the machine state after :meth:`Simulator.warm_up`
 plus one of two advances, saved at an instruction ``offset``:
@@ -12,19 +12,17 @@ plus one of two advances, saved at an instruction ``offset``:
   completed full run's end state), so a larger budget resumes the timed
   loop instead of resimulating the shared prefix.
 
-Each (kind, state key, workload) has one offset-indexed memo in front of
-the artifact store (:mod:`repro.cache`); checkpoints cross the process
-boundary with workload-aware pickling (:mod:`repro.cache.shared`).  The
-artifact store keys a workload by its name and seed, the memo by the
-workload object: a checkpoint shares its workload's objects, so it
-restores only into machines built on that same object.  The store also
-caches, through :func:`repro.cache.store.cached`, interval selections
-(and the BBV profiles behind them) per (workload, sampling parameters)
-and functional proxy profiles per (workload, geometry), so a sweep
-profiles each benchmark once however many configurations it runs.
+Each (kind, state key) has one offset-indexed memo on the workload
+object (:meth:`~repro.workloads.trace.Workload.derived`) in front of the
+artifact store (:mod:`repro.cache`), which keys the workload by its name
+and seed; checkpoints cross the process boundary with workload-aware
+pickling (:mod:`repro.cache.shared`).  A checkpoint shares its
+workload's objects, so it restores only into machines built on that
+same object: kept on the object, it is found by no other workload and
+dies with its own.
 
 Everything here is deterministic, so worker processes that rebuild these
-caches -- or load them from disk -- produce identical results.  Keys come
+states -- or load them from disk -- produce identical results.  Keys come
 from :func:`repro.cache.keys.stable_repr` (independent of hash
 randomization and dataclass field order); format changes bump the
 store's schema version, which turns old artifacts into misses.
@@ -37,13 +35,10 @@ from typing import Dict, Optional, Set, Tuple
 
 from ..cache.keys import content_key, stable_repr
 from ..cache.shared import dumps_with_workload, loads_with_workload
-from ..cache.store import ArtifactStore, active_store, cached
+from ..cache.store import ArtifactStore, active_store
 from ..simulator.config import SimulationConfig
 from ..simulator.simulator import Simulator, SimulatorCheckpoint
 from ..workloads.trace import Workload
-from .bbv import BBVProfile, profile_workload
-from .proxy import FunctionalProfile, feature_key, functional_profile
-from .simpoint import IntervalSelection, select_intervals
 
 #: The two checkpoint kinds (also their artifact-store kinds).
 POSITIONED = "positioned"
@@ -94,22 +89,16 @@ _STATE_KEYS = {POSITIONED: position_key, FRONTIER: frontier_key}
 
 
 class CheckpointStore:
-    """Cache of checkpoints, selections and profiles.
+    """Finds and publishes checkpoints, and counts that traffic.
 
-    The persistent tier is :func:`repro.cache.store.active_store`,
-    resolved at each use from the calling run's execution context (so a
-    session's or the CLI's ``--no-cache``/``--cache-dir`` apply); with
-    caching off the store is memory-only.
+    The memory tier is the workload's own memo; the persistent tier is
+    :func:`repro.cache.store.active_store`, resolved at each use from
+    the calling run's execution context (so a session's or the CLI's
+    ``--no-cache``/``--cache-dir`` apply); with caching off the store is
+    memory-only.
     """
 
     def __init__(self) -> None:
-        #: {(kind, state key, workload name, seed, id(workload)):
-        #: {offset: checkpoint}}.  Each checkpoint holds its workload, so
-        #: the id cannot be reused while the entry exists.
-        self._states: Dict[Tuple, Dict[int, SimulatorCheckpoint]] = {}
-        self._selections: Dict[Tuple, IntervalSelection] = {}
-        self._profiles: Dict[Tuple, FunctionalProfile] = {}
-        self._bbv_profiles: Dict[Tuple, BBVProfile] = {}
         #: Checkpoint traffic keyed by (kind, "hit" | "miss" | "publish");
         #: tests assert prefix and frontier reuse on it.
         self.counts: Counter = Counter()
@@ -123,15 +112,11 @@ class CheckpointStore:
         return (kind, _STATE_KEYS[kind](config), workload.name,
                 workload.profile.seed)
 
-    def _memo(self, record: Tuple, workload: Workload
+    @staticmethod
+    def _memo(record: Tuple, workload: Workload
               ) -> Dict[int, SimulatorCheckpoint]:
-        """The in-memory states of ``record`` on this workload object."""
-        return self._states.get((*record, id(workload)), {})
-
-    def _remember(self, record: Tuple, workload: Workload, offset: int,
-                  checkpoint: SimulatorCheckpoint) -> None:
-        memo = self._states.setdefault((*record, id(workload)), {})
-        memo[offset] = checkpoint
+        """The in-memory states of ``record``, kept on the workload."""
+        return workload.derived(record, dict)
 
     @staticmethod
     def _index(disk: ArtifactStore, record: Tuple) -> Set[int]:
@@ -198,7 +183,7 @@ class CheckpointStore:
             disk.stats.corrupt += 1
             disk.discard(kind, key)
             return None
-        self._remember(record, workload, offset, checkpoint)
+        self._memo(record, workload)[offset] = checkpoint
         return checkpoint
 
     def published(
@@ -224,7 +209,7 @@ class CheckpointStore:
         read-merge-written: a concurrent publisher can lose an entry to
         a race, costing a future reuse, never correctness."""
         record = self._record(kind, config, workload)
-        self._remember(record, workload, offset, checkpoint)
+        self._memo(record, workload)[offset] = checkpoint
         self.counts[kind, "publish"] += 1
         disk = active_store()
         if disk is None:
@@ -252,96 +237,6 @@ class CheckpointStore:
         self.publish(POSITIONED, config, workload, 0, checkpoint)
         return checkpoint
 
-    # -- BBV profiles ---------------------------------------------------
-    def bbv_profile(
-        self,
-        workload: Workload,
-        total_instructions: int,
-        interval_length: int,
-    ) -> BBVProfile:
-        """Per-interval basic-block vectors, cached (memory, then disk)."""
-        key = (
-            workload.name, workload.profile.seed,
-            total_instructions, interval_length,
-        )
-        return cached(
-            self._bbv_profiles, "bbv", key, BBVProfile,
-            lambda: profile_workload(
-                workload, total_instructions, interval_length
-            ),
-        )
 
-    # -- interval selections -------------------------------------------
-    def selection(
-        self,
-        workload: Workload,
-        total_instructions: int,
-        interval_length: int,
-        max_intervals: int,
-        projection_dim: int,
-        seed: int,
-        iterations: int = 30,
-    ) -> IntervalSelection:
-        """BBV-profile + k-means selection, cached per parameters."""
-        key = (
-            workload.name, workload.profile.seed, total_instructions,
-            interval_length, max_intervals, projection_dim, seed, iterations,
-        )
-        return cached(
-            self._selections, "selection", key, IntervalSelection,
-            lambda: select_intervals(
-                self.bbv_profile(workload, total_instructions,
-                                 interval_length),
-                max_intervals=max_intervals,
-                projection_dim=projection_dim,
-                seed=seed,
-                iterations=iterations,
-            ),
-        )
-
-    # -- functional profiles (proxy features) --------------------------
-    def functional_profile(
-        self,
-        config: SimulationConfig,
-        workload: Workload,
-        total_instructions: int,
-        interval_length: int,
-    ) -> FunctionalProfile:
-        """Per-interval functional features, cached per geometry.
-
-        The key only contains the configuration fields the features
-        depend on (cache/predictor geometry, warm budget), so every
-        scheme of a sweep that shares them shares one profiling pass.
-        """
-        key = (
-            workload.name, workload.profile.seed,
-            total_instructions, interval_length, feature_key(config),
-        )
-        return cached(
-            self._profiles, "fprofile", key, FunctionalProfile,
-            lambda: functional_profile(
-                workload, config, total_instructions, interval_length
-            ),
-        )
-
-    def clear(self) -> None:
-        self._states.clear()
-        self._selections.clear()
-        self._profiles.clear()
-        self._bbv_profiles.clear()
-        self.counts.clear()
-
-    def __len__(self) -> int:
-        return (len(self._selections) + len(self._profiles)
-                + len(self._bbv_profiles)
-                + sum(len(states) for states in self._states.values()))
-
-
-#: Default per-process store used by sampled executions.
+#: The store every full and sampled run publishes to and restores from.
 DEFAULT_STORE = CheckpointStore()
-
-
-def clear_checkpoint_store() -> None:
-    """Drop all cached checkpoints, selections and profiles (tests,
-    memory)."""
-    DEFAULT_STORE.clear()

@@ -34,7 +34,7 @@ calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .. import kernels
 from ..frontend.stream_predictor import StreamPredictor
@@ -105,17 +105,6 @@ def _base_key(config: SimulationConfig) -> Tuple:
     )
 
 
-#: Per-process cache of size-independent base passes, keyed by
-#: (workload name, seed, total, interval_length, predictor geometry).
-#: An L1-size sweep over one benchmark re-walks nothing: only the cheap
-#: per-size cache-fill replay in :func:`functional_profile` runs again.
-_BASE_CACHE: Dict[Tuple, tuple] = {}
-
-
-def clear_base_profile_cache() -> None:
-    _BASE_CACHE.clear()
-
-
 def _base_pass(
     workload: Workload,
     config: SimulationConfig,
@@ -130,13 +119,6 @@ def _base_pass(
     records the stream spans per interval so per-size cache replays can
     skip the walk entirely.  Returns ``(rows, spans_per_interval)``.
     """
-    key = (
-        workload.name, workload.profile.seed,
-        total_instructions, interval_length, _base_key(config),
-    )
-    cached = _BASE_CACHE.get(key)
-    if cached is not None:
-        return cached
     artifacts = get_warmup_artifacts(
         workload,
         config.resolved_warmup_instructions(),
@@ -205,9 +187,7 @@ def _base_pass(
     for row, d, dm in zip(rows, d_counts, dm_counts):
         row["d"] = d
         row["dm"] = dm
-    result = (rows, spans)
-    _BASE_CACHE[key] = result
-    return result
+    return rows, spans
 
 
 def functional_profile(
@@ -219,15 +199,20 @@ def functional_profile(
     """Per-interval functional features for one (workload, geometry).
 
     The expensive walk (predictor replay, load-miss hashing, stream span
-    recording) runs once per workload via :func:`_base_pass`; this
-    function only replays the recorded spans into caches of this
-    configuration's geometry to count per-interval instruction misses.
-    Both start from the same warmed state a timed run starts from.
+    recording) runs once per workload and predictor geometry
+    (:func:`_base_pass`, kept on the workload), so an L1-size sweep
+    re-walks nothing; this function only replays the recorded spans into
+    caches of this configuration's geometry to count per-interval
+    instruction misses.  Both start from the same warmed state a timed
+    run starts from.
     """
     if interval_length <= 0:
         raise ValueError("interval_length must be positive")
-    rows, spans = _base_pass(
-        workload, config, total_instructions, interval_length
+    rows, spans = workload.derived(
+        ("proxy-base", total_instructions, interval_length,
+         _base_key(config)),
+        lambda: _base_pass(workload, config, total_instructions,
+                           interval_length),
     )
     artifacts = get_warmup_artifacts(
         workload,

@@ -20,32 +20,32 @@ and reports work unchanged.  The flow per (configuration, benchmark):
    (:func:`repro.simulator.stats.weighted_aggregate`).
 
 Everything is deterministic: same workload seed, same sampling spec ->
-same selection, same per-interval results, same estimate.  That
-determinism is also what makes the per-interval measurements themselves
-persistable artifacts: with the artifact cache enabled they are
-published to disk keyed by (configuration, workload, budget, spec), and
-any later invocation replays them through the same aggregation instead
-of re-simulating -- bit-identical by construction, and guarded by
-``tests/test_artifact_cache.py``.
+same selection, same per-interval results, same estimate.  So a sampled
+run's whole result is an artifact like a full run's: the runner
+replays it from the store, keyed by (configuration, workload, budget,
+spec), before this module is ever reached (:mod:`repro.cache.results`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..cache.keys import content_key, stable_repr
-from ..cache.store import active_store
+from ..cache.store import active_store, cached
 from ..cache.traces import ensure_compiled_trace
 from ..simulator.config import SimulationConfig
 from ..simulator.simulator import Simulator
 from ..simulator.stats import SimulationResult, result_delta, weighted_aggregate
 from ..workloads.trace import Workload
-from .bbv import DEFAULT_PROJECTION_DIM
-from .checkpoint import DEFAULT_STORE, POSITIONED, CheckpointStore
-from .proxy import proxy_cycles
-from .simpoint import IntervalSelection, select_stratified
+from .bbv import DEFAULT_PROJECTION_DIM, BBVProfile, profile_workload
+from .checkpoint import DEFAULT_STORE, POSITIONED
+from .proxy import (
+    FunctionalProfile,
+    feature_key,
+    functional_profile,
+    proxy_cycles,
+)
+from .simpoint import IntervalSelection, select_intervals, select_stratified
 
 
 @dataclass(frozen=True)
@@ -114,33 +114,45 @@ def get_selection(
     workload: Workload,
     total_instructions: int,
     spec: SamplingSpec = DEFAULT_SPEC,
-    store: CheckpointStore = DEFAULT_STORE,
     config: Optional[SimulationConfig] = None,
 ) -> IntervalSelection:
-    """The (cached) interval selection for a workload under ``spec``.
+    """The interval selection for a workload under ``spec``.
 
     The stratified method needs a configuration (its functional features
-    depend on cache/predictor geometry); the k-means method is purely a
-    property of the workload.
+    depend on cache/predictor geometry, so every scheme of a sweep that
+    shares them shares one profiling pass); the k-means method is purely
+    a property of the workload.  Profiles and selections are kept on the
+    workload and persisted (:func:`repro.cache.store.cached`).
     """
     interval_length = spec.resolved_interval_length(total_instructions)
+    identity = (workload.name, workload.profile.seed, total_instructions,
+                interval_length)
     if spec.method == "stratified":
         if config is None:
             raise ValueError("stratified selection needs a configuration")
-        profile = store.functional_profile(
-            config, workload, total_instructions, interval_length
+        profile = cached(
+            workload, "fprofile", (*identity, feature_key(config)),
+            FunctionalProfile,
+            lambda: functional_profile(workload, config, total_instructions,
+                                       interval_length),
         )
         return select_stratified(
             profile, proxy_cycles(profile, config), spec.max_intervals
         )
-    return store.selection(
-        workload,
-        total_instructions,
-        interval_length=interval_length,
-        max_intervals=spec.max_intervals,
-        projection_dim=spec.projection_dim,
-        seed=spec.seed,
-        iterations=spec.kmeans_iterations,
+    return cached(
+        workload, "selection",
+        (*identity, spec.max_intervals, spec.projection_dim, spec.seed,
+         spec.kmeans_iterations),
+        IntervalSelection,
+        lambda: select_intervals(
+            cached(workload, "bbv", identity, BBVProfile,
+                   lambda: profile_workload(workload, total_instructions,
+                                            interval_length)),
+            max_intervals=spec.max_intervals,
+            projection_dim=spec.projection_dim,
+            seed=spec.seed,
+            iterations=spec.kmeans_iterations,
+        ),
     )
 
 
@@ -149,7 +161,6 @@ def _measure_intervals(
     workload: Workload,
     selection: IntervalSelection,
     spec: SamplingSpec,
-    store: CheckpointStore,
 ):
     """Simulate the selected intervals; returns (interval results,
     weights).
@@ -166,7 +177,7 @@ def _measure_intervals(
         # A post-skip snapshot is worth its deep copy only when a later
         # segment -- or, through the store, a later run -- restores it.
         interval_results += _measure_segment(
-            config, workload, selection, spec, indices, store,
+            config, workload, selection, spec, indices,
             publish=persistent or n + 1 < len(segments))
     return interval_results, [interval.weight
                               for interval in selection.intervals]
@@ -202,7 +213,6 @@ def _measure_segment(
     selection,
     spec: SamplingSpec,
     indices: Sequence[int],
-    store: CheckpointStore,
     *,
     publish: bool,
 ) -> List[SimulationResult]:
@@ -231,7 +241,8 @@ def _measure_segment(
     else:
         warm_len = min(spec.detail_warmup, first.start_instruction)
         skip_target = first.start_instruction - warm_len
-        found = store.positioned_checkpoint(config, workload, skip_target)
+        found = DEFAULT_STORE.positioned_checkpoint(config, workload,
+                                                    skip_target)
         if found is None:
             restored_offset = 0
             simulator.warm_up()
@@ -242,8 +253,8 @@ def _measure_segment(
         if publish and restored_offset < skip_target:
             # Publish the post-skip state so later segments (and later
             # runs) resume from this prefix instead of skipping from 0.
-            store.publish(POSITIONED, config, workload, skip_target,
-                          simulator.snapshot())
+            DEFAULT_STORE.publish(POSITIONED, config, workload, skip_target,
+                                  simulator.snapshot())
         before = simulator.run(warm_len) if warm_len else None
         segment_target = warm_len
     results: List[SimulationResult] = []
@@ -260,7 +271,6 @@ def _execute_sampled(
     workload: Union[Workload, str],
     max_instructions: Optional[int] = None,
     spec: Optional[SamplingSpec] = None,
-    store: CheckpointStore = DEFAULT_STORE,
 ) -> SimulationResult:
     """Sampled run of one configuration on one benchmark (the executor
     primitive behind ``SimTask(sampled=True)``; the public entry point is
@@ -282,58 +292,10 @@ def _execute_sampled(
     ensure_compiled_trace(
         workload, max(total, config.resolved_warmup_instructions())
     )
-    selection = get_selection(workload, total, spec, store=store,
-                              config=config)
-
-    # Per-interval measurements are deterministic per (configuration,
-    # workload, budget, spec) -- the dominant cost of a sampled run, so
-    # they are themselves artifacts: any previous invocation's timed
-    # intervals replay from disk, leaving only selection + aggregation.
-    # The selection fingerprint guards against stale payloads (e.g. an
-    # algorithm change that kept the key but moved the intervals), and a
-    # payload whose interval results *or* weights disagree with the
-    # selection -- a short weights list would silently truncate the
-    # ``zip`` in ``weighted_aggregate`` -- is recomputed, not trusted.
-    # ``result_cache=False`` (the CLI's ``--no-result-cache``) skips the
-    # replay just as it does for full-run results: "force resimulation"
-    # means the timed loop actually runs.
-    from ..cache.results import result_cache_enabled
-
-    disk = active_store()
-    measured = None
-    measurement_key = None
-    selection_fingerprint = content_key("selection-fp", selection)
-    if disk is not None:
-        measurement_key = content_key(
-            "sampled-measurements", stable_repr(config),
-            workload.name, workload.profile.seed, total, stable_repr(spec),
-        )
-    if measurement_key is not None and result_cache_enabled():
-        payload = disk.get("measurement", measurement_key)
-        if isinstance(payload, dict) \
-                and payload.get("selection") == selection_fingerprint:
-            payload_weights = payload.get("weights", ())
-            if (len(payload.get("interval_results", ())) == selection.k
-                    and len(payload_weights) == selection.k
-                    and all(isinstance(w, (int, float))
-                            and not isinstance(w, bool)
-                            and math.isfinite(w)
-                            for w in payload_weights)):
-                measured = payload
-    if measured is not None:
-        interval_results = list(measured["interval_results"])
-        weights = list(measured["weights"])
-    else:
-        interval_results, weights = _measure_intervals(
-            config, workload, selection, spec, store
-        )
-        if measurement_key is not None:
-            disk.put("measurement", measurement_key, {
-                "selection": selection_fingerprint,
-                "interval_results": interval_results,
-                "weights": weights,
-            })
-
+    selection = get_selection(workload, total, spec, config=config)
+    interval_results, weights = _measure_intervals(
+        config, workload, selection, spec
+    )
     result = weighted_aggregate(
         interval_results, weights, total_instructions=total
     )

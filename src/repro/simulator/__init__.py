@@ -22,7 +22,6 @@ from .runner import (
     bench_benchmark_names,
     bench_instruction_budget,
     bench_l1_sizes,
-    clear_workload_cache,
     get_workload,
     iter_task_results,
     resolve_jobs,
@@ -63,7 +62,6 @@ __all__ = [
     "bench_benchmark_names",
     "bench_instruction_budget",
     "bench_l1_sizes",
-    "clear_workload_cache",
     "configs_for_schemes",
     "get_workload",
     "harmonic_mean",

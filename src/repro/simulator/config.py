@@ -12,7 +12,7 @@ stage counts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core.engine import FetchEngineConfig

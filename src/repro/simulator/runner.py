@@ -79,29 +79,18 @@ def get_workload(name: str) -> Workload:
     return _WORKLOAD_CACHE[key]
 
 
-def clear_workload_cache() -> None:
-    _WORKLOAD_CACHE.clear()
-
-
 def clear_process_caches() -> None:
-    """Drop every per-process in-memory cache (workloads, warm-up
-    artifacts, functional base passes, checkpoints, compiled traces).
+    """Drop the built workloads, and with them everything this process
+    derived from them (compiled and prediction traces, warm-up
+    artifacts, sampling profiles and selections, checkpoints: each lives
+    on its workload).
 
     Leaves the persistent artifact store untouched: afterwards the
     process behaves like a fresh CLI invocation, which is exactly what
     the cold-vs-warm cache benchmarks and tests need to isolate the
     on-disk tier.
     """
-    from ..cache.traces import clear_trace_cache
-    from ..sampling.checkpoint import clear_checkpoint_store
-    from ..sampling.proxy import clear_base_profile_cache
-    from .warming import clear_warmup_cache
-
-    clear_workload_cache()
-    clear_trace_cache()
-    clear_checkpoint_store()
-    clear_base_profile_cache()
-    clear_warmup_cache()
+    _WORKLOAD_CACHE.clear()
 
 
 # ----------------------------------------------------------------------
@@ -157,22 +146,10 @@ def _execute_single(
     benchmark: str,
     max_instructions: Optional[int] = None,
 ) -> SimulationResult:
-    """Run one configuration on one benchmark (the executor primitive
-    behind every task; the public entry point is :class:`repro.api.Session`).
-
-    Full runs are deterministic, so with the artifact cache enabled the
-    complete :class:`SimulationResult` of an earlier invocation replays
-    byte-identically from the store (``--no-result-cache`` /
-    ``ExecutionOptions(result_cache=False)`` forces resimulation); a hit
-    needs only the workload's *identity*, not the built program.
-    """
-    from ..cache.results import load_cached_result, store_result
-
-    profile = profile_for(benchmark)
+    """Run one configuration on one benchmark in full (the executor
+    primitive behind ``SimTask(sampled=False)``; the public entry point
+    is :class:`repro.api.Session`)."""
     total = max_instructions or config.max_instructions
-    cached = load_cached_result(config, profile.name, profile.seed, total)
-    if cached is not None:
-        return cached
     workload = get_workload(benchmark)
     # With the artifact cache enabled the compiled trace is persisted
     # once per workload and loaded by every later process; disabled, the
@@ -206,31 +183,43 @@ def _execute_single(
             # exact mid-run state, safe for any larger budget to resume.
             DEFAULT_STORE.publish(FRONTIER, config, workload, committed,
                                   simulator.snapshot())
-    store_result(config, profile.name, profile.seed, total, result)
     return result
 
 
 def _run_task(task: SimTask) -> SimulationResult:
     """Run one :class:`SimTask`, in a worker process or inline.
 
-    The workload cache is the process's own module-global, so each
-    worker builds a given synthetic program at most once no matter how
-    many tasks it serves.  Sampled
-    tasks dispatch to the sampled-simulation runner in
-    :mod:`repro.sampling`, whose per-process checkpoint/selection caches
-    play the same role for the warm-up and profiling passes.
+    Every run is deterministic, so with the artifact cache enabled the
+    complete :class:`SimulationResult` of an earlier invocation of the
+    same task -- full or sampled -- replays byte-identically from the
+    store (``--no-result-cache`` / ``ExecutionOptions(result_cache=
+    False)`` forces simulation); a hit needs only the workload's
+    *identity*, not the built program.  Otherwise full tasks run here
+    and sampled ones in :mod:`repro.sampling`, on the workload the
+    process's registry builds at most once however many tasks share it,
+    so everything derived from it is reused too.
     """
-    if task.sampled:
-        # Imported lazily: repro.sampling imports this module.
-        from ..sampling.sampled import _execute_sampled
+    # Imported lazily: repro.sampling imports this module.
+    from ..cache.results import load_cached_result, store_result
+    from ..sampling.sampled import DEFAULT_SPEC, _execute_sampled
 
-        return _execute_sampled(
-            task.config, task.benchmark,
-            max_instructions=task.max_instructions,
-            spec=task.sampling,
-        )
-    return _execute_single(task.config, task.benchmark,
-                           task.max_instructions)
+    profile = profile_for(task.benchmark)
+    total = task.max_instructions or task.config.max_instructions
+    sampling = (task.sampling or DEFAULT_SPEC) if task.sampled else None
+    result = load_cached_result(task.config, profile.name, profile.seed,
+                                total, sampling)
+    if result is not None:
+        return result
+    if task.sampled:
+        result = _execute_sampled(task.config, task.benchmark,
+                                  max_instructions=task.max_instructions,
+                                  spec=sampling)
+    else:
+        result = _execute_single(task.config, task.benchmark,
+                                 task.max_instructions)
+    store_result(task.config, profile.name, profile.seed, total, sampling,
+                 result)
+    return result
 
 
 def _usable_cpus() -> int:
@@ -488,7 +477,7 @@ def _store_hits() -> int:
 
 
 def _result_hits() -> int:
-    """Current full-run result-cache hit counter (see repro.cache.results)."""
+    """Current result-cache hit counter (see repro.cache.results)."""
     from ..cache.results import result_cache_hits
 
     return result_cache_hits()
@@ -497,10 +486,10 @@ def _result_hits() -> int:
 def _timed_task(
     index: int, task: SimTask
 ) -> Tuple[int, SimulationResult, float, int, int]:
-    """Run one task, measuring wall-clock seconds, store hits and
-    full-run result replays (reported distinctly: a result replay skips
-    the simulation entirely, an ordinary store hit only skips rebuilding
-    one artifact)."""
+    """Run one task, measuring wall-clock seconds, store hits and result
+    replays (reported distinctly: a result replay skips the simulation
+    entirely, an ordinary store hit only skips rebuilding one
+    artifact)."""
     hits_before = _store_hits()
     result_hits_before = _result_hits()
     start = time.perf_counter()

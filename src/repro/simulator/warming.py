@@ -19,9 +19,10 @@ equivalent to measuring a later, warmed slice).
 Because many experiment sweeps run the same benchmark under dozens of
 configurations, the expensive part of the warm-up (walking the correct
 path and training a predictor) is computed once per (workload, predictor
-geometry, budget) and cached; each simulation then receives a copy of
-the trained predictor, and each of its caches the warm state replayed
-once per cache geometry (so the L2 of a sweep over L1 sizes warms once).
+geometry, budget) and kept on the workload; each simulation then
+receives a copy of the trained predictor, and each of its caches the
+warm state replayed once per cache geometry (so the L2 of a sweep over
+L1 sizes warms once).
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class WarmupArtifacts:
         # The snapshots are per-process (cheap to rebuild, geometry-
         # dependent): a persisted artifact starts without them.
         return {**self.__dict__, "cache_snapshots": {}}
-
-
-_CACHE: Dict[Tuple, WarmupArtifacts] = {}
 
 
 def compute_warmup(
@@ -106,17 +104,18 @@ def get_warmup_artifacts(
 ) -> WarmupArtifacts:
     """Cached wrapper around :func:`compute_warmup`.
 
-    Misses fall through to the persistent artifact store (when enabled)
-    before recomputing: the warm-up walk is deterministic per key, so a
-    trained predictor and its line trace published by any previous
-    process replay bit-identically here.
+    The workload keeps what it derived; misses fall through to the
+    persistent artifact store (when enabled) before recomputing: the
+    warm-up walk is deterministic per key, so a trained predictor and
+    its line trace published by any previous process replay
+    bit-identically here.
     """
     key = (
         workload.name, workload.profile.seed, instructions,
         base_entries, history_entries, max_stream_instructions, line_size,
     )
     return cached(
-        _CACHE, "warmup", key, WarmupArtifacts,
+        workload, "warmup", key, WarmupArtifacts,
         lambda: compute_warmup(
             workload, instructions,
             base_entries=base_entries,
@@ -125,10 +124,6 @@ def get_warmup_artifacts(
             line_size=line_size,
         ),
     )
-
-
-def clear_warmup_cache() -> None:
-    _CACHE.clear()
 
 
 def _cache_geometry(cache: Cache) -> Tuple:

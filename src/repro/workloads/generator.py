@@ -20,8 +20,8 @@ execution of it is produced by :class:`repro.workloads.trace.ProgramWalker`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from .cfg import BasicBlock, ControlFlowGraph, Function
 from .isa import INSTRUCTION_BYTES, BranchKind, InstrClass
@@ -86,14 +86,6 @@ class WorkloadProfile:
         from dataclasses import replace
 
         return replace(self, **overrides)
-
-
-@dataclass
-class _FunctionPlan:
-    """Internal plan for one function prior to address assignment."""
-
-    name: str
-    blocks: List[BasicBlock] = field(default_factory=list)
 
 
 class ProgramGenerator:

@@ -688,16 +688,13 @@ class Workload:
     #: starts empty and grows on demand; the artifact cache may swap in a
     #: stored prefix of the same walk (:meth:`attach_compiled_trace`).
     _compiled_trace: CompiledTrace = field(init=False)
-    #: The front-end's prediction traces (:meth:`prediction_trace`).
-    _prediction_traces: Dict[tuple, object] = field(
-        init=False, repr=False, compare=False)
-    _prediction_lock: threading.Lock = field(
+    #: Everything a process derives from this workload (:meth:`derived`).
+    _derived: Dict[tuple, object] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._compiled_trace = CompiledTrace.empty(self.profile, self.cfg)
-        self._prediction_traces = {}
-        self._prediction_lock = threading.Lock()
+        self._derived = {}
 
     def attach_compiled_trace(self, trace: CompiledTrace) -> None:
         """Route every future oracle through ``trace`` (must belong to
@@ -716,16 +713,20 @@ class Workload:
         profile seeds, regardless of simulator configuration)."""
         return CompiledPathOracle(self._compiled_trace)
 
-    def prediction_trace(self, key: tuple, build: Callable[[], object]):
-        """The prediction trace for ``key``, built by ``build()`` on first
-        use and shared by every later run whose front-end starts in the
-        state ``key`` names
-        (:class:`~repro.frontend.prediction.PredictionTrace`)."""
-        with self._prediction_lock:
-            trace = self._prediction_traces.get(key)
-            if trace is None:
-                trace = self._prediction_traces[key] = build()
-            return trace
+    def derived(self, key: tuple, build: Callable[[], object]):
+        """The value this process derived from the workload under ``key``
+        (whose first element names the kind), built by ``build()`` on
+        first use and shared by every later caller: prediction traces,
+        warm-up artifacts, sampling profiles and selections, checkpoints.
+
+        Every such value dies with its workload.  Builds are
+        deterministic, so no lock is held across one: two threads that
+        miss together both build, and the first value stored wins.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived.setdefault(key, build())
+        return value
 
     @property
     def name(self) -> str:

@@ -336,8 +336,9 @@ class TestFigure5SampledParity:
 
 
 class TestResultCacheReporting:
-    """Full-run result replays are reported distinctly from ordinary
-    artifact-store hits, and ``result_cache=False`` forces resimulation."""
+    """Result replays, of full and sampled runs alike, are reported
+    distinctly from ordinary artifact-store hits, and
+    ``result_cache=False`` forces resimulation."""
 
     @staticmethod
     def _task_events(handle):
@@ -397,6 +398,19 @@ class TestResultCacheReporting:
                    for e in self._task_events(forced_handle))
         assert forced.result_cache_hits == 0
         assert warm.results == cold.results == forced.results
+
+    def test_warm_sampled_run_replays_every_task(self, tmp_path):
+        from repro.simulator.runner import clear_process_caches
+
+        spec = fast_spec(benchmarks=("gzip", "mcf"), max_instructions=4000)
+        options = ExecutionOptions(sampled=True)
+        with Session(cache_dir=str(tmp_path / "rc-sampled")) as session:
+            cold = session.run(spec, options=options)
+            clear_process_caches()
+            warm = session.run(spec, options=options)
+        assert cold.result_cache_hits == 0
+        assert warm.result_cache_hits == len(warm.tasks) == 2
+        assert warm.results == cold.results
 
     def test_result_cache_override_is_scoped_to_the_submission(self,
                                                                tmp_path):

@@ -12,7 +12,7 @@ Four contracts:
   counters), ``--no-cache``/disabled stores never touch disk, and
   ``cache clear`` empties the store.
 * **Bit identity** -- cached-path results (compiled-trace oracles,
-  persisted warm checkpoints, replayed measurements) equal the uncached
+  persisted warm checkpoints, replayed results) equal the uncached
   path's results field for field.
 """
 
@@ -43,8 +43,13 @@ from repro.cache.traces import TRACE_MARGIN
 from repro.context import current_context, use_context
 from repro.sampling import SamplingSpec
 from repro.sampling.sampled import _execute_sampled
-from repro.sampling.checkpoint import POSITIONED, CheckpointStore
-from repro.simulator.runner import _execute_single, clear_process_caches
+from repro.sampling.checkpoint import DEFAULT_STORE, POSITIONED
+from repro.simulator.plan import SimTask
+from repro.simulator.runner import (
+    _execute_single,
+    _run_task,
+    clear_process_caches,
+)
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.workloads.generator import WorkloadProfile
@@ -355,17 +360,16 @@ class TestPersistentCheckpoints:
         with temporary_cache_dir(tmp_path / "cache") as disk:
             clear_process_caches()
             producer_workload = build_workload(MEDIUM_PROFILE)
-            producer = CheckpointStore()
-            producer.warm_checkpoint(config, producer_workload)
+            DEFAULT_STORE.warm_checkpoint(config, producer_workload)
             # The warm state is the positioned checkpoint at offset 0.
             assert disk.describe().get("positioned", (0, 0))[0] == 1
 
-            # "New process": fresh workload, fresh store, same disk.
+            # "New process": fresh workload, same disk.
             clear_process_caches()
             consumer_workload = build_workload(MEDIUM_PROFILE)
-            consumer = CheckpointStore()
             stores_before = disk.stats.stores
-            checkpoint = consumer.warm_checkpoint(config, consumer_workload)
+            checkpoint = DEFAULT_STORE.warm_checkpoint(config,
+                                                       consumer_workload)
             assert disk.stats.stores == stores_before   # loaded, not rebuilt
 
             restored = Simulator(config, consumer_workload)
@@ -379,25 +383,25 @@ class TestPersistentCheckpoints:
         still be persisted when the same store later publishes it with a
         live artifact store (memo presence alone proves nothing about
         disk), and republishing to the same store is a no-op."""
-        from repro.sampling.checkpoint import CheckpointStore
-
         config = make_sim_config(max_instructions=2000)
         workload = build_workload(MEDIUM_PROFILE)
         simulator = Simulator(config, workload)
         simulator.warm_up()
         simulator.skip_to(1500)
         checkpoint = simulator.snapshot()
-        store = CheckpointStore()
         with temporary_cache_dir(tmp_path / "off", enabled=False):
-            store.publish(POSITIONED, config, workload, 1500, checkpoint)
+            DEFAULT_STORE.publish(POSITIONED, config, workload, 1500,
+                                  checkpoint)
         with temporary_cache_dir(tmp_path / "on") as disk:
-            store.publish(POSITIONED, config, workload, 1500, checkpoint)
+            DEFAULT_STORE.publish(POSITIONED, config, workload, 1500,
+                                  checkpoint)
             assert disk.describe().get("positioned", (0, 0))[0] == 1
             stores_before = disk.stats.stores
-            store.publish(POSITIONED, config, workload, 1500, checkpoint)
+            DEFAULT_STORE.publish(POSITIONED, config, workload, 1500,
+                                  checkpoint)
             assert disk.stats.stores == stores_before   # already on disk
-            loaded = CheckpointStore().positioned_checkpoint(
-                config, workload, 2000)
+            loaded = DEFAULT_STORE.positioned_checkpoint(
+                config, build_workload(MEDIUM_PROFILE), 2000)
             assert loaded is not None and loaded[0] == 1500
 
 
@@ -405,11 +409,18 @@ class TestPersistentCheckpoints:
 # end-to-end reuse semantics
 # ----------------------------------------------------------------------
 def _sampled_once(config, spec):
-    """One sampled run in a 'fresh process' (cleared in-memory caches)."""
+    """One sampled measurement in a 'fresh process' (cleared in-memory
+    caches): it reads every artifact kind it needs, never a result."""
     clear_process_caches()
     workload = build_workload(MEDIUM_PROFILE)
-    return _execute_sampled(config, workload, spec=spec,
-                            store=CheckpointStore())
+    return _execute_sampled(config, workload, spec=spec)
+
+
+def _sampled_task(config, spec):
+    """One sampled task in a 'fresh process', replaying its result when
+    the store holds one."""
+    clear_process_caches()
+    return _run_task(SimTask(config, "gcc", sampled=True, sampling=spec))
 
 
 class TestCacheReuse:
@@ -418,63 +429,59 @@ class TestCacheReuse:
 
     def test_second_run_replays_artifacts(self, tmp_path, monkeypatch):
         with temporary_cache_dir(tmp_path / "cache") as disk:
-            cold = _sampled_once(self.CONFIG, self.SPEC)
+            cold = _sampled_task(self.CONFIG, self.SPEC)
             assert disk.stats.stores > 0
             cold_stores = disk.stats.stores
 
             # Warm run: everything must come from disk -- no new
-            # artifacts, and no timed simulation at all (the measurement
-            # payload short-circuits _measure_intervals).
+            # artifacts, and no timed simulation at all (the result
+            # replays before _measure_intervals could run).
             import repro.sampling.sampled as sampled_mod
 
             def no_simulation(*args, **kwargs):
                 raise AssertionError(
-                    "warm run re-simulated intervals despite cached "
-                    "measurements")
+                    "warm run re-simulated intervals despite a cached "
+                    "result")
 
             monkeypatch.setattr(sampled_mod, "_measure_intervals",
                                 no_simulation)
-            warm = _sampled_once(self.CONFIG, self.SPEC)
+            warm = _sampled_task(self.CONFIG, self.SPEC)
             assert disk.stats.stores == cold_stores
             assert disk.stats.hits > 0
             assert warm == cold
 
+    def test_warm_sampled_task_replays_without_a_workload(
+            self, tmp_path, monkeypatch):
+        from repro.cache.results import RESULT_CACHE_STATS
+        from repro.simulator import runner as runner_mod
+
+        with temporary_cache_dir(tmp_path / "cache"):
+            cold = _sampled_task(self.CONFIG, self.SPEC)
+
+            def no_build(*args, **kwargs):
+                raise AssertionError("a warm sampled task built its "
+                                     "workload")
+
+            monkeypatch.setattr(runner_mod, "build_workload", no_build)
+            hits = RESULT_CACHE_STATS.hits
+            warm = _sampled_task(self.CONFIG, self.SPEC)
+        assert RESULT_CACHE_STATS.hits == hits + 1
+        assert warm == cold
+
     def test_cached_and_uncached_results_are_bit_identical(self, tmp_path):
         with temporary_cache_dir(tmp_path / "cache-a"):
-            cold = _sampled_once(self.CONFIG, self.SPEC)
-            warm = _sampled_once(self.CONFIG, self.SPEC)
+            cold = _sampled_task(self.CONFIG, self.SPEC)
+            warm = _sampled_task(self.CONFIG, self.SPEC)
         with temporary_cache_dir(tmp_path / "cache-b", enabled=False):
-            uncached = _sampled_once(self.CONFIG, self.SPEC)
+            uncached = _sampled_task(self.CONFIG, self.SPEC)
         clear_process_caches()
         assert cold == warm == uncached
 
     def test_disabled_cache_touches_no_disk(self, tmp_path):
         target = tmp_path / "cache-disabled"
         with temporary_cache_dir(target, enabled=False):
-            _sampled_once(self.CONFIG, self.SPEC)
+            _sampled_task(self.CONFIG, self.SPEC)
         assert not target.exists()
-
-    def test_stale_measurements_are_recomputed(self, tmp_path):
-        """A measurement payload whose selection fingerprint no longer
-        matches (simulating an algorithm change) must be ignored."""
-        with temporary_cache_dir(tmp_path / "cache") as disk:
-            cold = _sampled_once(self.CONFIG, self.SPEC)
-            (kind, path), = (
-                (k, p) for k, p in disk.entries() if k == "measurement"
-            )
-            import zlib
-
-            from repro.cache.store import frame_digest, unframe_digest
-
-            payload = pickle.loads(
-                zlib.decompress(unframe_digest(path.read_bytes())))
-            payload["selection"] = "0" * 64
-            # Re-frame: the rewrite simulates a *valid* artifact from an
-            # older algorithm, not on-disk corruption.
-            path.write_bytes(
-                frame_digest(zlib.compress(pickle.dumps(payload))))
-            warm = _sampled_once(self.CONFIG, self.SPEC)
-            assert warm == cold
 
 
 # ----------------------------------------------------------------------
@@ -489,10 +496,8 @@ class TestResultCache:
 
     @staticmethod
     def _run_once():
-        from repro.simulator.runner import _execute_single, clear_process_caches
-
         clear_process_caches()
-        return _execute_single(TestResultCache.CONFIG, "gzip", 1500)
+        return _run_task(SimTask(TestResultCache.CONFIG, "gzip", 1500))
 
     def test_warm_run_replays_the_result_without_simulating(
             self, tmp_path, monkeypatch):
@@ -531,6 +536,8 @@ class TestResultCache:
         assert result_key(self.CONFIG, "mcf", 3, 1500) != base
         assert result_key(self.CONFIG.with_overrides(l1_size_bytes=1024),
                           "gzip", 3, 1500) != base
+        assert result_key(self.CONFIG, "gzip", 3, 1500,
+                          SamplingSpec()) != base
 
     def test_corrupted_result_degrades_to_resimulate(self, tmp_path):
         with temporary_cache_dir(tmp_path / "cache") as disk:
@@ -572,15 +579,13 @@ class TestEveryKindSurvivesCorruption:
     EXPECTED_KINDS = {
         "trace", "warmup", "bbv", "fprofile", "selection",
         "positioned", "positioned-index", "frontier", "frontier-index",
-        "measurement", "result",
+        "result",
     }
 
     @classmethod
     def _produce_everything(cls):
         """Cold 'fresh process' runs touching every artifact kind, and
         restoring a warm state and a frontier from the store."""
-        from repro.simulator.runner import _execute_single
-
         stratified = _sampled_once(cls.SAMPLED_CONFIG,
                                    SamplingSpec(max_intervals=4))
         kmeans = _sampled_once(cls.SAMPLED_CONFIG,
@@ -592,16 +597,16 @@ class TestEveryKindSurvivesCorruption:
         clear_process_caches()
         workload = build_workload(MEDIUM_PROFILE)
         warm = Simulator(cls.SAMPLED_CONFIG, workload)
-        warm.restore(CheckpointStore().warm_checkpoint(cls.SAMPLED_CONFIG,
-                                                       workload))
+        warm.restore(DEFAULT_STORE.warm_checkpoint(cls.SAMPLED_CONFIG,
+                                                   workload))
         from_warm = warm.run(1500)
         clear_process_caches()
-        full = _execute_single(cls.FULL_CONFIG, "gzip", 1500)
+        full = _run_task(SimTask(cls.FULL_CONFIG, "gzip", 1500))
         # A larger budget resumes the 1500-instruction frontier (result
         # replay off, so a corrupted frontier is read, not bypassed).
         clear_process_caches()
         with use_context(current_context().override(result_cache=False)):
-            resumed = _execute_single(cls.FULL_CONFIG, "gzip", 3000)
+            resumed = _run_task(SimTask(cls.FULL_CONFIG, "gzip", 3000))
         return (stratified, kmeans, from_warm, full, resumed)
 
     @staticmethod
@@ -786,10 +791,9 @@ class TestCacheCli:
 class TestColdWarmFigure:
     """The cold-vs-warm invariant end to end, in fresh processes: a
     second ``figure 5`` against the same fresh store prints byte-identical
-    stdout and does the work much faster -- at least 2x sampled
-    (profiles, selections and interval measurements replay), at least 5x
-    full (whole results replay) -- and ``--no-result-cache`` resimulates
-    yet prints the same stdout.  Interpreter and import startup is the
+    stdout and does the work much faster -- at least 2x sampled, at
+    least 5x full (whole results replay in both modes) -- and
+    ``--no-result-cache`` resimulates yet prints the same stdout.  Interpreter and import startup is the
     same in every run and not what the cache accelerates, so it is
     measured with a no-op subcommand and subtracted."""
 

@@ -10,25 +10,18 @@ same configuration) with identical continuations.
 
 import dataclasses
 import functools
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.store import temporary_cache_dir
-from repro.sampling.checkpoint import (
-    DEFAULT_STORE,
-    FRONTIER,
-    POSITIONED,
-    CheckpointStore,
-)
+from repro.sampling.checkpoint import DEFAULT_STORE, FRONTIER, POSITIONED
 from repro.sampling.sampled import SamplingSpec, _execute_sampled
 from repro.simulator.config import SimulationConfig
-from repro.simulator.runner import (
-    _execute_single,
-    clear_process_caches,
-    clear_workload_cache,
-)
+from repro.simulator.runner import _execute_single, clear_process_caches
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.workloads.generator import WorkloadProfile
@@ -284,30 +277,29 @@ class TestPositionalProperties:
         _assert_identical(other.run(1200), expected)
 
 
+def _fresh(workload: Workload) -> Workload:
+    """A new object of ``workload``'s benchmark: nothing derived in
+    memory yet, so its checkpoints come from the store tier or not at
+    all."""
+    return build_workload(workload.profile)
+
+
 class TestCheckpointStore:
     def test_warm_checkpoint_cached(self, medium_workload):
-        store = CheckpointStore()
+        workload = _fresh(medium_workload)
         config = make_sim_config(max_instructions=1000)
-        a = store.warm_checkpoint(config, medium_workload)
-        b = store.warm_checkpoint(config, medium_workload)
+        a = DEFAULT_STORE.warm_checkpoint(config, workload)
+        b = DEFAULT_STORE.warm_checkpoint(config, workload)
         assert a is b
 
     def test_distinct_configs_get_distinct_checkpoints(self, medium_workload):
-        store = CheckpointStore()
-        a = store.warm_checkpoint(
-            make_sim_config(max_instructions=1000), medium_workload)
-        b = store.warm_checkpoint(
+        workload = _fresh(medium_workload)
+        a = DEFAULT_STORE.warm_checkpoint(
+            make_sim_config(max_instructions=1000), workload)
+        b = DEFAULT_STORE.warm_checkpoint(
             make_sim_config(max_instructions=1000, l1_size_bytes=1024),
-            medium_workload)
+            workload)
         assert a is not b
-
-    def test_clear(self, medium_workload):
-        store = CheckpointStore()
-        store.warm_checkpoint(make_sim_config(max_instructions=1000),
-                              medium_workload)
-        assert len(store) > 0
-        store.clear()
-        assert len(store) == 0
 
     def test_kinds_at_one_offset_stay_apart(self, medium_workload,
                                             tmp_path):
@@ -316,17 +308,18 @@ class TestCheckpointStore:
         kind -- from memory and from the store -- and each restores into
         its own path: a skip onward, or the resumed timed run."""
         config = make_sim_config(engine="fdp", max_instructions=3000)
-        timed = Simulator(config, medium_workload)
+        writer = _fresh(medium_workload)
+        timed = Simulator(config, writer)
         timed.warm_up()
         offset = timed.run(1500).committed_instructions
         frontier = timed.snapshot()
-        skipped = Simulator(config, medium_workload)
+        skipped = Simulator(config, writer)
         skipped.warm_up()
         skipped.skip_to(offset)
         positioned = skipped.snapshot()
 
-        def continue_from(kind, checkpoint):
-            simulator = Simulator(config, medium_workload)
+        def continue_from(kind, checkpoint, workload=writer):
+            simulator = Simulator(config, workload)
             if checkpoint is None:
                 simulator.warm_up()
             else:
@@ -339,43 +332,42 @@ class TestCheckpointStore:
         expected = {kind: continue_from(kind, None)
                     for kind in (POSITIONED, FRONTIER)}
         with temporary_cache_dir(tmp_path / "cache"):
-            writer = CheckpointStore()
-            writer.publish(POSITIONED, config, medium_workload, offset,
-                           positioned)
-            writer.publish(FRONTIER, config, medium_workload, offset,
-                           frontier)
-            assert writer.deepest(POSITIONED, config, medium_workload,
-                                  0, offset) == (offset, positioned)
-            assert writer.deepest(FRONTIER, config, medium_workload,
-                                  0, offset) == (offset, frontier)
-            reader = CheckpointStore()      # the store tier only
+            DEFAULT_STORE.publish(POSITIONED, config, writer, offset,
+                                  positioned)
+            DEFAULT_STORE.publish(FRONTIER, config, writer, offset, frontier)
+            assert DEFAULT_STORE.deepest(POSITIONED, config, writer,
+                                         0, offset) == (offset, positioned)
+            assert DEFAULT_STORE.deepest(FRONTIER, config, writer,
+                                         0, offset) == (offset, frontier)
+            reader = _fresh(medium_workload)    # the store tier only
             for kind in (POSITIONED, FRONTIER):
-                found = reader.deepest(kind, config, medium_workload,
-                                       0, offset)
+                found = DEFAULT_STORE.deepest(kind, config, reader,
+                                              0, offset)
                 assert found is not None and found[0] == offset
-                _assert_identical(continue_from(kind, found[1]),
+                _assert_identical(continue_from(kind, found[1], reader),
                                   expected[kind])
 
     def test_warm_checkpoint_matches_plain_warm_up(self, medium_workload):
         """Restoring the store's warm checkpoint must continue exactly like
         a freshly warmed simulator (the sampled runner relies on the two
         states being interchangeable)."""
-        store = CheckpointStore()
+        workload = _fresh(medium_workload)
         config = make_sim_config(engine="fdp", max_instructions=1500)
-        fresh = Simulator(config, medium_workload)
+        fresh = Simulator(config, workload)
         fresh.warm_up()
         expected = fresh.run(1500)
 
-        restored = Simulator(config, medium_workload)
-        restored.restore(store.warm_checkpoint(config, medium_workload))
+        restored = Simulator(config, workload)
+        restored.restore(DEFAULT_STORE.warm_checkpoint(config, workload))
         _assert_identical(restored.run(1500), expected)
 
 
 class TestCheckpointsFollowTheirWorkload:
-    """A checkpoint shares its workload's objects (CFG, trace, lock), so
-    one taken on a workload object never restores into a machine built
-    on another object of the same benchmark; with the store off, that
-    other object simply runs without it."""
+    """A checkpoint shares its workload's objects (CFG, traces), so one
+    taken on a workload object never restores into a machine built on
+    another object of the same benchmark; with the store off, that other
+    object simply runs without it.  The checkpoints live on their
+    workload, so dropping the workload drops them too."""
 
     CONFIG = SimulationConfig(engine="clgp", technology="0.045um",
                               l1_size_bytes=4096, max_instructions=800,
@@ -388,19 +380,33 @@ class TestCheckpointsFollowTheirWorkload:
             yield
         clear_process_caches()
 
-    def test_larger_budget_after_clear_workload_cache(self):
+    def test_larger_run_after_clear_process_caches(self):
         _execute_single(self.CONFIG, "gzip", 800)
-        clear_workload_cache()
+        clear_process_caches()
         after_clear = _execute_single(self.CONFIG, "gzip", 1000)
         clear_process_caches()
         _assert_identical(after_clear,
                           _execute_single(self.CONFIG, "gzip", 1000))
 
+    def test_a_dropped_workload_is_freed_with_its_checkpoints(self):
+        workload = build_workload(profile_for("gcc"))
+        publishes = DEFAULT_STORE.counts[POSITIONED, "publish"]
+        _execute_sampled(self.CONFIG, workload, 10_000,
+                         SamplingSpec(max_intervals=8))
+        # The run jumped more than once, so it left positioned states in
+        # memory, each holding the workload's objects.
+        assert DEFAULT_STORE.counts[POSITIONED, "publish"] > publishes
+        dropped = weakref.ref(workload)
+        del workload
+        gc.collect()
+        assert dropped() is None
+
     def test_sampled_run_on_a_second_workload_object(self):
         spec = SamplingSpec(max_intervals=8)
+        publishes = DEFAULT_STORE.counts[POSITIONED, "publish"]
         first = _execute_sampled(self.CONFIG, "gcc", 10_000, spec)
         # The run jumped more than once, so it left positioned states.
-        assert DEFAULT_STORE.counts[POSITIONED, "publish"] > 0
+        assert DEFAULT_STORE.counts[POSITIONED, "publish"] > publishes
         second = _execute_sampled(
             self.CONFIG, build_workload(profile_for("gcc")), 10_000, spec)
         clear_process_caches()

@@ -144,7 +144,7 @@ class TestSampleCommand:
 
         monkeypatch.setattr(sampled, "_measure_intervals", counting)
         assert main(argv) == 0
-        assert calls == []          # the stored measurement replays
+        assert calls == []          # the stored result replays
         assert main(argv + ["--no-result-cache"]) == 0
         assert len(calls) == 1
 

@@ -208,4 +208,4 @@ class TestTraceSharing:
             for l1_size in (256, 4096, 65536)
         }
         assert len(traces) == 1
-        assert len(workload._prediction_traces) == 1
+        assert sum(key[0] == "prediction" for key in workload._derived) == 1

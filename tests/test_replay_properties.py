@@ -4,9 +4,8 @@ The artifact cache promises that *every* simulation path replays warm
 without changing a single bit:
 
 * **cold** -- an empty store computes and publishes everything,
-* **warm-replayed** -- a later invocation of the *same* run returns the
-  persisted result (full runs: the complete ``SimulationResult``
-  artifact; sampled runs: the per-interval measurement artifacts)
+* **warm-replayed** -- a later invocation of the *same* run, full or
+  sampled, returns its persisted ``SimulationResult`` artifact
   byte-identically,
 * **prefix-restored** -- a sampled run whose **budget was edited**
   restores the deepest positioned checkpoint at or before its skip
@@ -32,9 +31,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import temporary_cache_dir
 from repro.cache.results import RESULT_CACHE_STATS, result_key
-from repro.sampling.checkpoint import POSITIONED, CheckpointStore, position_key
+from repro.sampling.checkpoint import DEFAULT_STORE, POSITIONED, position_key
 from repro.sampling.sampled import SamplingSpec, _execute_sampled
-from repro.simulator.runner import _execute_single, clear_process_caches
+from repro.simulator.plan import SimTask
+from repro.simulator.runner import _run_task, clear_process_caches
 from repro.simulator.testing import make_sim_config
 
 ENGINES = ("baseline", "fdp", "clgp")
@@ -87,23 +87,28 @@ def _sampled_scenario(seed: int):
         rng.choice(BENCHMARKS), spec
 
 
+#: A full run's sampling spec, and two sampled runs' specs.
+SAMPLING_CHOICES = (None, SamplingSpec(), SamplingSpec(max_intervals=3))
+
+
 class TestFullRunReplay:
     """Cold, warm-replayed and cache-disabled full runs are bit-identical."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cold_warm_and_uncached_agree(self, tmp_path, seed):
         config, benchmark, budget = _full_scenario(seed)
+        task = SimTask(config, benchmark, budget)
         with temporary_cache_dir(tmp_path / "store"):
             clear_process_caches()
-            cold = _execute_single(config, benchmark, budget)
+            cold = _run_task(task)
             clear_process_caches()        # "new process": disk tier only
             hits_before = RESULT_CACHE_STATS.hits
-            warm = _execute_single(config, benchmark, budget)
+            warm = _run_task(task)
             assert RESULT_CACHE_STATS.hits == hits_before + 1, \
                 "warm run did not replay the persisted result"
         with temporary_cache_dir(tmp_path / "off", enabled=False):
             clear_process_caches()
-            uncached = _execute_single(config, benchmark, budget)
+            uncached = _run_task(task)
         clear_process_caches()
         _assert_identical(warm, cold, "warm replay")
         _assert_identical(uncached, cold, "cache-disabled run")
@@ -116,16 +121,20 @@ class TestFullRunReplay:
         l1_b=st.sampled_from([1024, 2048, 4096]),
         seed_a=st.integers(min_value=0, max_value=5),
         seed_b=st.integers(min_value=0, max_value=5),
+        sampling_a=st.sampled_from(SAMPLING_CHOICES),
+        sampling_b=st.sampled_from(SAMPLING_CHOICES),
     )
     def test_result_keys_collide_only_for_identical_runs(
-            self, budget_a, budget_b, l1_a, l1_b, seed_a, seed_b):
+            self, budget_a, budget_b, l1_a, l1_b, seed_a, seed_b,
+            sampling_a, sampling_b):
         """A stale replay is impossible by construction: result keys are
         equal exactly when every piece of key material is equal."""
         config_a = make_sim_config(l1_size_bytes=l1_a)
         config_b = make_sim_config(l1_size_bytes=l1_b)
-        key_a = result_key(config_a, "gzip", seed_a, budget_a)
-        key_b = result_key(config_b, "gzip", seed_b, budget_b)
-        same = (budget_a, l1_a, seed_a) == (budget_b, l1_b, seed_b)
+        key_a = result_key(config_a, "gzip", seed_a, budget_a, sampling_a)
+        key_b = result_key(config_b, "gzip", seed_b, budget_b, sampling_b)
+        same = ((budget_a, l1_a, seed_a, sampling_a)
+                == (budget_b, l1_b, seed_b, sampling_b))
         assert (key_a == key_b) == same
 
 
@@ -140,24 +149,24 @@ class TestBudgetEditPrefixRestore:
         # Control: what the edited budget produces with no cache at all.
         with temporary_cache_dir(tmp_path / "off", enabled=False):
             clear_process_caches()
-            control = _execute_sampled(edited_config, benchmark, spec=spec,
-                                       store=CheckpointStore())
+            control = _execute_sampled(edited_config, benchmark, spec=spec)
+        edited = SimTask(edited_config, benchmark, sampled=True,
+                         sampling=spec)
         with temporary_cache_dir(tmp_path / "store"):
             # Cold run of the original budget publishes positioned
             # checkpoints at its skip targets.
             clear_process_caches()
-            _execute_sampled(original, benchmark, spec=spec,
-                             store=CheckpointStore())
+            _execute_sampled(original, benchmark, spec=spec)
             # "New process", edited budget: restores the deepest
             # persisted prefix at or before each skip target.
             clear_process_caches()
-            prefix_store = CheckpointStore()
-            prefix_restored = _execute_sampled(
-                edited_config, benchmark, spec=spec, store=prefix_store)
-            # Warm replay of the edited budget: pure measurement replay.
+            prefix_restored = _run_task(edited)
+            # Warm replay of the edited budget: pure result replay.
             clear_process_caches()
-            warm = _execute_sampled(edited_config, benchmark, spec=spec,
-                                    store=CheckpointStore())
+            hits_before = RESULT_CACHE_STATS.hits
+            warm = _run_task(edited)
+            assert RESULT_CACHE_STATS.hits == hits_before + 1, \
+                "warm run did not replay the persisted result"
         clear_process_caches()
         _assert_identical(prefix_restored, control, "prefix-restored run")
         _assert_identical(warm, control, "warm replay")
@@ -171,18 +180,21 @@ class TestBudgetEditPrefixRestore:
                                    warmup_instructions=4000)
         edited = original.with_overrides(max_instructions=9000)
         assert position_key(original) == position_key(edited)
+        counts = DEFAULT_STORE.counts
         with temporary_cache_dir(tmp_path / "store"):
             clear_process_caches()
-            first = CheckpointStore()
-            _execute_sampled(original, "gcc", spec=spec, store=first)
-            assert first.counts[POSITIONED, "publish"] >= 1
-            assert first.counts[POSITIONED, "hit"] == 0  # nothing to reuse yet
+            hits, publishes = (counts[POSITIONED, "hit"],
+                               counts[POSITIONED, "publish"])
+            _execute_sampled(original, "gcc", spec=spec)
+            assert counts[POSITIONED, "publish"] >= publishes + 1
+            assert counts[POSITIONED, "hit"] == hits  # nothing to reuse yet
 
             clear_process_caches()
-            second = CheckpointStore()
-            _execute_sampled(edited, "gcc", spec=spec, store=second)
-            assert second.counts[POSITIONED, "hit"] >= 1
-            assert second.counts[POSITIONED, "publish"] >= 1
+            hits, publishes = (counts[POSITIONED, "hit"],
+                               counts[POSITIONED, "publish"])
+            _execute_sampled(edited, "gcc", spec=spec)
+            assert counts[POSITIONED, "hit"] >= hits + 1
+            assert counts[POSITIONED, "publish"] >= publishes + 1
         clear_process_caches()
 
     def test_position_key_neutralizes_run_length_only(self):

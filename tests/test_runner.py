@@ -12,7 +12,7 @@ from repro.simulator.runner import (
     bench_benchmark_names,
     bench_instruction_budget,
     bench_l1_sizes,
-    clear_workload_cache,
+    clear_process_caches,
     get_workload,
     resolve_jobs,
     run_tasks,
@@ -36,12 +36,12 @@ def run_plan(config, benchmarks, instructions, jobs=1, key=None):
 
 class TestWorkloadCache:
     def test_same_object_returned(self):
-        clear_workload_cache()
+        clear_process_caches()
         assert get_workload("gzip") is get_workload("gzip")
 
     def test_clear(self):
         a = get_workload("gzip")
-        clear_workload_cache()
+        clear_process_caches()
         assert get_workload("gzip") is not a
 
 

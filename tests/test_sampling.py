@@ -1,12 +1,9 @@
 """Tests for the sampled-simulation subsystem (BBV, selection, runner)."""
 
-import math
 import pickle
 
 import pytest
 
-from repro.cache import active_store
-from repro.cache.keys import content_key, stable_repr
 from repro.context import current_context, use_context
 from repro.sampling import (
     SamplingSpec,
@@ -18,11 +15,18 @@ from repro.sampling import (
     select_stratified,
 )
 from repro.sampling.sampled import _execute_sampled, _segments
-from repro.sampling.checkpoint import POSITIONED, CheckpointStore
+from repro.sampling.checkpoint import DEFAULT_STORE, POSITIONED
 from repro.sampling.proxy import functional_profile, proxy_cycles
-from repro.simulator.runner import get_workload
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
+from repro.workloads.spec2000 import profile_for
+from repro.workloads.trace import build_workload
+
+
+def fresh(workload):
+    """A new object of ``workload``'s benchmark, with nothing derived in
+    memory yet."""
+    return build_workload(workload.profile)
 
 
 # ----------------------------------------------------------------------
@@ -125,10 +129,10 @@ class TestSelection:
     def test_selection_is_deterministic(self, medium_workload):
         spec = SamplingSpec()
         config = make_sim_config(max_instructions=10_000)
-        a = get_selection(medium_workload, 10_000, spec,
-                          store=CheckpointStore(), config=config)
-        b = get_selection(medium_workload, 10_000, spec,
-                          store=CheckpointStore(), config=config)
+        a = get_selection(fresh(medium_workload), 10_000, spec,
+                          config=config)
+        b = get_selection(fresh(medium_workload), 10_000, spec,
+                          config=config)
         assert a == b
 
 
@@ -160,17 +164,14 @@ class TestRunSampled:
     def test_sampled_run_is_deterministic(self, medium_workload, method):
         config = make_sim_config(engine="clgp", max_instructions=8000)
         spec = SamplingSpec(method=method)
-        a = _execute_sampled(config, medium_workload, spec=spec,
-                             store=CheckpointStore())
-        b = _execute_sampled(config, medium_workload, spec=spec,
-                             store=CheckpointStore())
+        a = _execute_sampled(config, fresh(medium_workload), spec=spec)
+        b = _execute_sampled(config, fresh(medium_workload), spec=spec)
         assert a == b
 
     def test_sampled_run_estimates_the_full_run(self, medium_workload):
         config = make_sim_config(engine="clgp", max_instructions=10_000)
         full = Simulator(config, medium_workload).run()
-        sampled = _execute_sampled(config, medium_workload,
-                                   store=CheckpointStore())
+        sampled = _execute_sampled(config, fresh(medium_workload))
         # The sampled estimate is normalised to the exact budget; the full
         # run may overshoot by up to a commit-width of instructions.
         assert sampled.committed_instructions == config.max_instructions
@@ -183,8 +184,7 @@ class TestRunSampled:
 
     def test_sampled_metadata(self, medium_workload):
         config = make_sim_config(max_instructions=8000)
-        result = _execute_sampled(config, medium_workload,
-                                  store=CheckpointStore())
+        result = _execute_sampled(config, fresh(medium_workload))
         assert result.workload == medium_workload.name
         assert result.extras["sampling_intervals"] >= 1
         assert (result.extras["sampled_instructions"]
@@ -192,7 +192,7 @@ class TestRunSampled:
 
 
 # ----------------------------------------------------------------------
-# the segment walk: partitioning, checkpoint reuse, replay guard
+# the segment walk: partitioning and checkpoint reuse
 # ----------------------------------------------------------------------
 TOTAL = 40_000
 
@@ -201,11 +201,9 @@ TOTAL = 40_000
 ALL_JUMPED = SamplingSpec(max_intervals=3, method="kmeans")
 
 
-def run_sampled(benchmark, spec, store=None):
+def run_sampled(workload, spec):
     config = make_sim_config(engine="clgp", max_instructions=TOTAL)
-    return _execute_sampled(config, benchmark, spec=spec,
-                            store=store if store is not None
-                            else CheckpointStore())
+    return _execute_sampled(config, workload, spec=spec)
 
 
 def assert_identical(a, b):
@@ -218,12 +216,9 @@ def under(**policy):
     return use_context(current_context().override(**policy))
 
 
-@pytest.fixture
-def fresh_measurements():
-    """Disable measurement replay so every run really measures (the
-    artifact store is shared session-wide)."""
-    with under(result_cache=False):
-        yield
+def positioned_counts():
+    return (DEFAULT_STORE.counts[POSITIONED, "hit"],
+            DEFAULT_STORE.counts[POSITIONED, "publish"])
 
 
 class _Interval:
@@ -232,7 +227,6 @@ class _Interval:
         self.length = length
 
 
-@pytest.mark.usefixtures("fresh_measurements")
 class TestSegments:
     def test_empty(self):
         assert _segments([]) == []
@@ -257,22 +251,21 @@ class TestSegments:
         assert _segments(intervals) == [(0, 1), (2,)]
 
 
-@pytest.mark.usefixtures("fresh_measurements")
 class TestSegmentWalk:
     def test_store_off_serial_walk_resumes_previous_segment(self):
         # Segments are measured in order: each jump restores the
         # post-skip state the previous segment published, and with no
         # store nothing is snapshotted for the last segment.
-        store = CheckpointStore()
+        workload = build_workload(profile_for("gcc"))
+        hits, publishes = positioned_counts()
         with under(cache=False):
-            run_sampled("gcc", ALL_JUMPED, store=store)
+            run_sampled(workload, ALL_JUMPED)
             config = make_sim_config(engine="clgp", max_instructions=TOTAL)
-            selection = get_selection(get_workload("gcc"), TOTAL,
-                                      ALL_JUMPED, store=store, config=config)
+            selection = get_selection(workload, TOTAL, ALL_JUMPED,
+                                      config=config)
         later = len(_segments(selection.intervals)) - 1
         assert later >= 2
-        assert store.counts[POSITIONED, "hit"] == later
-        assert store.counts[POSITIONED, "publish"] == later
+        assert positioned_counts() == (hits + later, publishes + later)
 
     def test_store_off_serial_walk_restores_the_warm_state(self):
         # The warm state is the positioned checkpoint at offset 0: once it
@@ -280,54 +273,14 @@ class TestSegmentWalk:
         # warming up, and the result does not change.
         config = make_sim_config(engine="clgp", max_instructions=TOTAL)
         with under(cache=False):
-            cold_store = CheckpointStore()
-            cold = run_sampled("gcc", ALL_JUMPED, store=cold_store)
-            store = CheckpointStore()
-            store.warm_checkpoint(config, get_workload("gcc"))
-            warm = run_sampled("gcc", ALL_JUMPED, store=store)
-        assert store.counts[POSITIONED, "hit"] \
-            == cold_store.counts[POSITIONED, "hit"] + 1
+            hits = positioned_counts()[0]
+            cold = run_sampled(build_workload(profile_for("gcc")),
+                               ALL_JUMPED)
+            cold_hits = positioned_counts()[0] - hits
+            workload = build_workload(profile_for("gcc"))
+            DEFAULT_STORE.warm_checkpoint(config, workload)
+            hits = positioned_counts()[0]
+            warm = run_sampled(workload, ALL_JUMPED)
+            warm_hits = positioned_counts()[0] - hits
+        assert warm_hits == cold_hits + 1
         assert_identical(cold, warm)
-
-
-@pytest.mark.usefixtures("fresh_measurements")
-class TestReplayGuard:
-    """Replayed measurement payloads are validated, not trusted."""
-
-    @staticmethod
-    def _measurement_key(config, workload, spec):
-        return content_key(
-            "sampled-measurements", stable_repr(config),
-            workload.name, workload.profile.seed, TOTAL, stable_repr(spec),
-        )
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda weights: weights[:-1],                 # short list
-        lambda weights: [math.nan] + list(weights[1:]),   # non-finite
-        lambda weights: ["0.25"] + list(weights[1:]),     # non-numeric
-        lambda weights: [True] + list(weights[1:]),       # bool imposter
-    ])
-    def test_bad_weights_force_remeasure(self, corrupt):
-        spec = SamplingSpec(max_intervals=3)
-        with under(result_cache=True):   # replay on for this test
-            clean = run_sampled("gcc", spec)
-            config = make_sim_config(engine="clgp", max_instructions=TOTAL)
-            workload = get_workload("gcc")
-            disk = active_store()
-            key = self._measurement_key(config, workload, spec)
-            payload = disk.get("measurement", key)
-            assert payload is not None and len(payload["weights"]) == 3
-            disk.put("measurement", key,
-                     dict(payload, weights=corrupt(list(payload["weights"]))))
-            again = run_sampled("gcc", spec)
-        assert_identical(clean, again)
-        # The recompute must have replaced the corrupt payload.
-        healed = disk.get("measurement", key)
-        assert healed["weights"] == payload["weights"]
-
-    def test_good_payload_replays(self):
-        spec = SamplingSpec(max_intervals=3)
-        with under(result_cache=True):
-            first = run_sampled("gcc", spec)
-            second = run_sampled("gcc", spec)
-        assert_identical(first, second)

@@ -7,10 +7,10 @@ from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.simulator.warming import (
     apply_warmup,
-    clear_warmup_cache,
     compute_warmup,
     get_warmup_artifacts,
 )
+from repro.workloads.trace import build_workload
 
 
 class TestComputeWarmup:
@@ -21,13 +21,12 @@ class TestComputeWarmup:
         assert artifacts.predictor.base_table.occupancy() > 0
 
     def test_cache_returns_same_object(self, tiny_workload):
-        clear_warmup_cache()
-        a = get_warmup_artifacts(tiny_workload, 1000)
-        b = get_warmup_artifacts(tiny_workload, 1000)
+        workload = build_workload(tiny_workload.profile)
+        a = get_warmup_artifacts(workload, 1000)
+        b = get_warmup_artifacts(workload, 1000)
         assert a is b
-        c = get_warmup_artifacts(tiny_workload, 2000)
+        c = get_warmup_artifacts(workload, 2000)
         assert c is not a
-        clear_warmup_cache()
 
     def test_apply_warmup_copies_predictor(self, tiny_workload):
         artifacts = compute_warmup(tiny_workload, 1000)
@@ -97,17 +96,17 @@ class TestPerCacheSnapshots:
     def test_l2_warms_once_across_l1_sizes(self, tiny_workload):
         """Machines that differ only in L1 size share one L2 snapshot,
         and every warmed cache equals a per-line fill replay."""
-        clear_warmup_cache()
+        workload = build_workload(tiny_workload.profile)
         sizes = (1024, 4096, 16384)
         sims = [Simulator(make_sim_config(l1_size_bytes=size,
                                           warmup_instructions=4000),
-                          tiny_workload)
+                          workload)
                 for size in sizes]
         for sim in sims:
             sim.warm_up()
         config = sims[0].config
         artifacts = get_warmup_artifacts(
-            tiny_workload, 4000,
+            workload, 4000,
             base_entries=config.stream_predictor_base_entries,
             history_entries=config.stream_predictor_history_entries,
             max_stream_instructions=config.max_stream_instructions,
@@ -129,4 +128,3 @@ class TestPerCacheSnapshots:
                 fresh_l1.fill(line)
             assert _cache_state(l1) == _cache_state(fresh_l1)
             assert _cache_state(l2) == _cache_state(fresh_l2)
-        clear_warmup_cache()
