@@ -23,7 +23,8 @@ Five dimensions are tracked (each also lands in the session-level
   sampling subsystem itself, not artifact replay),
 * cold-vs-warm artifact cache: the same sampled mix against an empty and
   a populated ``repro.cache`` store, with in-memory caches cleared
-  between runs so the warm number models a fresh CLI invocation,
+  between runs so the warm number models a fresh CLI invocation, and
+  result replay off so the warm runs still simulate,
 * cold-vs-warm full-run result cache: the non-sampled counterpart --
   warm rounds replay complete persisted ``SimulationResult``\\ s with no
   simulation at all.
@@ -295,11 +296,14 @@ def test_artifact_cache_cold_vs_warm(benchmark, api_session, bench_metrics,
     """Cold-vs-warm persistent-cache timings for a sampled mix.
 
     Cold: empty artifact store, empty in-memory caches -- every compiled
-    trace, profile, selection, checkpoint and result is computed and
-    published.  Warm: the same work with in-memory caches cleared before
-    every round, so all reuse comes from the on-disk store alone (the
-    fresh-CLI-invocation model: every task replays its result).  Results
-    must be bit-identical.
+    trace, profile, selection and checkpoint is computed and published.
+    Warm: the same work with in-memory caches cleared before every
+    round, so all reuse comes from the on-disk store alone (the
+    fresh-CLI-invocation model).  Result replay is off in both, so each
+    warm task still simulates its intervals from the stored traces,
+    warm-ups, profiles, selections and checkpoints;
+    ``test_result_cache_cold_vs_warm`` times the replay.  Results must be
+    bit-identical.
     """
     instructions = bench_instruction_budget()
     names = SWEEP_BENCHMARKS
@@ -309,7 +313,8 @@ def test_artifact_cache_cold_vs_warm(benchmark, api_session, bench_metrics,
 
     def sampled_mix():
         return dict(zip(names, run_plan(api_session, config, names,
-                                        instructions, sampled=True)))
+                                        instructions, sampled=True,
+                                        result_cache=False)))
 
     cache_dir = tmp_path_factory.mktemp("artifact-cache")
     with temporary_cache_dir(cache_dir):

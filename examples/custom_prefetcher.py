@@ -73,9 +73,8 @@ def run_custom(session: Session, benchmark: str, instructions: int):
                           max_instructions=instructions)
     workload = session.workload(benchmark)
     simulator = Simulator(config, workload)
-    simulator.engine = StreamingPrestager(
-        config.engine_config(), simulator.hierarchy, workload.bbdict
-    )
+    simulator.engine = StreamingPrestager(config.engine_config(),
+                                          simulator.hierarchy)
     return simulator.run(instructions)
 
 

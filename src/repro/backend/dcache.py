@@ -9,18 +9,26 @@ much fetch latency can hide.
 Loads are therefore modelled probabilistically per benchmark: every dynamic
 correct-path load draws a deterministic pseudo-random value (a hash of its
 dynamic index, identical across simulator configurations) and misses the L1
-D-cache with the block's ``load_miss_probability``; misses go over the L2
-bus and are served by L2 or main memory.  A memory-level-parallelism factor
-models the overlap an out-of-order core achieves between outstanding
-misses.
+D-cache with the block's ``load_miss_probability``; a miss draws again, with
+:data:`L2_SALT` in the seed, to decide whether it also misses the L2.  The
+draws depend on no timing, so :func:`draw_misses` makes them once per
+prediction-trace record (:mod:`repro.frontend.prediction`), and a hit
+completes one cycle after dispatch, like any other instruction.  Only
+:meth:`DataCacheModel.issue_miss` happens in the timed loop: the miss goes
+over the L2 bus and is served by L2 or main memory, and a
+memory-level-parallelism factor models the overlap an out-of-order core
+achieves between outstanding misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import List
 
 from ..memory.hierarchy import MemoryHierarchy
+
+#: Xor-ed into the workload seed for the L2 draw of an L1-D miss.
+L2_SALT = 0x5A5A5A5A
 
 
 def _hash01(index: int, salt: int) -> float:
@@ -30,6 +38,24 @@ def _hash01(index: int, salt: int) -> float:
     x = (x * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     x ^= x >> 32
     return (x & 0xFFFFFFFF) / 2**32
+
+
+def draw_misses(offsets: tuple, probs: tuple, index: int, seed: int,
+                l2_rate: float) -> tuple:
+    """The L1-D misses among consecutive dynamic loads.
+
+    ``offsets`` and ``probs`` are the loads' positions and miss
+    probabilities (:meth:`~repro.workloads.bbdict.BasicBlockDictionary.loads`),
+    and the first of them has dynamic load index ``index``.  Returns one
+    ``(offset, misses_l2)`` pair per load that misses, in order.
+    """
+    misses = ()
+    for offset, miss_prob in zip(offsets, probs):
+        if _hash01(index, seed) < miss_prob:
+            misses += ((offset,
+                        _hash01(index, seed ^ L2_SALT) < l2_rate),)
+        index += 1
+    return misses
 
 
 @dataclass
@@ -44,65 +70,31 @@ class DataCacheStats:
 
 
 class DataCacheModel:
-    """Per-load latency model with deterministic miss decisions."""
+    """Issues L1-D misses over the L2 bus and keeps the load counters
+    (the back-end counts ``loads`` as it dispatches them)."""
 
-    def __init__(
-        self,
-        hierarchy: MemoryHierarchy,
-        dl1_latency: int = 1,
-        mlp_factor: float = 4.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, hierarchy: MemoryHierarchy,
+                 mlp_factor: float = 4.0) -> None:
         if mlp_factor < 1.0:
             raise ValueError("mlp_factor must be >= 1.0")
         self.hierarchy = hierarchy
-        self.dl1_latency = dl1_latency
         self.mlp_factor = mlp_factor
-        self.seed = seed
         self.stats = DataCacheStats()
-        self._load_index = 0
 
-    def skip_loads(self, count: int) -> None:
-        """Advance the dynamic load index without issuing accesses.
-
-        Sampled simulation functionally fast-forwards past a correct-path
-        prefix; the miss decisions are a pure hash of the load index, so
-        advancing the index keeps every subsequent decision identical to
-        the full run's decision at the same dynamic position.
-        """
-        if count < 0:
-            raise ValueError("cannot skip a negative number of loads")
-        self._load_index += count
-
-    def access(
-        self,
-        cycle: int,
-        miss_probability: float,
-        l2_miss_probability: float,
-        on_miss: Callable[[int], None],
-    ) -> Optional[int]:
-        """Issue one correct-path load at ``cycle``.
-
-        Returns the completion cycle of a hit.  A miss returns ``None``
-        and calls ``on_miss(completion_cycle)`` when the L2 bus grants it.
-        """
-        index = self._load_index
-        self._load_index += 1
-        self.stats.loads += 1
-
-        if _hash01(index, self.seed) >= miss_probability:
-            return cycle + self.dl1_latency
-
-        self.stats.dl1_misses += 1
-        misses_l2 = _hash01(index, self.seed ^ 0x5A5A5A5A) < l2_miss_probability
+    def issue_miss(self, cycle: int, misses_l2: bool,
+                   segment: List[int]) -> None:
+        """Send a load that missed the L1-D at ``cycle`` over the bus; its
+        grant writes the load's completion cycle into ``segment[0]``."""
+        stats = self.stats
+        stats.dl1_misses += 1
         if misses_l2:
-            self.stats.l2_data_misses += 1
+            stats.l2_data_misses += 1
+        mlp_factor = self.mlp_factor
 
         def _served(arrival_cycle: int, _source: str) -> None:
             # Out-of-order cores overlap independent misses; divide the
             # exposed latency by the MLP factor.
-            exposed = max(1, round((arrival_cycle - cycle) / self.mlp_factor))
-            on_miss(cycle + exposed)
+            segment[0] = cycle + max(
+                1, round((arrival_cycle - cycle) / mlp_factor))
 
         self.hierarchy.demand_data_access(cycle, misses_l2, _served)
-        return None

@@ -14,18 +14,23 @@ needed for an instruction-fetch study; what must be captured is
   a configurable number of cycles after dispatch (deep pipelines make this
   worse -- the pipelined-cache trade-off in the paper),
 * wrong-path instructions occupy RUU entries until the flush.
+
+Nothing here depends on an instruction's class: the prediction trace has
+already drawn each correct-path load's D-cache outcome, and a fetch block
+carries the offsets of its loads and misses.  So the RUU keeps run-length
+segments, and dispatching a run costs one segment plus one per miss
+instead of one entry per instruction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, List, Optional
 
 from .dcache import DataCacheModel
 from ..frontend.fetch_block import FetchBlock
-from ..workloads.bbdict import BasicBlockDictionary
-from ..workloads.isa import INSTRUCTION_BYTES, InstrClass
 
 #: A cycle later than any simulated one: the RUU completion cycle of a load
 #: miss until its bus grant fixes it, and "no event" for the event loop.
@@ -48,65 +53,66 @@ class BackendStats:
 class BackendPipeline:
     """In-order-commit window model fed by the fetch stage.
 
-    The RUU holds only what commit needs: the completion cycles of the
-    correct-path instructions in flight, oldest first, plus the number
-    of wrong-path instructions dispatched behind them.  Wrong-path
-    instructions always form the tail: the path only turns wrong inside
-    a mispredicted block, at its ``correct_prefix``, every later block is
-    wrong-path until the redirect, and :meth:`tick` squashes on the
-    redirect before that cycle's fetch.
+    The RUU holds only what commit needs: the correct-path instructions
+    in flight, oldest first, as run-length ``[completion cycle, count]``
+    segments, plus the number of wrong-path instructions dispatched
+    behind them.  Every instruction but a load miss completes one cycle
+    after dispatch (the L1-D hits in one cycle), so a dispatched run
+    without a miss is one segment, merged into the tail when that
+    completes in the same cycle.  A miss is a one-instruction segment
+    that holds ``NEVER`` until its bus grant writes its completion cycle.
+    Wrong-path instructions always form the tail: the path only turns
+    wrong inside a mispredicted block, at its ``correct_prefix``, every
+    later block is wrong-path until the redirect, and :meth:`tick`
+    squashes on the redirect before that cycle's fetch.
     """
 
     def __init__(
         self,
         dcache: DataCacheModel,
-        bbdict: BasicBlockDictionary,
         commit_width: int = 4,
         ruu_size: int = 64,
         branch_resolution_latency: int = 8,
         on_redirect: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.dcache = dcache
-        self.bbdict = bbdict
         self.commit_width = commit_width
         self.ruu_size = ruu_size
         self.branch_resolution_latency = branch_resolution_latency
         self.on_redirect = on_redirect
         self.stats = BackendStats()
 
-        #: Completion cycles of the correct-path instructions in flight.
-        #: The one in dispatch slot ``k`` (the ``k``-th correct-path
-        #: instruction ever dispatched) sits at ``k - committed``.
-        self._ruu: Deque[int] = deque()
+        #: ``[completion cycle, count]`` segments of the correct-path
+        #: instructions in flight, oldest first.
+        self._ruu: Deque[List[int]] = deque()
+        #: Correct-path instructions in flight (the segments' counts).
+        self._correct = 0
         #: Wrong-path instructions behind them, squashed on the redirect.
         self._wrong = 0
         self._pending_redirect_cycle: Optional[int] = None
-        #: Memoized per-address load miss probability (the CFG is static, so
-        #: the bisect in ``block_containing`` only has to run once per PC).
-        self._load_miss_prob: dict = {}
 
     # ------------------------------------------------------------------
     # dispatch (called by the fetch stage when instructions are delivered)
     # ------------------------------------------------------------------
     def free_slots(self) -> int:
-        return self.ruu_size - len(self._ruu) - self._wrong
+        return self.ruu_size - self._correct - self._wrong
 
     def dispatch_run(
         self,
         block: FetchBlock,
         first: int,
         count: int,
-        classes: Tuple[InstrClass, ...],
         cycle: int,
     ) -> int:
         """Dispatch instructions ``first .. first + count - 1`` of ``block``
-        (``classes`` are the block's instruction classes) and return how
-        many of them are wrong-path.
+        and return how many of them are wrong-path.
 
         The fetch stage delivers one such run per cycle and never more
         than :meth:`free_slots`.  Index ``i`` is wrong-path when
         ``i >= block.correct_prefix``; dispatching index
         ``correct_prefix - 1`` of a mispredicted block arms the redirect.
+        The run's loads and misses come from the block, so the cost is
+        one segment plus one per miss.
         """
         stats = self.stats
         stats.dispatched_instructions += count
@@ -121,15 +127,28 @@ class BackendPipeline:
             end = correct_end
         if end <= first:
             return wrong
+        self._correct += end - first
+        loads = block.loads
+        if loads:
+            # A run can stop part-way through a line: count by position.
+            self.dcache.stats.loads += (bisect_left(loads, end)
+                                        - bisect_left(loads, first))
         ruu = self._ruu
         done = cycle + 1
-        load = InstrClass.LOAD
-        for index in range(first, end):
-            if classes[index] is load:
-                ruu.append(self._issue_load(
-                    block.start + index * INSTRUCTION_BYTES, cycle))
-            else:
-                ruu.append(done)
+        run_start = first
+        for offset, misses_l2 in block.misses:
+            if offset < run_start:
+                continue
+            if offset >= end:
+                break
+            if offset > run_start:
+                self._append(done, offset - run_start)
+            segment = [NEVER, 1]
+            ruu.append(segment)
+            self.dcache.issue_miss(cycle, misses_l2, segment)
+            run_start = offset + 1
+        if end > run_start:
+            self._append(done, end - run_start)
         if end == prefix and block.mispredicted:
             # The redirect fires when the branch resolves in the back-end.
             self._pending_redirect_cycle = (
@@ -137,30 +156,15 @@ class BackendPipeline:
             )
         return wrong
 
-    def _issue_load(self, addr: int, cycle: int) -> int:
-        """Issue the correct-path load about to take the next RUU slot;
-        returns its completion cycle (``NEVER`` for a miss)."""
-        miss_prob = self._load_miss_prob.get(addr)
-        if miss_prob is None:
-            block = self.bbdict.cfg.block_containing(addr)
-            miss_prob = block.load_miss_probability if block is not None else 0.0
-            self._load_miss_prob[addr] = miss_prob
-        slot = self.stats.committed_instructions + len(self._ruu)
-
-        def _served(done_cycle: int) -> None:
-            self._ruu[slot - self.stats.committed_instructions] = done_cycle
-
-        completion = self.dcache.access(
-            cycle, miss_prob, self._l2_data_miss_rate, _served)
-        return NEVER if completion is None else completion
-
-    #: Probability that an L1-D miss also misses in L2 (workload-specific;
-    #: the simulator overwrites it from the workload profile).
-    _l2_data_miss_rate = 0.10
-
-    def set_l2_data_miss_rate(self, rate: float) -> None:
-        """Set the probability that an L1-D miss also misses in L2."""
-        self._l2_data_miss_rate = rate
+    def _append(self, completion: int, count: int) -> None:
+        """Queue ``count`` instructions completing at ``completion``,
+        merged into the tail segment when it completes then too (a miss
+        waiting for its grant holds ``NEVER``, so it never merges)."""
+        ruu = self._ruu
+        if ruu and ruu[-1][0] == completion:
+            ruu[-1][1] += count
+        else:
+            ruu.append([completion, count])
 
     # ------------------------------------------------------------------
     # per-cycle operation
@@ -175,14 +179,27 @@ class BackendPipeline:
         committed = 0
         width = self.commit_width
         # Wrong-path instructions wait for the flush, so commit stops
-        # where the correct-path entries end.
-        while committed < width and ruu and ruu[0] <= cycle:
+        # where the correct-path segments end.
+        while ruu:
+            head = ruu[0]
+            if head[0] > cycle:
+                break
+            count = head[1]
+            room = width - committed
+            if count > room:
+                head[1] = count - room
+                committed = width
+                break
             ruu.popleft()
-            committed += 1
+            committed += count
+            if committed == width:
+                break
         stats = self.stats
         if committed == 0:
             stats.commit_stall_cycles += 1
-        stats.committed_instructions += committed
+        else:
+            self._correct -= committed
+            stats.committed_instructions += committed
         return committed
 
     def _redirect(self, cycle: int) -> None:
@@ -198,7 +215,7 @@ class BackendPipeline:
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        return len(self._ruu) + self._wrong
+        return self._correct + self._wrong
 
     @property
     def redirect_pending(self) -> bool:
@@ -215,7 +232,7 @@ class BackendPipeline:
         ruu = self._ruu
         redirect = self._pending_redirect_cycle
         if ruu:
-            wake = ruu[0]
+            wake = ruu[0][0]
             if wake == NEVER:
                 return cycle
         elif self._wrong and redirect is None:

@@ -106,7 +106,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: v10: a ``result`` is keyed by its sampling spec too and covers
 #: sampled runs, which replay it as a whole; the ``measurement`` kind
 #: is gone.
-SCHEMA_VERSION = 10
+#: v11: checkpoints pickle the RUU as ``[completion, count]`` segments,
+#: prediction-trace records carry their line split, load offsets and
+#: drawn L1-D misses, and the skipped-load count moved from the D-cache
+#: model to the prediction unit; a v10 checkpoint would unpickle and
+#: then fail.
+SCHEMA_VERSION = 11
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

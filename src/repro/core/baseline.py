@@ -26,7 +26,6 @@ from ..memory.hierarchy import (
     SOURCE_L2,
     MemoryHierarchy,
 )
-from ..workloads.bbdict import BasicBlockDictionary
 from .engine import FetchEngine, FetchEngineConfig
 from .ftq import FetchTargetQueue
 
@@ -41,13 +40,9 @@ class BaselineEngine(FetchEngine):
         self,
         config: FetchEngineConfig,
         hierarchy: MemoryHierarchy,
-        bbdict: BasicBlockDictionary,
     ) -> None:
-        super().__init__(config, hierarchy, bbdict)
-        self.ftq = FetchTargetQueue(
-            capacity_blocks=config.queue_capacity_blocks,
-            line_size=hierarchy.line_size,
-        )
+        super().__init__(config, hierarchy)
+        self.ftq = FetchTargetQueue(config.queue_capacity_blocks)
         if hierarchy.has_l0:
             self.name = "base+L0"
 

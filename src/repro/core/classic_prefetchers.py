@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..memory.hierarchy import MemoryHierarchy
-from ..workloads.bbdict import BasicBlockDictionary
 from .engine import FetchEngineConfig
 from .fdp import FDPEngine
 from ..frontend.fetch_block import FetchBlock
@@ -36,10 +35,9 @@ class NextNLineEngine(FDPEngine):
         self,
         config: FetchEngineConfig,
         hierarchy: MemoryHierarchy,
-        bbdict: BasicBlockDictionary,
         degree: int = 2,
     ) -> None:
-        super().__init__(config, hierarchy, bbdict)
+        super().__init__(config, hierarchy)
         if degree < 1:
             raise ValueError("prefetch degree must be >= 1")
         self.degree = degree
@@ -71,11 +69,10 @@ class TargetLineEngine(NextNLineEngine):
         self,
         config: FetchEngineConfig,
         hierarchy: MemoryHierarchy,
-        bbdict: BasicBlockDictionary,
         degree: int = 1,
         table_entries: int = 1024,
     ) -> None:
-        super().__init__(config, hierarchy, bbdict, degree=degree)
+        super().__init__(config, hierarchy, degree=degree)
         self.table_entries = table_entries
         self._target_table: Dict[int, int] = {}
         self._last_line: Optional[int] = None

@@ -35,7 +35,6 @@ from ..memory.hierarchy import (
     SOURCE_PREBUFFER,
     MemoryHierarchy,
 )
-from ..workloads.bbdict import BasicBlockDictionary
 from .cltq import CacheLineTargetQueue
 from .engine import FetchEngine, FetchEngineConfig
 from .filtering import EnqueueCacheProbeFilter
@@ -52,13 +51,9 @@ class CLGPEngine(FetchEngine):
         self,
         config: FetchEngineConfig,
         hierarchy: MemoryHierarchy,
-        bbdict: BasicBlockDictionary,
     ) -> None:
-        super().__init__(config, hierarchy, bbdict)
-        self.cltq = CacheLineTargetQueue(
-            capacity_blocks=config.queue_capacity_blocks,
-            line_size=hierarchy.line_size,
-        )
+        super().__init__(config, hierarchy)
+        self.cltq = CacheLineTargetQueue(config.queue_capacity_blocks)
         self.prestage_buffer = PrestageBuffer(
             entries=config.prebuffer_entries,
             latency=config.prebuffer_latency,

@@ -24,11 +24,10 @@ from ..frontend.fetch_block import FetchBlock, FetchLineRequest
 class CacheLineTargetQueue:
     """Bounded (in fetch blocks) queue of per-line fetch requests."""
 
-    def __init__(self, capacity_blocks: int = 8, line_size: int = 64):
+    def __init__(self, capacity_blocks: int = 8):
         if capacity_blocks < 1:
             raise ValueError("CLTQ needs capacity for at least one block")
         self.capacity_blocks = capacity_blocks
-        self.line_size = line_size
         self._entries: Deque[FetchLineRequest] = deque()
         #: Scan acceleration for the CLGP prestaging algorithm: entries in
         #: queue order whose 'prefetched bit' may still be unset.  Stale
@@ -50,7 +49,7 @@ class CacheLineTargetQueue:
         if not self.has_space():
             self.dropped_blocks += 1
             return False
-        requests = block.line_requests(self.line_size)
+        requests = block.line_requests()
         self._entries.extend(requests)
         self._unprefetched.extend(requests)
         self._resident_blocks += 1

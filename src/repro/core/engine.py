@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from ..frontend.fetch_block import FetchBlock, FetchLineRequest
 from ..memory.hierarchy import (
@@ -35,7 +35,6 @@ from ..memory.hierarchy import (
     FETCH_SOURCES,
     MemoryHierarchy,
 )
-from ..workloads.bbdict import BasicBlockDictionary
 from .prefetch_buffer import PreBufferEntry
 
 
@@ -118,9 +117,6 @@ class _InflightLine:
     """A line access in progress in the fetch stage."""
 
     request: FetchLineRequest
-    #: Instruction classes of the parent block, resolved once when the line
-    #: access starts so delivery cycles never re-enter the bbdict walk.
-    classes: Tuple
     ready_cycle: Optional[int] = None
     source: Optional[str] = None
     pb_entry: Optional[PreBufferEntry] = None
@@ -140,11 +136,9 @@ class FetchEngine:
         self,
         config: FetchEngineConfig,
         hierarchy: MemoryHierarchy,
-        bbdict: BasicBlockDictionary,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self.bbdict = bbdict
         self.stats = FetchStats()
         self._inflight: Deque[_InflightLine] = deque()
 
@@ -272,7 +266,7 @@ class FetchEngine:
     # ------------------------------------------------------------------
     def _start_line_access(self, request: FetchLineRequest, cycle: int) -> _InflightLine:
         line = request.line_addr
-        infl = _InflightLine(request, request.block.instr_classes(self.bbdict))
+        infl = _InflightLine(request)
         hierarchy = self.hierarchy
 
         # Probe the sources in order of closeness and keep the first that
@@ -390,7 +384,7 @@ class FetchEngine:
             return 0
         stats.wrong_path_instructions += backend.dispatch_run(
             request.block, request.first_instr_index + delivered, count,
-            infl.classes, cycle)
+            cycle)
         stats.instructions_delivered += count
         stats.fetch_source_instructions[source] += count
 

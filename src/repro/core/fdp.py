@@ -30,7 +30,6 @@ from ..memory.hierarchy import (
     SOURCE_PREBUFFER,
     MemoryHierarchy,
 )
-from ..workloads.bbdict import BasicBlockDictionary
 from .engine import FetchEngine, FetchEngineConfig
 from .filtering import make_filter
 from .ftq import FetchTargetQueue
@@ -47,13 +46,9 @@ class FDPEngine(FetchEngine):
         self,
         config: FetchEngineConfig,
         hierarchy: MemoryHierarchy,
-        bbdict: BasicBlockDictionary,
     ) -> None:
-        super().__init__(config, hierarchy, bbdict)
-        self.ftq = FetchTargetQueue(
-            capacity_blocks=config.queue_capacity_blocks,
-            line_size=hierarchy.line_size,
-        )
+        super().__init__(config, hierarchy)
+        self.ftq = FetchTargetQueue(config.queue_capacity_blocks)
         self.prefetch_buffer = PrefetchBuffer(
             entries=config.prebuffer_entries,
             latency=config.prebuffer_latency,
@@ -74,7 +69,7 @@ class FDPEngine(FetchEngine):
 
     def enqueue_block(self, block: FetchBlock, cycle: int) -> None:
         self.ftq.push(block)
-        for line in block.lines(self.hierarchy.line_size):
+        for line in block.lines():
             self._consider_prefetch_candidate(line)
 
     def _consider_prefetch_candidate(self, line_addr: int) -> None:

@@ -18,11 +18,10 @@ from ..frontend.fetch_block import FetchBlock, FetchLineRequest
 class FetchTargetQueue:
     """Bounded queue of fetch blocks with lazy per-line expansion."""
 
-    def __init__(self, capacity_blocks: int = 8, line_size: int = 64):
+    def __init__(self, capacity_blocks: int = 8):
         if capacity_blocks < 1:
             raise ValueError("FTQ needs capacity for at least one block")
         self.capacity_blocks = capacity_blocks
-        self.line_size = line_size
         self._blocks: Deque[FetchBlock] = deque()
         self._head_lines: Deque[FetchLineRequest] = deque()
         self.enqueued_blocks = 0
@@ -45,7 +44,7 @@ class FetchTargetQueue:
     def _refill_head(self) -> None:
         if not self._head_lines and self._blocks:
             block = self._blocks.popleft()
-            self._head_lines.extend(block.line_requests(self.line_size))
+            self._head_lines.extend(block.line_requests())
 
     def peek_line(self) -> Optional[FetchLineRequest]:
         self._refill_head()

@@ -2,8 +2,12 @@
 
 * :class:`FetchBlock` -- what the stream predictor produces: a run of
   sequential instructions plus bookkeeping about whether (and where) the
-  run diverges from the correct path.  FTQ entries (FDP) are fetch blocks;
-  CLTQ entries (CLGP) are the cache lines of fetch blocks.
+  run diverges from the correct path.  The prediction unit builds one
+  from each prediction-trace record, which already holds everything about
+  the run that does not depend on timing: its split into cache lines, and
+  the positions of its correct-path loads and of those that miss the
+  L1-D.  FTQ entries (FDP) are fetch blocks; CLTQ entries (CLGP) are the
+  cache lines of fetch blocks.
 * :class:`FetchLineRequest` -- one cache line's worth of a fetch block, the
   granularity at which the fetch stage and the prefetchers operate.  The
   fetch stage hands the back-end runs of a block's instructions
@@ -12,20 +16,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..workloads.bbdict import BasicBlockDictionary
-from ..workloads.isa import INSTRUCTION_BYTES, InstrClass, span_lines
-
-_block_ids = itertools.count()
-
-#: Memoized block-to-cache-line split geometry: (start, length, line_size)
-#: -> tuple of (line_addr, first_instr_index, num_instructions).  Fetch
-#: blocks for the same streams recur millions of times across a sweep and
-#: the split only depends on addresses, so this is shared globally.
-_SPLIT_CACHE: dict = {}
+from ..workloads.isa import INSTRUCTION_BYTES
 
 
 @dataclass(slots=True)
@@ -38,6 +32,10 @@ class FetchBlock:
         Address of the first instruction.
     length:
         Number of sequential instructions predicted.
+    split:
+        The block's cache lines in fetch order, one ``(line address,
+        index of its first instruction, instructions in the line)``
+        triple each (:func:`~repro.workloads.isa.line_split`).
     wrong_path:
         True if the whole block was generated while the front-end was
         already known to be on a mispredicted path.
@@ -53,18 +51,22 @@ class FetchBlock:
         Correct-path continuation address after that branch (None when not
         mispredicted).  Used for assertions and statistics only -- the
         next correct-path record of the prediction trace starts there.
+    loads:
+        Indices of the correct-path loads, ascending.
+    misses:
+        ``(index, misses_l2)`` of each of those loads that misses the
+        L1-D, ascending.
     """
 
     start: int
     length: int
+    split: tuple
     wrong_path: bool = False
     correct_prefix: int = 0
     mispredicted: bool = False
     redirect_target: Optional[int] = None
-    block_id: int = field(default_factory=lambda: next(_block_ids))
-    _instr_classes: Optional[Tuple[InstrClass, ...]] = field(
-        default=None, repr=False, compare=False
-    )
+    loads: tuple = ()
+    misses: tuple = ()
     #: CLTQ bookkeeping: line entries of this block still resident in the
     #: queue (maintained by :class:`~repro.core.cltq.CacheLineTargetQueue`).
     cltq_lines_remaining: int = field(default=0, repr=False, compare=False)
@@ -86,45 +88,16 @@ class FetchBlock:
     def instruction_addr(self, index: int) -> int:
         return self.start + index * INSTRUCTION_BYTES
 
-    def _split_geometry(self, line_size: int) -> tuple:
-        key = (self.start, self.length, line_size)
-        geometry = _SPLIT_CACHE.get(key)
-        if geometry is None:
-            start, end_addr = self.start, self.end_addr
-            segments = []
-            for line in span_lines(start, self.length, line_size):
-                seg_start = max(start, line)
-                seg_end = min(end_addr, line + line_size)
-                segments.append((
-                    line,
-                    (seg_start - start) // INSTRUCTION_BYTES,
-                    (seg_end - seg_start) // INSTRUCTION_BYTES,
-                ))
-            geometry = _SPLIT_CACHE[key] = tuple(segments)
-        return geometry
-
-    def lines(self, line_size: int) -> List[int]:
+    def lines(self) -> List[int]:
         """Cache-line addresses covered by this block, in fetch order."""
-        return [line for line, _, _ in self._split_geometry(line_size)]
+        return [line for line, _, _ in self.split]
 
-    def line_requests(self, line_size: int) -> List["FetchLineRequest"]:
+    def line_requests(self) -> List["FetchLineRequest"]:
         """Split the block into per-line fetch requests (CLTQ granularity)."""
         return [
-            FetchLineRequest(
-                line_addr=line,
-                block=self,
-                first_instr_index=first_index,
-                num_instructions=n,
-            )
-            for line, first_index, n in self._split_geometry(line_size)
+            FetchLineRequest(line, self, first_index, n)
+            for line, first_index, n in self.split
         ]
-
-    def instr_classes(self, bbdict: BasicBlockDictionary) -> Tuple[InstrClass, ...]:
-        """Instruction classes for the whole block (resolved lazily via the
-        basic-block dictionary, which memoizes per (start, length))."""
-        if self._instr_classes is None:
-            self._instr_classes = bbdict.classes_for(self.start, self.length)
-        return self._instr_classes
 
 
 @dataclass(slots=True)
@@ -146,9 +119,3 @@ class FetchLineRequest:
     @property
     def wrong_path(self) -> bool:
         return self.block.wrong_path
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FetchLineRequest(line={self.line_addr:#x}, n={self.num_instructions}, "
-            f"block={self.block.block_id})"
-        )

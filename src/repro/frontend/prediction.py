@@ -29,6 +29,13 @@ once into a :class:`PredictionTrace`, and the timed
 unit's predictor, RAS, path history and oracle move into the trace as its
 generator.  ``Simulator.run`` shares one trace between every run that
 starts from the same state; a bare unit builds a private one.
+
+Two more per-block facts do not depend on timing either, so each record
+carries them too: the block's split into cache lines, and the D-cache
+outcome of each correct-path load (:func:`~repro.backend.dcache.draw_misses`
+at the load's dynamic index, which starts at the loads the unit skipped
+functionally before the trace was attached).  Every run that shares the
+trace then dispatches the same loads without drawing or splitting again.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from typing import Optional
 from .fetch_block import FetchBlock
 from .ras import ReturnAddressStack
 from .stream_predictor import StreamPredictor
+from ..backend.dcache import draw_misses
 from ..workloads.bbdict import BasicBlockDictionary
 from ..workloads.isa import INSTRUCTION_BYTES, BranchKind
 from ..workloads.trace import (
@@ -87,9 +95,16 @@ class PredictionTrace:
     """The prediction unit's fetch blocks from one start state.
 
     ``records`` holds one tuple per correct-path block, ``(start, length,
-    correct_prefix, mispredicted, redirect_target)``; ``wrong_paths``
-    maps each mispredicted record's index to its wrong-path run, a list
-    of ``(start, length)`` blocks.  Both grow on demand (:meth:`extend`,
+    correct_prefix, mispredicted, redirect_target, split, loads,
+    misses)``: ``split`` is the block's line split for ``line_size``,
+    ``loads`` the offsets of its correct-path loads, and ``misses`` the
+    ``(offset, misses_l2)`` of each of those that misses the L1-D, drawn
+    at its dynamic load index (``load_index`` counts on from the loads
+    skipped before the trace started).  ``split`` and ``loads`` are the
+    basic-block dictionary's memoised tuples, and a record without a miss
+    holds the empty tuple.  ``wrong_paths`` maps each mispredicted
+    record's index to its wrong-path run, a list of ``(start, length,
+    split)`` blocks.  Both grow on demand (:meth:`extend`,
     :meth:`extend_wrong`) from the generator: the oracle, stream
     predictor, RAS and path history of the unit that built the trace.
     The generator never enters wrong-path mode.  At a misprediction it
@@ -105,20 +120,25 @@ class PredictionTrace:
     it, while reads of existing entries take none.
     """
 
-    def __init__(self, bbdict: BasicBlockDictionary,
+    def __init__(self, workload: Workload,
                  oracle: CompiledPathOracle, predictor: StreamPredictor,
                  ras: ReturnAddressStack, history: int,
-                 max_stream: int) -> None:
+                 max_stream: int, line_size: int, load_index: int) -> None:
         self.records: list = []
         self.wrong_paths: dict = {}
         #: Where each wrong-path run goes on: ``(pc, RAS contents)``.
         self._heads: dict = {}
-        self.bbdict = bbdict
+        self.bbdict = workload.bbdict
         self.oracle = oracle
         self.predictor = predictor
         self.ras = ras
         self.history = history
         self.max_stream = max_stream
+        self.line_size = line_size
+        self.seed = workload.profile.seed
+        self.l2_data_miss_rate = workload.profile.l2_data_miss_rate
+        #: Dynamic index of the next correct-path load.
+        self.load_index = load_index
         self._lock = threading.Lock()
 
     def __deepcopy__(self, memo: dict) -> "PredictionTrace":
@@ -126,7 +146,7 @@ class PredictionTrace:
 
     #: What generation changes; none of it refers to workload objects.
     _GENERATED = ("records", "wrong_paths", "_heads", "predictor", "ras",
-                  "history")
+                  "history", "load_index")
 
     def __getstate__(self) -> dict:
         # Taken under the lock, since another thread may extend the trace
@@ -138,7 +158,10 @@ class PredictionTrace:
                 [getattr(self, name) for name in self._GENERATED],
                 protocol=pickle.HIGHEST_PROTOCOL)
             return {"bbdict": self.bbdict, "oracle": copy.copy(self.oracle),
-                    "max_stream": self.max_stream, "generated": generated}
+                    "max_stream": self.max_stream,
+                    "line_size": self.line_size, "seed": self.seed,
+                    "l2_data_miss_rate": self.l2_data_miss_rate,
+                    "generated": generated}
 
     def __setstate__(self, state: dict) -> None:
         generated = pickle.loads(state.pop("generated"))
@@ -154,6 +177,12 @@ class PredictionTrace:
             ras = self.ras
             history = self.history
             max_stream = self.max_stream
+            line_size = self.line_size
+            split_of = self.bbdict.line_split
+            loads_of = self.bbdict.loads
+            seed = self.seed
+            l2_rate = self.l2_data_miss_rate
+            load_index = self.load_index
             while len(records) <= index:
                 addr = oracle.current_address()
                 actual = oracle.peek_stream(max_stream)
@@ -166,12 +195,19 @@ class PredictionTrace:
                     if ras_target is not None:
                         pred_next = ras_target
                 length = actual.length
-                if pred_len == length and pred_next == actual.next_addr:
+                correct = pred_len == length and pred_next == actual.next_addr
+                prefix = length if correct else min(pred_len, length)
+                offsets, probs = loads_of(addr, prefix)
+                misses = draw_misses(offsets, probs, load_index, seed,
+                                     l2_rate) if probs else ()
+                load_index += len(offsets)
+                if correct:
                     oracle.advance(length)
                     history = _follow(ras, history, actual)
-                    records.append((addr, length, length, False, None))
+                    records.append((addr, length, length, False, None,
+                                    split_of(addr, length, line_size),
+                                    offsets, misses))
                     continue
-                prefix = min(pred_len, length)
                 oracle.advance(prefix)
                 stack = ras.snapshot()
                 if prediction.uses_ras:
@@ -185,8 +221,11 @@ class PredictionTrace:
                 if length <= pred_len and actual.ends_taken:
                     history = _follow(ras, history, actual)
                 records.append((addr, pred_len, prefix, True,
-                                oracle.current_address()))
+                                oracle.current_address(),
+                                split_of(addr, pred_len, line_size),
+                                offsets, misses))
             self.history = history
+            self.load_index = load_index
 
     def extend_wrong(self, index: int, position: int) -> None:
         """Walk the wrong path of mispredicted record ``index`` until its
@@ -198,6 +237,8 @@ class PredictionTrace:
             ras = ReturnAddressStack(self.ras.capacity)
             ras.restore(stack)
             view_at = self.bbdict.view_at
+            split_of = self.bbdict.line_split
+            line_size = self.line_size
             max_stream = self.max_stream
             while len(blocks) <= position:
                 start = pc = next_pc
@@ -230,7 +271,9 @@ class PredictionTrace:
                             break
                     pc = view.start + take * INSTRUCTION_BYTES
                     next_pc = pc
-                blocks.append((start, max(1, length)))
+                length = max(1, length)
+                blocks.append((start, length,
+                               split_of(start, length, line_size)))
             self._heads[index] = (next_pc, ras.snapshot())
 
 
@@ -238,11 +281,12 @@ class PredictionUnit:
     """Produces fetch blocks from the stream predictor + correct-path oracle.
 
     Until the first timed tick the unit owns its functional state
-    (``oracle``, ``predictor``, ``ras``, ``history``), which warm-up and
-    functional skips train.  After it, the unit is a cursor over a
-    :class:`PredictionTrace` (``trace``): a record index, a wrong-path
-    index, the consumed correct-path instructions and the wrong-path
-    flag, and the functional state lives only in the trace's generator.
+    (``oracle``, ``predictor``, ``ras``, ``history``, ``skipped_loads``),
+    which warm-up and functional skips train.  After it, the unit is a
+    cursor over a :class:`PredictionTrace` (``trace``): a record index,
+    a wrong-path index, the consumed correct-path instructions and the
+    wrong-path flag, and the functional state lives only in the trace's
+    generator.
     """
 
     def __init__(
@@ -251,6 +295,7 @@ class PredictionUnit:
         predictor: Optional[StreamPredictor] = None,
         ras_entries: int = 8,
         max_stream_instructions: int = MAX_STREAM_INSTRUCTIONS,
+        line_size: int = 64,
     ):
         self.workload = workload
         self.bbdict: BasicBlockDictionary = workload.bbdict
@@ -260,7 +305,12 @@ class PredictionUnit:
         )
         self.ras = ReturnAddressStack(ras_entries)
         self.max_stream = max_stream_instructions
+        self.line_size = line_size
         self.history = 0
+        #: Correct-path loads consumed by functional skips: the dynamic
+        #: load index of the first load the trace draws, so a run that
+        #: starts at an offset draws what a run from offset 0 draws there.
+        self.skipped_loads = 0
         self.stats = PredictionStats()
         #: Set by a functional skip that stopped mid-stream: ``(oracle
         #: position, straddling ActualStream, instructions of it already
@@ -290,8 +340,9 @@ class PredictionUnit:
     def new_trace(self) -> PredictionTrace:
         """A trace whose generator is this unit's functional state (moved,
         not copied: :meth:`attach` drops the unit's references)."""
-        return PredictionTrace(self.bbdict, self.oracle, self.predictor,
-                               self.ras, self.history, self.max_stream)
+        return PredictionTrace(self.workload, self.oracle, self.predictor,
+                               self.ras, self.history, self.max_stream,
+                               self.line_size, self.skipped_loads)
 
     def attach(self, trace: PredictionTrace) -> None:
         """Become a cursor at the start of ``trace``, which must start
@@ -328,16 +379,17 @@ class PredictionUnit:
             position = self._wrong_index
             if position >= len(blocks):
                 trace.extend_wrong(self._index - 1, position)
-            start, length = blocks[position]
+            start, length, split = blocks[position]
             self._wrong_index = position + 1
             stats.wrong_path_blocks += 1
-            block = FetchBlock(start, length, True)
+            block = FetchBlock(start, length, split, True)
         else:
             records = trace.records
             index = self._index
             if index >= len(records):
                 trace.extend(index)
-            start, length, prefix, mispredicted, target = records[index]
+            (start, length, prefix, mispredicted, target, split, loads,
+             misses) = records[index]
             self._index = index + 1
             self._consumed += prefix
             stats.streams_predicted += 1
@@ -346,9 +398,8 @@ class PredictionUnit:
                 stats.stream_mispredictions += 1
                 self._wrong_path_mode = True
                 self._wrong_index = 0
-                block = FetchBlock(start, length, False, prefix, True, target)
-            else:
-                block = FetchBlock(start, length, False, length)
+            block = FetchBlock(start, length, split, False, prefix,
+                               mispredicted, target, loads, misses)
         engine.enqueue_block(block, cycle)
         return 1
 

@@ -6,7 +6,8 @@ with one entry per *fetch stream*.  This module holds the dependency-free
 primitives that consume those columns wholesale instead of block-by-block:
 
 * :func:`grouped_load_miss_counts` -- the deterministic per-load miss
-  draws of the proxy base pass, accumulated per interval;
+  draws of the proxy base pass (the hash and :data:`~repro.backend.dcache.L2_SALT`
+  of :func:`~repro.backend.dcache.draw_misses`), accumulated per interval;
 * :func:`interval_block_counts` -- interval-boundary slicing of the block
   columns into per-interval basic-block vectors for BBV profiling;
 * :class:`TwoLevelLRUReplay` -- the proxy feature pass's L1-I/L2 miss
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .backend.dcache import _hash01
+from .backend.dcache import L2_SALT, _hash01
 from .memory.cache import Cache
 
 __all__ = [
@@ -29,10 +30,6 @@ __all__ = [
     "interval_block_counts",
     "TwoLevelLRUReplay",
 ]
-
-#: Salt of the L2 data-miss draw; must match ``DataCacheModel``.
-_L2_SALT = 0x5A5A5A5A
-
 
 def grouped_load_miss_counts(
     chunks: Sequence[Tuple[int, Tuple[float, ...]]],
@@ -51,7 +48,7 @@ def grouped_load_miss_counts(
     d_out = [0] * group_count
     dm_out = [0] * group_count
     index = start_index
-    l2_salt = seed ^ _L2_SALT
+    l2_salt = seed ^ L2_SALT
     for group, probs in chunks:
         for miss_prob in probs:
             if _hash01(index, seed) < miss_prob:

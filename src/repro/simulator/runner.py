@@ -177,10 +177,13 @@ def _execute_single(
         committed = result.committed_instructions
         limit = config.max_cycles or total * _DEFAULT_MAX_CPI
         if (committed >= total and result.cycles < limit
+                and not simulator.bus_busy
                 and not DEFAULT_STORE.published(FRONTIER, config, workload,
                                                 committed)):
             # Completed without hitting the cycle clamp: the end state is
             # exact mid-run state, safe for any larger budget to resume.
+            # Not while a bus request is in flight: its grant callback is
+            # a closure over this machine, so no copy can carry it.
             DEFAULT_STORE.publish(FRONTIER, config, workload, committed,
                                   simulator.snapshot())
     return result

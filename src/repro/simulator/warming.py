@@ -173,7 +173,7 @@ def functional_advance(
     hierarchy: Optional[MemoryHierarchy],
     target_instructions: int,
     warm_caches: bool = True,
-) -> Tuple[int, int]:
+) -> int:
     """Functionally fast-forward a prediction unit's correct path.
 
     Advances ``prediction``'s oracle until ``target_instructions``
@@ -194,10 +194,10 @@ def functional_advance(
     checkpoint taken between two skips) is bit-identical to one
     continuous skip, which is what lets persisted post-skip snapshots be
     restored by runs whose skip targets were never seen before.
-    Returns ``(instructions skipped, correct-path loads skipped)``; the
-    load count lets the caller keep the data-cache model's positional
-    miss hashing aligned with a full run (its decisions are a function of
-    the dynamic load index).
+    Returns the instructions skipped.  The skipped correct-path loads are
+    added to ``prediction.skipped_loads``, which keeps the positional
+    D-cache draws of a later trace aligned with a full run's (they are a
+    function of the dynamic load index).
 
     Skips happen only before a timed run (``Simulator.skip_to``), so a
     skip starts at offset 0, on a canonical stream boundary, or exactly
@@ -246,7 +246,8 @@ def functional_advance(
             prediction, hierarchy, segments, index,
             target_instructions, fill_caches, line_size,
         )
-    return oracle.consumed_instructions - start, loads
+    prediction.skipped_loads += loads
+    return oracle.consumed_instructions - start
 
 
 def _advance_segments(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .cfg import BasicBlock, ControlFlowGraph
-from .isa import INSTRUCTION_BYTES, BranchKind, InstrClass
+from .isa import INSTRUCTION_BYTES, BranchKind, InstrClass, line_split
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ class BasicBlockDictionary:
         # millions of times across a sweep.
         self._view_cache: Dict[int, StaticBlockView] = {}
         self._classes_cache: Dict[Tuple[int, int], tuple] = {}
-        self._load_probs_cache: Dict[Tuple[int, int], tuple] = {}
+        self._loads_cache: Dict[Tuple[int, int], Tuple[tuple, tuple]] = {}
+        self._split_cache: Dict[Tuple[int, int, int], tuple] = {}
 
     def view_at(self, addr: int) -> StaticBlockView:
         """Static view of the code starting at ``addr``.
@@ -134,35 +135,52 @@ class BasicBlockDictionary:
         self._classes_cache[key] = result
         return result
 
-    def load_miss_probs(self, start: int, length: int) -> tuple:
-        """Per-load L1-D miss probabilities within the span, in order.
+    def loads(self, start: int, length: int) -> Tuple[tuple, tuple]:
+        """The LOAD-class instructions among the ``length`` instructions
+        at ``start``, in order: ``(offsets, miss probabilities)``, each
+        load's index within the span and its block's L1-D miss
+        probability.
 
-        One entry per LOAD-class instruction among the ``length``
-        instructions at ``start``.  Memoized: the sampling layer's
-        functional passes (load counting during skips, exact miss-hash
-        replay during profiling) ask about the same loop-body spans
-        millions of times.
+        Memoized: prediction-trace records share the offsets, and the
+        sampling layer's functional passes (load counting during skips,
+        exact miss-hash replay during profiling) ask about the same
+        loop-body spans millions of times.
         """
         key = (start, length)
-        cached = self._load_probs_cache.get(key)
+        cached = self._loads_cache.get(key)
         if cached is not None:
             return cached
+        offsets = []
         probs = []
         for offset, cls in enumerate(self.classes_for(start, length)):
             if cls is InstrClass.LOAD:
                 block = self._cfg.block_containing(
                     start + offset * INSTRUCTION_BYTES
                 )
+                offsets.append(offset)
                 probs.append(
                     block.load_miss_probability if block is not None else 0.0
                 )
-        result = tuple(probs)
-        self._load_probs_cache[key] = result
+        result = self._loads_cache[key] = (tuple(offsets), tuple(probs))
         return result
+
+    def load_miss_probs(self, start: int, length: int) -> tuple:
+        """Per-load L1-D miss probabilities within the span, in order."""
+        return self.loads(start, length)[1]
 
     def loads_for(self, start: int, length: int) -> int:
         """Number of LOAD-class instructions in the span (memoized)."""
-        return len(self.load_miss_probs(start, length))
+        return len(self.loads(start, length)[0])
+
+    def line_split(self, start: int, length: int, line_size: int) -> tuple:
+        """:func:`~repro.workloads.isa.line_split` of the span, memoized:
+        fetch blocks for the same streams recur throughout a run."""
+        key = (start, length, line_size)
+        cached = self._split_cache.get(key)
+        if cached is None:
+            cached = self._split_cache[key] = line_split(start, length,
+                                                         line_size)
+        return cached
 
     def block_at(self, addr: int) -> Optional[BasicBlock]:
         """The real block starting exactly at ``addr`` (None if absent)."""

@@ -107,6 +107,21 @@ def span_lines(start_addr: int, n_instrs: int, line_size: int):
     return list(range(first, last + 1, line_size))
 
 
+def line_split(start_addr: int, n_instrs: int, line_size: int) -> tuple:
+    """Split a run of ``n_instrs`` sequential instructions at
+    ``start_addr`` into its cache lines, in fetch order: one
+    ``(line address, index of its first instruction in the run,
+    instructions in the line)`` triple per line."""
+    end_addr = start_addr + n_instrs * INSTRUCTION_BYTES
+    return tuple(
+        (line,
+         (max(start_addr, line) - start_addr) // INSTRUCTION_BYTES,
+         (min(end_addr, line + line_size) - max(start_addr, line))
+         // INSTRUCTION_BYTES)
+        for line in span_lines(start_addr, n_instrs, line_size)
+    )
+
+
 @dataclass(frozen=True)
 class StaticInstruction:
     """A single static instruction: address plus class.

@@ -27,7 +27,7 @@ class RecordingBackend:
     def free_slots(self) -> int:
         return self.capacity - self.count
 
-    def dispatch_run(self, block, first, count, classes, cycle) -> int:
+    def dispatch_run(self, block, first, count, cycle) -> int:
         assert 0 < count <= self.free_slots()
         self.runs.append((block, first, count, cycle))
         self.count += count
@@ -41,11 +41,19 @@ def delivered_sources(engine) -> Set[str]:
             in engine.stats.fetch_source_instructions.items() if count}
 
 
+def _fetch_block(workload, static, line_size: int = 64, **kw) -> FetchBlock:
+    """A fetch block covering exactly the basic block ``static``, split
+    into ``line_size`` lines."""
+    return FetchBlock(
+        start=static.addr, length=static.size,
+        split=workload.bbdict.line_split(static.addr, static.size, line_size),
+        **kw)
+
+
 def block_for(workload, index: int = 0, **kw) -> FetchBlock:
     """A fetch block covering exactly the ``index``-th basic block of the
-    workload's CFG (so instruction classes resolve against real code)."""
-    static = workload.cfg.all_blocks()[index]
-    return FetchBlock(start=static.addr, length=static.size, **kw)
+    workload's CFG."""
+    return _fetch_block(workload, workload.cfg.all_blocks()[index], **kw)
 
 
 def blocks_on_distinct_lines(workload, count: int, line_size: int = 64,
@@ -59,7 +67,7 @@ def blocks_on_distinct_lines(workload, count: int, line_size: int = 64,
         if line in seen_lines or static.size < min_size:
             continue
         seen_lines.add(line)
-        chosen.append(FetchBlock(start=static.addr, length=static.size, **kw))
+        chosen.append(_fetch_block(workload, static, line_size, **kw))
         if len(chosen) == count:
             return chosen
     raise AssertionError(f"workload too small for {count} distinct lines")

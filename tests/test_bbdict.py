@@ -57,3 +57,18 @@ class TestViewAt:
             view = bbdict.view_at(block.addr)
             assert view.size == block.size
             assert len(view.instr_classes) == view.size
+
+
+class TestLoads:
+    def test_loads_are_the_load_class_offsets(self, tiny_workload):
+        bbdict = tiny_workload.bbdict
+        block = max(tiny_workload.cfg.all_blocks(),
+                    key=lambda b: b.instr_classes.count(InstrClass.LOAD))
+        offsets, probs = bbdict.loads(block.addr, block.size)
+        assert len(offsets) >= 2
+        assert offsets == tuple(i for i, c in enumerate(block.instr_classes)
+                                if c is InstrClass.LOAD)
+        assert probs == (block.load_miss_probability,) * len(offsets)
+        assert bbdict.loads(block.addr, block.size)[0] is offsets
+        # A shorter span holds the loads of its prefix only.
+        assert bbdict.loads(block.addr, offsets[1])[0] == offsets[:1]

@@ -143,7 +143,7 @@ class TestSkipTo:
         sim = Simulator(config, medium_workload)
         sim.warm_up()
         sim.skip_to(5000)
-        assert sim.backend.dcache._load_index > 0
+        assert sim.prediction.skipped_loads > 0
 
     def test_skip_does_not_touch_timing(self, medium_workload):
         config = make_sim_config(max_instructions=1000)
@@ -240,8 +240,7 @@ class TestPositionalProperties:
                 == ref_pred.oracle.current_address())
         assert split_pred.history == ref_pred.history
         assert split_pred.ras.snapshot() == ref_pred.ras.snapshot()
-        assert (split.backend.dcache._load_index
-                == reference.backend.dcache._load_index)
+        assert split_pred.skipped_loads == ref_pred.skipped_loads
         assert (sorted(split.hierarchy.l1.resident_lines())
                 == sorted(reference.hierarchy.l1.resident_lines()))
         assert (sorted(split.hierarchy.l2.resident_lines())

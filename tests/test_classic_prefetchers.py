@@ -23,21 +23,20 @@ def big_block(workload, min_size=4):
 class TestNextNLine:
     def test_invalid_degree(self, tiny_workload):
         with pytest.raises(ValueError):
-            NextNLineEngine(FetchEngineConfig(), make_hierarchy(),
-                            tiny_workload.bbdict, degree=0)
+            NextNLineEngine(FetchEngineConfig(), make_hierarchy(), degree=0)
 
     def test_no_candidates_at_enqueue_time(self, tiny_workload):
         engine = NextNLineEngine(FetchEngineConfig(), make_hierarchy(),
-                                 tiny_workload.bbdict, degree=2)
+                                 degree=2)
         engine.enqueue_block(big_block(tiny_workload), 0)
         assert len(engine.piq) == 0
 
     def test_consuming_a_line_prefetches_successors(self, tiny_workload):
         engine = NextNLineEngine(FetchEngineConfig(), make_hierarchy(),
-                                 tiny_workload.bbdict, degree=2)
+                                 degree=2)
         backend = RecordingBackend()
         block = big_block(tiny_workload)
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         engine.hierarchy.l1.fill(line)
         engine.enqueue_block(block, 0)
         drive(engine, backend, 30, prefetch=False)
@@ -48,14 +47,14 @@ class TestNextNLine:
 
     def test_name_includes_degree(self, tiny_workload):
         engine = NextNLineEngine(FetchEngineConfig(), make_hierarchy(),
-                                 tiny_workload.bbdict, degree=3)
+                                 degree=3)
         assert engine.name == "next-3-line"
 
 
 class TestTargetLine:
     def test_learns_non_sequential_transition(self, tiny_workload):
         engine = TargetLineEngine(FetchEngineConfig(), make_hierarchy(),
-                                  tiny_workload.bbdict, degree=1)
+                                  degree=1)
         backend = RecordingBackend()
         blocks = tiny_workload.cfg.all_blocks()
         # Fetch two blocks whose lines are far apart so the transition is
@@ -72,7 +71,7 @@ class TestTargetLine:
         a, b = far_pairs
         for index in (a, b):
             blk = block_for(tiny_workload, index)
-            engine.hierarchy.l1.fill(blk.lines(64)[0])
+            engine.hierarchy.l1.fill(blk.lines()[0])
             engine.enqueue_block(blk, 0)
         drive(engine, backend, 60, prefetch=False)
         line_a = blocks[a].addr - blocks[a].addr % 64
@@ -81,7 +80,7 @@ class TestTargetLine:
 
     def test_target_table_capacity_bounded(self, tiny_workload):
         engine = TargetLineEngine(FetchEngineConfig(), make_hierarchy(),
-                                  tiny_workload.bbdict, degree=1,
+                                  degree=1,
                                   table_entries=2)
         for i in range(6):
             engine._last_line = i * 0x1000
@@ -90,5 +89,5 @@ class TestTargetLine:
 
     def test_name(self, tiny_workload):
         engine = TargetLineEngine(FetchEngineConfig(), make_hierarchy(),
-                                  tiny_workload.bbdict, degree=1)
+                                  degree=1)
         assert engine.name.startswith("target-line")

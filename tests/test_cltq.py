@@ -2,15 +2,17 @@
 
 from repro.core.cltq import CacheLineTargetQueue
 from repro.frontend.fetch_block import FetchBlock
+from repro.workloads.isa import line_split
 
 
 def block(start=0x1000, length=8, **kw):
-    return FetchBlock(start=start, length=length, **kw)
+    return FetchBlock(start=start, length=length,
+                      split=line_split(start, length, 64), **kw)
 
 
 class TestBlockToLineExpansion:
     def test_push_splits_into_lines(self):
-        cltq = CacheLineTargetQueue(capacity_blocks=8, line_size=64)
+        cltq = CacheLineTargetQueue(capacity_blocks=8)
         cltq.push_block(block(0x1000 + 48, length=20))  # spans 2 lines
         assert cltq.occupancy_lines == 2
         assert cltq.occupancy_blocks == 1
@@ -24,7 +26,7 @@ class TestBlockToLineExpansion:
         assert entry.occupied
 
     def test_lines_pop_in_fetch_order(self):
-        cltq = CacheLineTargetQueue(line_size=64)
+        cltq = CacheLineTargetQueue()
         cltq.push_block(block(0x1000, length=32))  # 2 lines
         cltq.push_block(block(0x8000, length=4))
         addrs = [cltq.pop_line().line_addr for _ in range(3)]
@@ -39,7 +41,7 @@ class TestBlockToLineExpansion:
 
 class TestCapacityInBlocks:
     def test_capacity_counts_blocks_not_lines(self):
-        cltq = CacheLineTargetQueue(capacity_blocks=2, line_size=64)
+        cltq = CacheLineTargetQueue(capacity_blocks=2)
         assert cltq.push_block(block(0x1000, length=40))   # 3 lines
         assert cltq.push_block(block(0x8000, length=40))
         assert not cltq.has_space()
@@ -47,7 +49,7 @@ class TestCapacityInBlocks:
         assert cltq.dropped_blocks == 1
 
     def test_block_residency_released_after_last_line(self):
-        cltq = CacheLineTargetQueue(capacity_blocks=1, line_size=64)
+        cltq = CacheLineTargetQueue(capacity_blocks=1)
         cltq.push_block(block(0x1000, length=32))  # 2 lines
         cltq.pop_line()
         assert not cltq.has_space()   # one line of the block still queued
@@ -62,13 +64,13 @@ class TestCapacityInBlocks:
         for b in blocks:
             assert cltq.push_block(b)
         assert cltq.occupancy_blocks == 8
-        queued_blocks = {e.block.block_id for e in cltq.iter_entries()}
-        assert queued_blocks == {b.block_id for b in blocks}
+        queued_blocks = {id(e.block) for e in cltq.iter_entries()}
+        assert queued_blocks == {id(b) for b in blocks}
 
 
 class TestPrestagingScanHelpers:
     def test_unprefetched_entries_in_order_with_limit(self):
-        cltq = CacheLineTargetQueue(line_size=64)
+        cltq = CacheLineTargetQueue()
         cltq.push_block(block(0x1000, length=48))  # 3 lines
         entries = cltq.unprefetched_entries(limit=2)
         assert len(entries) == 2

@@ -16,7 +16,7 @@ def make_engine(workload, l0=False, pipelined=False, l1_size=4096,
         l0_size_bytes=256 if l0 else None, l1_pipelined=pipelined,
     ))
     config = FetchEngineConfig(**cfg_overrides)
-    return BaselineEngine(config, hierarchy, workload.bbdict)
+    return BaselineEngine(config, hierarchy)
 
 
 class TestFetchFromL1:

@@ -21,7 +21,7 @@ def make_engine(workload, l0=False, entries=4, **cfg_overrides):
         l0_size_bytes=256 if l0 else None,
     ))
     config = FetchEngineConfig(prebuffer_entries=entries, **cfg_overrides)
-    return CLGPEngine(config, hierarchy, workload.bbdict)
+    return CLGPEngine(config, hierarchy)
 
 
 def big_block(workload, min_size=4):
@@ -35,14 +35,14 @@ class TestPrestagingAlgorithm:
         engine = make_engine(tiny_workload)
         block = big_block(tiny_workload)
         engine.enqueue_block(block, 0)
-        assert engine.cltq.occupancy_lines == len(block.lines(64))
+        assert engine.cltq.occupancy_lines == len(block.lines())
 
     def test_new_line_allocates_prestage_entry(self, tiny_workload):
         engine = make_engine(tiny_workload)
         block = big_block(tiny_workload)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
-        entry = engine.prestage_buffer.get(block.lines(64)[0])
+        entry = engine.prestage_buffer.get(block.lines()[0])
         assert entry is not None and entry.consumers == 1
         assert engine.stats.prefetches_issued == 1
 
@@ -55,7 +55,7 @@ class TestPrestagingAlgorithm:
         engine.enqueue_block(big_block(tiny_workload), 0)  # same lines again
         engine.prefetch_tick(1)
         engine.prefetch_tick(2)
-        entry = engine.prestage_buffer.get(block.lines(64)[0])
+        entry = engine.prestage_buffer.get(block.lines()[0])
         assert entry.consumers >= 2
         assert engine.stats.prefetch_source["PB"] >= 1
         assert engine.stats.prefetches_issued >= issued_before
@@ -66,7 +66,7 @@ class TestPrestagingAlgorithm:
         engine.hierarchy.l1.fill(block.start)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
-        entry = engine.prestage_buffer.get(block.lines(64)[0])
+        entry = engine.prestage_buffer.get(block.lines()[0])
         assert entry is not None
         assert entry.valid and entry.source == "il1"
 
@@ -76,7 +76,7 @@ class TestPrestagingAlgorithm:
         engine.hierarchy.l1.fill(block.start)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
-        assert engine.prestage_buffer.get(block.lines(64)[0]) is None
+        assert engine.prestage_buffer.get(block.lines()[0]) is None
 
     def test_allocation_stalls_when_all_entries_have_consumers(self, tiny_workload):
         engine = make_engine(tiny_workload, entries=1)
@@ -96,7 +96,7 @@ class TestFetchBehaviour:
         engine.hierarchy.l2.fill(block.start)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
-        entry = engine.prestage_buffer.get(block.lines(64)[0])
+        entry = engine.prestage_buffer.get(block.lines()[0])
         before = entry.consumers
         drive(engine, backend, 60, prefetch=False)
         assert "PB" in delivered_sources(engine)
@@ -106,7 +106,7 @@ class TestFetchBehaviour:
         engine = make_engine(tiny_workload, l0=True)
         backend = RecordingBackend()
         block = big_block(tiny_workload)
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         engine.hierarchy.l2.fill(line)
         engine.enqueue_block(block, 0)
         # Let the prefetch land before any fetch happens, so the line is
@@ -131,7 +131,7 @@ class TestFetchBehaviour:
         engine.enqueue_block(block, 0)
         drive(engine, backend, 60)
         if "PB" in delivered_sources(engine):
-            assert engine.hierarchy.l0.contains(block.lines(64)[0])
+            assert engine.hierarchy.l0.contains(block.lines()[0])
 
     def test_free_on_use_ablation_releases_entry(self, tiny_workload):
         engine = make_engine(tiny_workload, clgp_free_on_use=True)
@@ -142,7 +142,7 @@ class TestFetchBehaviour:
         engine.enqueue_block(big_block(tiny_workload), 0)  # extra consumer
         drive(engine, backend, 80)
         if "PB" in delivered_sources(engine):
-            entry = engine.prestage_buffer.get(block.lines(64)[0])
+            entry = engine.prestage_buffer.get(block.lines()[0])
             assert entry is None or entry.consumers == 0
 
     def test_demand_miss_fills_emergency_caches(self, tiny_workload):

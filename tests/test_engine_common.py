@@ -20,7 +20,7 @@ def make_engine(workload, cls=FDPEngine, lookahead=2, l1_size=4096, **cfg):
         technology="0.045um", l1_size_bytes=l1_size))
     config = FetchEngineConfig(prebuffer_entries=4, fetch_lookahead=lookahead,
                                **cfg)
-    return cls(config, hierarchy, workload.bbdict)
+    return cls(config, hierarchy)
 
 
 class TestFetchStats:
@@ -58,7 +58,7 @@ class TestDemandMissSerialisation:
         backend = RecordingBackend()
         blocks = blocks_on_distinct_lines(tiny_workload, 3)
         for block in blocks:
-            engine.hierarchy.l2.fill(block.lines(64)[0])
+            engine.hierarchy.l2.fill(block.lines()[0])
             engine.enqueue_block(block, 0)
         engine.fetch_tick(0, backend)
         # Only the head line's demand request was issued to the bus.
@@ -70,8 +70,8 @@ class TestDemandMissSerialisation:
         backend = RecordingBackend()
         blocks = blocks_on_distinct_lines(tiny_workload, 3)
         for block in blocks:
-            engine.hierarchy.l1.fill(block.lines(64)[0])
-            for line in block.lines(64):
+            engine.hierarchy.l1.fill(block.lines()[0])
+            for line in block.lines():
                 engine.hierarchy.l1.fill(line)
             engine.enqueue_block(block, 0)
         engine.fetch_tick(0, backend)
@@ -89,7 +89,7 @@ class TestStallAccounting:
         engine = make_engine(tiny_workload)   # 4-cycle L1
         backend = RecordingBackend()
         block = blocks_on_distinct_lines(tiny_workload, 1)[0]
-        for line in block.lines(64):
+        for line in block.lines():
             engine.hierarchy.l1.fill(line)
         engine.enqueue_block(block, 0)
         for cycle in range(3):
@@ -104,7 +104,7 @@ class TestPrebufferWaitEscalation:
         engine = make_engine(tiny_workload, cls=CLGPEngine)
         backend = RecordingBackend()
         block = blocks_on_distinct_lines(tiny_workload, 1, min_size=4)[0]
-        engine.hierarchy.l2.fill(block.lines(64)[0])
+        engine.hierarchy.l2.fill(block.lines()[0])
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)            # allocate + issue the prefetch
         drive(engine, backend, 60, prefetch=False)
@@ -120,7 +120,7 @@ class TestPrebufferWaitEscalation:
         engine = make_engine(tiny_workload, cls=CLGPEngine)
         backend = RecordingBackend()
         block = blocks_on_distinct_lines(tiny_workload, 1, min_size=4)[0]
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         engine.hierarchy.l2.fill(line)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)

@@ -28,7 +28,7 @@ def make_engine(workload, l0=False, entries=4, pipelined_pb=False,
         prefetch_filter=filtering,
         **cfg_overrides,
     )
-    return FDPEngine(config, hierarchy, workload.bbdict)
+    return FDPEngine(config, hierarchy)
 
 
 def big_block(workload, min_size=4):
@@ -42,7 +42,7 @@ class TestPrefetchCandidateGeneration:
         engine = make_engine(tiny_workload)
         block = block_for(tiny_workload)
         engine.enqueue_block(block, 0)
-        assert list(engine.piq) == block.lines(64)
+        assert list(engine.piq) == block.lines()
 
     def test_filtering_drops_cached_lines(self, tiny_workload):
         engine = make_engine(tiny_workload)
@@ -79,7 +79,7 @@ class TestPrefetchIssueAndUse:
         engine = make_engine(tiny_workload)
         backend = RecordingBackend()
         block = big_block(tiny_workload)
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         engine.hierarchy.l2.fill(line)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
@@ -107,7 +107,7 @@ class TestPrefetchIssueAndUse:
     def _fetch_after_prefetch_lands(self, engine, block, cycles_for_prefetch=30):
         """Issue the prefetch for the block's first line, wait for it to
         arrive, then fetch the block."""
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         engine.hierarchy.l2.fill(line)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
@@ -119,7 +119,7 @@ class TestPrefetchIssueAndUse:
     def test_used_line_moves_to_l1_and_leaves_buffer(self, tiny_workload):
         engine = make_engine(tiny_workload)
         block = big_block(tiny_workload)
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         self._fetch_after_prefetch_lands(engine, block)
         assert "PB" in delivered_sources(engine)
         assert engine.hierarchy.l1.contains(line)
@@ -128,7 +128,7 @@ class TestPrefetchIssueAndUse:
     def test_used_line_moves_to_l0_when_present(self, tiny_workload):
         engine = make_engine(tiny_workload, l0=True)
         block = big_block(tiny_workload)
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         self._fetch_after_prefetch_lands(engine, block)
         assert "PB" in delivered_sources(engine)
         assert engine.hierarchy.l0.contains(line)
@@ -137,7 +137,7 @@ class TestPrefetchIssueAndUse:
     def test_prefetch_served_by_l1_when_probe_enabled(self, tiny_workload):
         engine = make_engine(tiny_workload, filtering="none")
         block = big_block(tiny_workload)
-        line = block.lines(64)[0]
+        line = block.lines()[0]
         engine.hierarchy.l1.fill(line)
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
@@ -150,7 +150,7 @@ class TestFlush:
     def test_flush_clears_ftq_and_piq_keeps_buffer(self, tiny_workload):
         engine = make_engine(tiny_workload)
         block = big_block(tiny_workload)
-        engine.hierarchy.l2.fill(block.lines(64)[0])
+        engine.hierarchy.l2.fill(block.lines()[0])
         engine.enqueue_block(block, 0)
         engine.prefetch_tick(0)
         engine.hierarchy.tick(0)

@@ -19,7 +19,8 @@ from repro.context import current_context, use_context
 from repro.sampling.checkpoint import DEFAULT_STORE, FRONTIER, frontier_key
 from repro.simulator.config import SimulationConfig
 from repro.simulator.presets import paper_config
-from repro.simulator.runner import _execute_single, clear_process_caches
+from repro.simulator.runner import (
+    _execute_single, clear_process_caches, get_workload)
 from repro.simulator.simulator import Simulator, SimulatorCheckpoint
 from repro.workloads.spec2000 import profile_for
 from repro.workloads.trace import build_workload
@@ -188,3 +189,39 @@ class TestFrontierPickling:
         resumed.restore(SimulatorCheckpoint(state))
         continuous = Simulator(config, build_workload(profile)).run()
         assert resumed.run() == continuous
+
+
+class TestBusInFlight:
+    """A run can end with a request queued on the L2 bus: this one ends
+    with a prefetch waiting for its grant.  The grant callback is a
+    closure over the live machine, so a copy of that machine would leave
+    the grant updating the original, and a pickle fails outright.  No
+    frontier is published from such a machine, and ``snapshot`` refuses
+    it."""
+
+    @staticmethod
+    def _config():
+        return paper_config("CLGP+L0+PB16", l1_size_bytes=256,
+                            technology="0.045um", max_instructions=1000)
+
+    def test_snapshot_refuses_a_machine_with_a_bus_request(self):
+        sim = Simulator(self._config(), get_workload("vortex"))
+        sim.run(1000)
+        assert sim.bus_busy
+        with pytest.raises(RuntimeError, match="in flight"):
+            sim.snapshot()
+
+    @pytest.mark.parametrize("store_on", [True, False],
+                             ids=["store-on", "store-off"])
+    def test_budget_increase_matches_a_fresh_run(self, tmp_path, store_on):
+        config = self._config()
+        with temporary_cache_dir(tmp_path / "fresh", enabled=False):
+            fresh = _execute_single(config, "vortex", 2000)
+        sim = Simulator(config, get_workload("vortex"))
+        sim.run(1000)
+        assert sim.hierarchy.bus.pending   # the 1,000 run ends mid-grant
+        with temporary_cache_dir(tmp_path / "store", enabled=store_on):
+            first = _execute_single(config, "vortex", 1000)
+            resumed = _execute_single(config, "vortex", 2000)
+        assert first.committed_instructions >= 1000
+        assert resumed == fresh

@@ -2,10 +2,12 @@
 
 from repro.core.ftq import FetchTargetQueue
 from repro.frontend.fetch_block import FetchBlock
+from repro.workloads.isa import line_split
 
 
 def block(start=0x1000, length=8, **kw):
-    return FetchBlock(start=start, length=length, **kw)
+    return FetchBlock(start=start, length=length,
+                      split=line_split(start, length, 64), **kw)
 
 
 class TestCapacity:
@@ -34,7 +36,7 @@ class TestCapacity:
 
 class TestLineExpansion:
     def test_lines_pop_in_order(self):
-        ftq = FetchTargetQueue(capacity_blocks=4, line_size=64)
+        ftq = FetchTargetQueue(capacity_blocks=4)
         ftq.push(block(0x1000 + 56, length=10))  # spans 2 lines
         first = ftq.pop_line()
         second = ftq.pop_line()

@@ -196,7 +196,7 @@ def _machine_state(sim):
     oracle = prediction.oracle
     return (oracle.consumed_instructions, oracle.current_address(),
             prediction.history, prediction.ras.snapshot(), partial, tables,
-            caches, sim.backend.dcache._load_index)
+            caches, prediction.skipped_loads)
 
 
 def test_functional_skip_batched_matches_generic():
