@@ -78,7 +78,6 @@ def test_simulation_throughput(benchmark, scheme, bench_metrics):
     benchmark.extra_info["simulated_instructions_per_second"] = (
         instructions_per_second
     )
-    benchmark.extra_info["sim_loop"] = config.sim_loop
     bench_metrics.setdefault("instructions_per_second", {})[scheme] = round(
         instructions_per_second
     )

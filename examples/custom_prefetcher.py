@@ -21,6 +21,7 @@ Run:
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 from repro.api import ExperimentSpec, Session, Simulator, paper_config
 from repro.core.clgp import CLGPEngine   # extension point: the engine layer
@@ -55,14 +56,11 @@ class StreamingPrestager(CLGPEngine):
         # the line in the CLTQ, the normal CLGP scan will add a consumer.
         entry.consumers = 0
         self.stats.prefetches_issued += 1
-
-        def _arrived(arrival_cycle: int, source: str, entry=entry) -> None:
-            entry.mark_arrived(arrival_cycle, source)
-            self.stats.prefetch_source[source] += 1
-            self.stats.prefetches_completed += 1
-
+        # The completion is a partial over a bound method, never a
+        # closure: a request queued on the L2 bus is copied along with
+        # the machine when it is snapshot.
         self.hierarchy.prefetch_access(
-            candidate, cycle, _arrived,
+            candidate, cycle, partial(self._prefetch_arrived, entry),
             probe_l1=self.config.prefetch_probe_l1,
         )
 

@@ -23,6 +23,7 @@ achieves between outstanding misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List
 
 from ..memory.hierarchy import MemoryHierarchy
@@ -89,12 +90,13 @@ class DataCacheModel:
         stats.dl1_misses += 1
         if misses_l2:
             stats.l2_data_misses += 1
-        mlp_factor = self.mlp_factor
+        self.hierarchy.demand_data_access(
+            cycle, misses_l2, partial(self._served, cycle, segment))
 
-        def _served(arrival_cycle: int, _source: str) -> None:
-            # Out-of-order cores overlap independent misses; divide the
-            # exposed latency by the MLP factor.
-            segment[0] = cycle + max(
-                1, round((arrival_cycle - cycle) / mlp_factor))
-
-        self.hierarchy.demand_data_access(cycle, misses_l2, _served)
+    def _served(self, cycle: int, segment: List[int], arrival_cycle: int,
+                _source: str) -> None:
+        """The miss issued at ``cycle`` is served at ``arrival_cycle``.
+        Out-of-order cores overlap independent misses, so the exposed
+        latency is divided by the MLP factor."""
+        segment[0] = cycle + max(
+            1, round((arrival_cycle - cycle) / self.mlp_factor))

@@ -111,7 +111,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: drawn L1-D misses, and the skipped-load count moved from the D-cache
 #: model to the prediction unit; a v10 checkpoint would unpickle and
 #: then fail.
-SCHEMA_VERSION = 11
+#: v12: a checkpoint's L2 bus pickles its queued requests as
+#: ``(priority, sequence, submit cycle, on_grant)`` tuples with an int
+#: sequence, and frontiers may hold requests in flight; a v11 bus holds
+#: request objects, a live-request count and an ``itertools.count``.
+SCHEMA_VERSION = 12
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"

@@ -27,6 +27,7 @@ counterparts (free-on-use replacement, copy-to-cache, filtering).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from ..frontend.fetch_block import FetchBlock, FetchLineRequest
@@ -120,14 +121,9 @@ class CLGPEngine(FetchEngine):
             cltq.mark_scanned(request)
             issued += 1
             self.stats.prefetches_issued += 1
-
-            def _arrived(arrival_cycle: int, source: str, entry=new_entry) -> None:
-                entry.mark_arrived(arrival_cycle, source)
-                self.stats.prefetch_source[source] += 1
-                self.stats.prefetches_completed += 1
-
             self.hierarchy.prefetch_access(
-                line, cycle, _arrived, probe_l1=self.config.prefetch_probe_l1
+                line, cycle, partial(self._prefetch_arrived, new_entry),
+                probe_l1=self.config.prefetch_probe_l1,
             )
 
     def _prefetch_quiescent(self):

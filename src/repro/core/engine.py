@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Optional
 
 from ..frontend.fetch_block import FetchBlock, FetchLineRequest
@@ -312,15 +313,24 @@ class FetchEngine:
 
         # Demand miss: nothing on the fast path has the line.
         hierarchy.l1.lookup(line)  # counts the miss in the L1 statistics
-
-        def _arrived(arrival_cycle: int, source: str,
-                     infl=infl, line=line) -> None:
-            infl.ready_cycle = arrival_cycle
-            infl.source = source
-            self._on_demand_fill(line, source, arrival_cycle)
-
-        hierarchy.demand_instruction_access(line, cycle, _arrived)
+        hierarchy.demand_instruction_access(
+            line, cycle, partial(self._demand_arrived, infl))
         return infl
+
+    # -- bus completions (bound methods: a snapshot copies them) ----------
+    def _demand_arrived(self, infl: _InflightLine, arrival_cycle: int,
+                        source: str) -> None:
+        """A demand miss's line arrives from L2/memory."""
+        infl.ready_cycle = arrival_cycle
+        infl.source = source
+        self._on_demand_fill(infl.request.line_addr, source, arrival_cycle)
+
+    def _prefetch_arrived(self, entry: PreBufferEntry, arrival_cycle: int,
+                          source: str) -> None:
+        """A prefetched line arrives in its pre-buffer ``entry``."""
+        entry.mark_arrived(arrival_cycle, source)
+        self.stats.prefetch_source[source] += 1
+        self.stats.prefetches_completed += 1
 
     # -- pre-buffer port helpers (subclasses with a buffer override) -------
     def _prebuffer_port_completion(self, start_cycle: int) -> int:
@@ -350,14 +360,8 @@ class FetchEngine:
             infl.pb_entry = None
             line = infl.request.line_addr
             self.hierarchy.l1.lookup(line)
-
-            def _arrived(arrival_cycle: int, source: str,
-                         infl=infl, line=line) -> None:
-                infl.ready_cycle = arrival_cycle
-                infl.source = source
-                self._on_demand_fill(line, source, arrival_cycle)
-
-            self.hierarchy.demand_instruction_access(line, cycle, _arrived)
+            self.hierarchy.demand_instruction_access(
+                line, cycle, partial(self._demand_arrived, infl))
 
     # ------------------------------------------------------------------
     def _deliver(self, infl: _InflightLine, cycle: int, backend) -> int:

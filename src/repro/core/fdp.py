@@ -20,6 +20,7 @@ Key FDP behaviours reproduced here (and contrasted by CLGP):
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Optional
 
 from ..frontend.fetch_block import FetchBlock, FetchLineRequest
@@ -118,14 +119,9 @@ class FDPEngine(FetchEngine):
             self._piq_set.discard(line)
             issued += 1
             self.stats.prefetches_issued += 1
-
-            def _arrived(arrival_cycle: int, source: str, entry=entry) -> None:
-                entry.mark_arrived(arrival_cycle, source)
-                self.stats.prefetch_source[source] += 1
-                self.stats.prefetches_completed += 1
-
             self.hierarchy.prefetch_access(
-                line, cycle, _arrived, probe_l1=self.config.prefetch_probe_l1
+                line, cycle, partial(self._prefetch_arrived, entry),
+                probe_l1=self.config.prefetch_probe_l1,
             )
 
     def _prefetch_quiescent(self):

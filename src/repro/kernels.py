@@ -6,8 +6,8 @@ with one entry per *fetch stream*.  This module holds the dependency-free
 primitives that consume those columns wholesale instead of block-by-block:
 
 * :func:`grouped_load_miss_counts` -- the deterministic per-load miss
-  draws of the proxy base pass (the hash and :data:`~repro.backend.dcache.L2_SALT`
-  of :func:`~repro.backend.dcache.draw_misses`), accumulated per interval;
+  draws of the proxy base pass (:func:`~repro.backend.dcache.draw_misses`),
+  accumulated per interval;
 * :func:`interval_block_counts` -- interval-boundary slicing of the block
   columns into per-interval basic-block vectors for BBV profiling;
 * :class:`TwoLevelLRUReplay` -- the proxy feature pass's L1-I/L2 miss
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .backend.dcache import L2_SALT, _hash01
+from .backend.dcache import draw_misses
 from .memory.cache import Cache
 
 __all__ = [
@@ -48,14 +48,11 @@ def grouped_load_miss_counts(
     d_out = [0] * group_count
     dm_out = [0] * group_count
     index = start_index
-    l2_salt = seed ^ L2_SALT
     for group, probs in chunks:
-        for miss_prob in probs:
-            if _hash01(index, seed) < miss_prob:
-                d_out[group] += 1
-                if _hash01(index, l2_salt) < l2_rate:
-                    dm_out[group] += 1
-            index += 1
+        misses = draw_misses(range(len(probs)), probs, index, seed, l2_rate)
+        d_out[group] += len(misses)
+        dm_out[group] += sum(misses_l2 for _, misses_l2 in misses)
+        index += len(probs)
     return d_out, dm_out
 
 

@@ -8,18 +8,22 @@ cycle", with the priority order
 3. prefetch requests (served only when nothing else wants the bus).
 
 Requests are queued by the producers during a cycle and the simulator calls
-:meth:`L2Bus.tick` once per cycle; the single granted request's callback is
+:meth:`L2Bus.tick` once per cycle; the granted request's callback is
 invoked with the grant cycle so the producer can compute when its data
-arrives.
+arrives.  A request is never cancelled: once queued it is granted.
+
+A queued request is plain data -- the tuple ``(priority, sequence,
+submit cycle, on_grant)``, ordered by priority and then by submission --
+so a snapshot of the machine (deepcopy or pickle) carries its in-flight
+requests along with everything else.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, List, Optional
+from typing import Callable, List, Tuple
 
 
 class BusPriority(IntEnum):
@@ -52,30 +56,14 @@ class BusStats:
         return self.total_wait_cycles[priority] / g if g else 0.0
 
 
-@dataclass(order=True, slots=True)
-class _QueuedRequest:
-    sort_key: tuple
-    priority: BusPriority = field(compare=False)
-    submit_cycle: int = field(compare=False)
-    on_grant: Callable[[int], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    tag: Optional[object] = field(default=None, compare=False)
-
-
 class L2Bus:
-    """Single-request-per-cycle bus with strict priority arbitration.
+    """One-grant-per-cycle bus with strict priority arbitration (paper
+    Table 2: 64 B/cycle with 64-byte lines, i.e. one line transfer per
+    cycle).  ``_queue`` is a heap of requests; empty means idle."""
 
-    ``grants_per_cycle`` defaults to 1 (paper Table 2: 64 B/cycle with
-    64-byte lines, i.e. one line transfer per cycle).
-    """
-
-    def __init__(self, grants_per_cycle: int = 1) -> None:
-        if grants_per_cycle < 1:
-            raise ValueError("grants_per_cycle must be >= 1")
-        self.grants_per_cycle = grants_per_cycle
-        self._queue: List[_QueuedRequest] = []
-        self._counter = itertools.count()
-        self._live = 0   # non-cancelled queued requests (O(1) idle check)
+    def __init__(self) -> None:
+        self._queue: List[Tuple[int, int, int, Callable[[int], None]]] = []
+        self._sequence = 0
         self.stats = BusStats()
 
     # ------------------------------------------------------------------
@@ -84,56 +72,33 @@ class L2Bus:
         priority: BusPriority,
         cycle: int,
         on_grant: Callable[[int], None],
-        tag: Optional[object] = None,
-    ) -> _QueuedRequest:
+    ) -> None:
         """Queue a request.  ``on_grant(grant_cycle)`` is called when the bus
         serves it (possibly in the same cycle if nothing of higher priority
-        is waiting)."""
-        request = _QueuedRequest(
-            sort_key=(int(priority), next(self._counter)),
-            priority=priority,
-            submit_cycle=cycle,
-            on_grant=on_grant,
-            tag=tag,
-        )
-        heapq.heappush(self._queue, request)
-        self._live += 1
-        self.stats.record_request(priority)
-        return request
+        is waiting).
 
-    def cancel(self, request: _QueuedRequest) -> None:
-        """Mark a queued request as cancelled (e.g. a prefetch squashed by a
-        pipeline flush).  It will be skipped when it reaches the head."""
-        if not request.cancelled:
-            request.cancelled = True
-            self._live -= 1
+        ``on_grant`` is a bound method or a :func:`functools.partial` over
+        machine objects, never a closure: a snapshot copies the queue with
+        the machine, and a closure can be neither pickled nor deep-copied
+        (its copy would still update the original machine).
+        """
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._queue, (priority, sequence, cycle, on_grant))
+        self.stats.record_request(priority)
 
     def tick(self, cycle: int) -> int:
-        """Grant up to ``grants_per_cycle`` queued requests.  Returns the
-        number of grants issued this cycle."""
-        granted = 0
-        while granted < self.grants_per_cycle and self._queue:
-            request = heapq.heappop(self._queue)
-            if request.cancelled:
-                continue
-            waited = max(0, cycle - request.submit_cycle)
-            self.stats.record_grant(request.priority, waited)
-            self._live -= 1
-            request.on_grant(cycle)
-            granted += 1
-        return granted
+        """Grant the oldest request of the highest priority, if any.
+        Returns the number of grants issued this cycle (0 or 1)."""
+        if not self._queue:
+            return 0
+        priority, _, submitted, on_grant = heapq.heappop(self._queue)
+        self.stats.record_grant(priority, max(0, cycle - submitted))
+        on_grant(cycle)
+        return 1
 
     # ------------------------------------------------------------------
     @property
-    def idle(self) -> bool:
-        """True when no live (non-cancelled) request is queued."""
-        return self._live == 0
-
-    @property
     def pending(self) -> int:
-        return self._live
-
-    def pending_by_priority(self, priority: BusPriority) -> int:
-        return sum(
-            1 for r in self._queue if not r.cancelled and r.priority == priority
-        )
+        """Requests waiting for a grant."""
+        return len(self._queue)

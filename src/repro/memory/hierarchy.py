@@ -12,15 +12,22 @@ Responsibilities:
   which of the parallel probe sources returns data first.
 
 Fill policy is deliberately **not** decided here: FDP promotes used
-prefetch-buffer lines into the I-cache while CLGP does not, and demand
-misses fill the "emergency cache" (L1, or L0 when present) -- those choices
-belong to the fetch engines, which call :meth:`fill_l1` / :meth:`fill_l0`
+prefetch-buffer lines into the I-cache while CLGP does not, and each
+engine decides which levels a demand miss fills -- those choices belong
+to the fetch engines, which call :meth:`fill_l1` / :meth:`fill_l0`
 explicitly.
+
+A request that goes over the bus is queued as a :func:`functools.partial`
+of one of this class's grant methods, and the requester's ``on_complete``
+is itself a partial over a bound method of the machine's objects (see
+:meth:`L2Bus.submit <repro.memory.bus.L2Bus.submit>`), so a snapshot of
+the machine copies its in-flight requests too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .bus import BusPriority, L2Bus
@@ -61,13 +68,12 @@ class HierarchyConfig:
     #: Force the L1 hit latency (e.g. the "ideal" configuration of Figure 1
     #: uses 1 cycle regardless of size).  ``None`` = use the CACTI model.
     l1_latency_override: Optional[int] = None
-    l2_latency_override: Optional[int] = None
 
 
 class MemoryHierarchy:
     """Instruction-path memory system shared by all fetch engines."""
 
-    def __init__(self, config: HierarchyConfig, bus: Optional[L2Bus] = None):
+    def __init__(self, config: HierarchyConfig):
         self.config = config
         self.technology: TechnologyNode = resolve_technology(config.technology)
         self.latency_model = CactiLikeModel(self.technology)
@@ -77,11 +83,8 @@ class MemoryHierarchy:
             if config.l1_latency_override is not None
             else self.latency_model.access_latency_cycles(config.l1_size_bytes)
         )
-        self.l2_latency = (
-            config.l2_latency_override
-            if config.l2_latency_override is not None
-            else self.latency_model.access_latency_cycles(config.l2_size_bytes)
-        )
+        self.l2_latency = self.latency_model.access_latency_cycles(
+            config.l2_size_bytes)
         self.l0_latency = 1
         self.memory_latency = config.memory_latency
 
@@ -102,7 +105,7 @@ class MemoryHierarchy:
             "ul2", config.l2_size_bytes, config.l2_line_size,
             config.l2_associativity,
         )
-        self.bus = bus if bus is not None else L2Bus()
+        self.bus = L2Bus()
 
         # Simple counters for the instruction/prefetch traffic beyond L1.
         self.demand_l2_hits = 0
@@ -135,16 +138,6 @@ class MemoryHierarchy:
             raise RuntimeError("no L0 cache configured")
         return self.l0.fill(line_addr)
 
-    def fill_emergency(self, line_addr: int) -> Optional[int]:
-        """Fill the 'emergency cache': L0 when present, otherwise L1.
-
-        This is where CLGP stores lines obtained from the hierarchy after a
-        demand miss (typically on mispredicted paths).
-        """
-        if self.l0 is not None:
-            return self.fill_l0(line_addr)
-        return self.fill_l1(line_addr)
-
     # ------------------------------------------------------------------
     # demand path (instruction fetch miss in PB/L0/L1)
     # ------------------------------------------------------------------
@@ -161,21 +154,9 @@ class MemoryHierarchy:
         line fills the L2 on a memory access; filling L0/L1 is the caller's
         decision.
         """
-
-        def _granted(grant_cycle: int) -> None:
-            if self.l2.lookup(line_addr):
-                self.demand_l2_hits += 1
-                on_complete(grant_cycle + self.l2_latency, SOURCE_L2)
-            else:
-                self.demand_memory_accesses += 1
-                self.l2.fill(line_addr)
-                on_complete(
-                    grant_cycle + self.l2_latency + self.memory_latency,
-                    SOURCE_MEMORY,
-                )
-
-        self.bus.submit(BusPriority.INSTRUCTION_DEMAND, cycle, _granted,
-                        tag=("ifetch", line_addr))
+        self.bus.submit(BusPriority.INSTRUCTION_DEMAND, cycle,
+                        partial(self._line_granted, line_addr, on_complete,
+                                True))
 
     # ------------------------------------------------------------------
     # prefetch path
@@ -197,21 +178,34 @@ class MemoryHierarchy:
         if probe_l1 and self.l1.contains(line_addr):
             on_complete(cycle + self.l1_latency, SOURCE_L1)
             return
+        self.bus.submit(BusPriority.PREFETCH, cycle,
+                        partial(self._line_granted, line_addr, on_complete,
+                                False))
 
-        def _granted(grant_cycle: int) -> None:
-            if self.l2.lookup(line_addr):
+    def _line_granted(
+        self,
+        line_addr: int,
+        on_complete: Callable[[int, str], None],
+        demand: bool,
+        grant_cycle: int,
+    ) -> None:
+        """The bus granted an instruction line, for a demand miss
+        (``demand``) or a prefetch: L2 serves it, or memory does and the
+        line fills the L2."""
+        if self.l2.lookup(line_addr):
+            if demand:
+                self.demand_l2_hits += 1
+            else:
                 self.prefetch_l2_hits += 1
-                on_complete(grant_cycle + self.l2_latency, SOURCE_L2)
+            on_complete(grant_cycle + self.l2_latency, SOURCE_L2)
+        else:
+            if demand:
+                self.demand_memory_accesses += 1
             else:
                 self.prefetch_memory_accesses += 1
-                self.l2.fill(line_addr)
-                on_complete(
-                    grant_cycle + self.l2_latency + self.memory_latency,
-                    SOURCE_MEMORY,
-                )
-
-        self.bus.submit(BusPriority.PREFETCH, cycle, _granted,
-                        tag=("prefetch", line_addr))
+            self.l2.fill(line_addr)
+            on_complete(grant_cycle + self.l2_latency + self.memory_latency,
+                        SOURCE_MEMORY)
 
     # ------------------------------------------------------------------
     # data path (used by the back-end model for L1-D misses)
@@ -224,17 +218,22 @@ class MemoryHierarchy:
     ) -> None:
         """A load that missed the L1 data cache contends for the bus with
         the highest priority; ``misses_l2`` selects L2 vs memory service."""
+        self.bus.submit(BusPriority.DATA_DEMAND, cycle,
+                        partial(self._data_granted, misses_l2, on_complete))
 
-        def _granted(grant_cycle: int) -> None:
-            if misses_l2:
-                on_complete(
-                    grant_cycle + self.l2_latency + self.memory_latency,
-                    SOURCE_MEMORY,
-                )
-            else:
-                on_complete(grant_cycle + self.l2_latency, SOURCE_L2)
-
-        self.bus.submit(BusPriority.DATA_DEMAND, cycle, _granted, tag=("data",))
+    def _data_granted(
+        self,
+        misses_l2: bool,
+        on_complete: Callable[[int, str], None],
+        grant_cycle: int,
+    ) -> None:
+        """The bus granted a data miss: L2 serves it, or memory does when
+        it also ``misses_l2``."""
+        if misses_l2:
+            on_complete(grant_cycle + self.l2_latency + self.memory_latency,
+                        SOURCE_MEMORY)
+        else:
+            on_complete(grant_cycle + self.l2_latency, SOURCE_L2)
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:

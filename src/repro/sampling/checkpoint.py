@@ -48,17 +48,16 @@ FRONTIER = "frontier"
 def position_key(config: SimulationConfig) -> str:
     """Identity of everything that shapes warm-up-plus-skip state.
 
-    ``max_instructions`` and ``max_cycles`` only bound the timed run, and
-    ``sim_loop`` only picks how it is stepped -- no timed loop runs before
-    a positioned state is taken -- so all three are neutralized.  The
-    warm-up budget defaults from ``max_instructions`` and is pinned to
-    its resolved value: two budgets share positioned checkpoints (the
-    warm state included) exactly when their resolved warm-ups agree.
+    ``max_instructions`` and ``max_cycles`` only bound the timed run --
+    no timed loop runs before a positioned state is taken -- so both are
+    neutralized.  The warm-up budget defaults from ``max_instructions``
+    and is pinned to its resolved value: two budgets share positioned
+    checkpoints (the warm state included) exactly when their resolved
+    warm-ups agree.
     """
     return stable_repr(config.with_overrides(
         max_instructions=1,
         max_cycles=None,
-        sim_loop="event",
         warmup_instructions=config.resolved_warmup_instructions(),
     ))
 
@@ -70,16 +69,9 @@ def frontier_key(config: SimulationConfig) -> str:
     is neutralized and the resolved warm-up budget pinned.
     ``max_cycles`` stays bound: a restored state whose cycle count
     already exceeds a smaller limit would diverge from a fresh run.
-    ``sim_loop`` is neutralized although the event and cycle loops are
-    *not* bit-identical -- the event loop can end a run one idle stretch
-    later.  They differ only in where a run stops: a frontier published
-    by either loop and resumed by the other equals the resuming loop's
-    continuous run (pinned in ``tests/test_frontier.py`` on a run whose
-    loops end 23 cycles apart).
     """
     return stable_repr(config.with_overrides(
         max_instructions=1,
-        sim_loop="event",
         warmup_instructions=config.resolved_warmup_instructions(),
     ))
 

@@ -89,9 +89,6 @@ class SimulationConfig:
     mlp_factor: float = 4.0
 
     # -- run control ----------------------------------------------------------------
-    #: Simulation loop: ``"event"`` fast-forwards provably-idle stretches
-    #: (bit-identical results, much faster); ``"cycle"`` ticks every cycle.
-    sim_loop: str = "event"
     max_instructions: int = 20_000
     max_cycles: Optional[int] = None
     #: Correct-path instructions used to functionally warm the stream
@@ -110,10 +107,6 @@ class SimulationConfig:
             )
         if self.max_instructions < 1:
             raise ValueError("max_instructions must be positive")
-        if self.sim_loop not in ("event", "cycle"):
-            raise ValueError(
-                f"unknown sim_loop {self.sim_loop!r}; choose 'event' or 'cycle'"
-            )
 
     @property
     def technology_node(self):

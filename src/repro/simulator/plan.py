@@ -164,22 +164,6 @@ class ExperimentPlan:
         self.tasks.append(task)
         return task
 
-    def add_grid(
-        self,
-        configs_by_key: Dict[Tuple, SimulationConfig],
-        benchmarks,
-        max_instructions: Optional[int] = None,
-        sampled: bool = False,
-        sampling: Optional[object] = None,
-    ) -> None:
-        """Append the cross product of ``{key: config}`` x ``benchmarks``."""
-        for key, config in configs_by_key.items():
-            for benchmark in benchmarks:
-                self.add(
-                    config, benchmark, max_instructions,
-                    key=key, sampled=sampled, sampling=sampling,
-                )
-
     def __len__(self) -> int:
         return len(self.tasks)
 

@@ -170,9 +170,8 @@ def apply_warmup(
 
 def functional_advance(
     prediction,
-    hierarchy: Optional[MemoryHierarchy],
+    hierarchy: MemoryHierarchy,
     target_instructions: int,
-    warm_caches: bool = True,
 ) -> int:
     """Functionally fast-forward a prediction unit's correct path.
 
@@ -207,8 +206,7 @@ def functional_advance(
     oracle = prediction.oracle
     start = oracle.consumed_instructions
     loads = 0
-    line_size = hierarchy.line_size if hierarchy is not None else 64
-    fill_caches = warm_caches and hierarchy is not None
+    line_size = hierarchy.line_size
     # Resume a stream a previous skip cut short: the predictor already
     # trained on the full stream at its start address, so only consume.
     partial = prediction._skip_partial
@@ -221,10 +219,9 @@ def functional_advance(
         take = min(left, target_instructions - start)
         addr = oracle.current_address()
         loads += prediction.bbdict.loads_for(addr, take)
-        if fill_caches:
-            lines = span_lines(addr, take, line_size)
-            hierarchy.l2.fill_span(lines)
-            hierarchy.l1.fill_span(lines)
+        lines = span_lines(addr, take, line_size)
+        hierarchy.l2.fill_span(lines)
+        hierarchy.l1.fill_span(lines)
         oracle.advance(take)
         if take == left:
             prediction._apply_terminator(actual)
@@ -244,7 +241,7 @@ def functional_advance(
                                "boundary")
         loads += _advance_segments(
             prediction, hierarchy, segments, index,
-            target_instructions, fill_caches, line_size,
+            target_instructions, line_size,
         )
     prediction.skipped_loads += loads
     return oracle.consumed_instructions - start
@@ -252,11 +249,10 @@ def functional_advance(
 
 def _advance_segments(
     prediction,
-    hierarchy: Optional[MemoryHierarchy],
+    hierarchy: MemoryHierarchy,
     segments,
     index: int,
     target_instructions: int,
-    fill_caches: bool,
     line_size: int,
 ) -> int:
     """Consume canonical streams from segment ``index`` up to the target.
@@ -277,10 +273,9 @@ def _advance_segments(
     history = prediction.history
     pos = oracle.consumed_instructions
     loads = 0
-    if fill_caches:
-        l1_span = hierarchy.l1.fill_span
-        l2_span = hierarchy.l2.fill_span
-        spans = segments.lines(line_size, 0)
+    l1_span = hierarchy.l1.fill_span
+    l2_span = hierarchy.l2.fill_span
+    spans = segments.lines(line_size, 0)
     start_a = segments.start_addr
     length_a = segments.length
     next_a = segments.next_addr
@@ -309,12 +304,11 @@ def _advance_segments(
             if i >= len(loads_a):
                 segments.ensure_loads(bbdict, i + grow)
             loads += loads_a[i]
-            if fill_caches:
-                if i >= len(spans):
-                    segments.lines(line_size, i + grow)
-                lines = spans[i]
-                l2_span(lines)
-                l1_span(lines)
+            if i >= len(spans):
+                segments.lines(line_size, i + grow)
+            lines = spans[i]
+            l2_span(lines)
+            l1_span(lines)
             if kind is CALL:
                 ras.push(term_a[i] + INSTRUCTION_BYTES)
             elif kind is RETURN:
@@ -329,10 +323,9 @@ def _advance_segments(
             # and remember the cut stream.
             take = remaining
             loads += bbdict.loads_for(addr, take)
-            if fill_caches:
-                lines = span_lines(addr, take, line_size)
-                l2_span(lines)
-                l1_span(lines)
+            lines = span_lines(addr, take, line_size)
+            l2_span(lines)
+            l1_span(lines)
             oracle._set_position(cursor_index, cursor_offset, pos)
             oracle.advance(take)
             prediction.history = history

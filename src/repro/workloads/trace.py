@@ -361,6 +361,50 @@ def compile_trace(workload: "Workload", instructions: int) -> CompiledTrace:
     return trace
 
 
+def cut_stream(trace: CompiledTrace, index: int, offset: int,
+               cap: int) -> tuple:
+    """The fetch stream that starts at instruction ``offset`` of block
+    ``index`` of ``trace``: sequential instructions up to and including
+    the next taken control transfer, at most ``cap`` of them.
+
+    Returns the :class:`ActualStream` fields ``(start, length,
+    next_addr, ends_taken, terminator_kind, terminator_addr)`` followed
+    by the block cursor after the stream, ``(end_index, end_offset)``,
+    normalized exactly as :meth:`CompiledPathOracle.advance` by
+    ``length`` would leave it.
+    """
+    addr_a, size_a, taken_a = trace.addr, trace.size, trace.taken
+    ensure = trace.ensure
+    if index >= len(size_a):
+        ensure(index)
+    start = addr_a[index] + offset * INSTRUCTION_BYTES
+    length = 0
+    while True:
+        if index >= len(size_a):
+            ensure(index)
+        size = size_a[index]
+        taken = taken_a[index]
+        available = size - offset
+        remaining = cap - length
+        if available >= remaining and not (taken and available <= remaining):
+            # The cap cuts the stream inside this block.
+            length += remaining
+            end = offset + remaining
+            end_addr = addr_a[index] + end * INSTRUCTION_BYTES
+            if end == size:
+                index, end = index + 1, 0
+            return (start, length, end_addr, False, BranchKind.NONE,
+                    end_addr - INSTRUCTION_BYTES, index, end)
+        # The rest of the block fits within the cap.
+        length += available
+        if taken:
+            return (start, length, trace.next_addr[index], True,
+                    BranchKind(trace.kind[index]),
+                    trace.terminator_addr[index], index + 1, 0)
+        index += 1
+        offset = 0
+
+
 class StreamSegments:
     """The canonical fetch-stream segmentation of a :class:`CompiledTrace`.
 
@@ -434,55 +478,11 @@ class StreamSegments:
         return index
 
     def _build_one(self) -> None:
-        """Append the next segment, mirroring ``peek_stream`` +
-        ``advance(length)`` from the current build cursor."""
-        trace = self.trace
-        addr_a, size_a, taken_a = trace.addr, trace.size, trace.taken
-        ensure = trace.ensure
-        cap = self.cap
-        idx = self._build_index
-        off = self._build_offset
-        if idx >= len(size_a):
-            ensure(idx)
-        start = addr_a[idx] + off * INSTRUCTION_BYTES
-        length = 0
-        while True:
-            if idx >= len(size_a):
-                ensure(idx)
-            size = size_a[idx]
-            taken = taken_a[idx]
-            available = size - off
-            remaining = cap - length
-            if available >= remaining and not (taken and available <= remaining):
-                length += remaining
-                end_addr = addr_a[idx] + (off + remaining) * INSTRUCTION_BYTES
-                next_addr = end_addr
-                ends_taken = 0
-                kind = BranchKind.NONE
-                term = end_addr - INSTRUCTION_BYTES
-                if off + remaining == size:
-                    end_idx, end_off = idx + 1, 0
-                else:
-                    end_idx, end_off = idx, off + remaining
-                break
-            length += available
-            if taken:
-                next_addr = trace.next_addr[idx]
-                ends_taken = 1
-                kind = BranchKind(trace.kind[idx])
-                term = trace.terminator_addr[idx]
-                end_idx, end_off = idx + 1, 0
-                break
-            if length >= cap:                      # defensive; see peek_stream
-                end_addr = addr_a[idx] + size * INSTRUCTION_BYTES
-                next_addr = end_addr
-                ends_taken = 0
-                kind = BranchKind.NONE
-                term = end_addr - INSTRUCTION_BYTES
-                end_idx, end_off = idx + 1, 0
-                break
-            idx += 1
-            off = 0
+        """Append the next segment: the stream :func:`cut_stream` cuts at
+        the build cursor."""
+        (start, length, next_addr, ends_taken, kind, term,
+         end_idx, end_off) = cut_stream(self.trace, self._build_index,
+                                        self._build_offset, self.cap)
         self.start_addr.append(start)
         self.next_addr.append(next_addr)
         self.ends_taken.append(ends_taken)
@@ -538,9 +538,8 @@ class CompiledPathOracle:
     """
 
     __slots__ = (
-        "_trace", "_addr", "_size", "_kind", "_taken", "_next", "_term",
-        "_index", "_offset", "_consumed_instructions",
-        "max_stream_instructions",
+        "_trace", "_addr", "_size", "_index", "_offset",
+        "_consumed_instructions", "max_stream_instructions",
     )
 
     def __init__(
@@ -552,10 +551,6 @@ class CompiledPathOracle:
         # array identities are stable (extension appends in place).
         self._addr = trace.addr
         self._size = trace.size
-        self._kind = trace.kind
-        self._taken = trace.taken
-        self._next = trace.next_addr
-        self._term = trace.terminator_addr
         self._index = 0
         self._offset = 0
         self._consumed_instructions = 0
@@ -584,50 +579,11 @@ class CompiledPathOracle:
         return self._addr[index] + self._offset * INSTRUCTION_BYTES
 
     def peek_stream(self, max_instructions: Optional[int] = None) -> ActualStream:
-        """The actual stream that begins at :meth:`current_address`.
-
-        Does not move the cursor.
-        """
-        cap = max_instructions or self.max_stream_instructions
-        addr_a, size_a, taken_a = self._addr, self._size, self._taken
-        ensure = self._trace.ensure
-        idx = self._index
-        off = self._offset
-        if idx >= len(size_a):
-            ensure(idx)
-        start = addr_a[idx] + off * INSTRUCTION_BYTES
-        length = 0
-        while True:
-            if idx >= len(size_a):
-                ensure(idx)
-            size = size_a[idx]
-            taken = taken_a[idx]
-            available = size - off
-            remaining = cap - length
-            if available >= remaining and not (taken and available <= remaining):
-                length += remaining
-                end_addr = addr_a[idx] + (off + remaining) * INSTRUCTION_BYTES
-                return ActualStream(
-                    start=start, length=length, next_addr=end_addr,
-                    ends_taken=False, terminator_kind=BranchKind.NONE,
-                    terminator_addr=end_addr - INSTRUCTION_BYTES,
-                )
-            length += available
-            if taken:
-                return ActualStream(
-                    start=start, length=length, next_addr=self._next[idx],
-                    ends_taken=True, terminator_kind=BranchKind(self._kind[idx]),
-                    terminator_addr=self._term[idx],
-                )
-            if length >= cap:
-                end_addr = addr_a[idx] + size * INSTRUCTION_BYTES
-                return ActualStream(
-                    start=start, length=length, next_addr=end_addr,
-                    ends_taken=False, terminator_kind=BranchKind.NONE,
-                    terminator_addr=end_addr - INSTRUCTION_BYTES,
-                )
-            idx += 1
-            off = 0
+        """The actual stream that begins at :meth:`current_address`
+        (:func:`cut_stream`).  Does not move the cursor."""
+        return ActualStream(*cut_stream(
+            self._trace, self._index, self._offset,
+            max_instructions or self.max_stream_instructions)[:6])
 
     def segments(
         self, max_stream_instructions: Optional[int] = None

@@ -87,7 +87,7 @@ class TestDispatchAndCommit:
                  misses=((0, False),))
         assert backend.dcache.stats.loads == 0
         assert backend.dcache.stats.dl1_misses == 0
-        assert backend.dcache.hierarchy.bus.idle
+        assert not backend.dcache.hierarchy.bus.pending
 
     def test_wrong_path_instructions_never_commit(self):
         backend = make_backend()

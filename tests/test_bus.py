@@ -3,13 +3,6 @@
 from repro.memory.bus import BusPriority, L2Bus
 
 
-def collect(bus, cycle):
-    """Tick once and return the grant cycle list recorded by callbacks."""
-    grants = []
-    bus.tick(cycle)
-    return grants
-
-
 class TestArbitration:
     def test_single_grant_per_cycle(self):
         bus = L2Bus()
@@ -53,34 +46,6 @@ class TestArbitration:
         bus.tick(2)
         assert order == ["prefetch", "data", "prefetch2"]
 
-    def test_multiple_grants_per_cycle_configuration(self):
-        bus = L2Bus(grants_per_cycle=2)
-        order = []
-        for i in range(3):
-            bus.submit(BusPriority.PREFETCH, 0, lambda c, i=i: order.append(i))
-        assert bus.tick(0) == 2
-        assert bus.tick(1) == 1
-
-
-class TestCancellation:
-    def test_cancelled_request_is_skipped(self):
-        bus = L2Bus()
-        order = []
-        request = bus.submit(BusPriority.PREFETCH, 0, lambda c: order.append("a"))
-        bus.submit(BusPriority.PREFETCH, 0, lambda c: order.append("b"))
-        bus.cancel(request)
-        bus.tick(0)
-        assert order == ["b"]
-
-    def test_pending_counts(self):
-        bus = L2Bus()
-        r1 = bus.submit(BusPriority.PREFETCH, 0, lambda c: None)
-        bus.submit(BusPriority.DATA_DEMAND, 0, lambda c: None)
-        assert bus.pending == 2
-        assert bus.pending_by_priority(BusPriority.PREFETCH) == 1
-        bus.cancel(r1)
-        assert bus.pending == 1
-
 
 class TestStats:
     def test_wait_cycles(self):
@@ -92,6 +57,16 @@ class TestStats:
         assert bus.stats.grants[BusPriority.PREFETCH] == 2
         assert bus.stats.total_wait_cycles[BusPriority.PREFETCH] == 1
         assert bus.stats.average_wait(BusPriority.PREFETCH) == 0.5
+
+    def test_pending_counts(self):
+        bus = L2Bus()
+        bus.submit(BusPriority.PREFETCH, 0, lambda c: None)
+        bus.submit(BusPriority.DATA_DEMAND, 0, lambda c: None)
+        assert bus.pending == 2
+        bus.tick(0)
+        assert bus.pending == 1
+        bus.tick(1)
+        assert bus.pending == 0
 
     def test_requests_counted(self):
         bus = L2Bus()

@@ -124,14 +124,6 @@ class TestEventLoopDeterminism:
             stepped.step()
         _assert_identical(run_result, stepped._collect_results())
 
-    def test_event_loop_is_default(self, tiny_workload):
-        config = make_sim_config()
-        assert config.sim_loop == "event"
-
-    def test_config_rejects_unknown_loop(self):
-        with pytest.raises(ValueError):
-            make_sim_config(sim_loop="warp")
-
     def test_run_rejects_unknown_loop(self, tiny_workload):
         sim = Simulator(make_sim_config(max_instructions=100), tiny_workload)
         with pytest.raises(ValueError):

@@ -127,36 +127,6 @@ class TestFrontierFastForward:
         assert second.get("frontier-index", index_key) == published
 
 
-class TestCrossLoopResume:
-    """``frontier_key`` neutralizes ``sim_loop`` although the event and
-    cycle loops are not bit-identical: on this run they end 23 cycles
-    apart (the strict xfail in ``tests/test_event_loop.py``).  The loops
-    differ only in where a run stops, so a frontier published by one
-    loop and resumed by the other equals the resuming loop's continuous
-    run."""
-
-    @staticmethod
-    def _config(loop):
-        return paper_config("base-pipelined", l1_size_bytes=256,
-                            technology="0.045um", max_instructions=30_000,
-                            sim_loop=loop)
-
-    @pytest.mark.parametrize("published_by, resumed_by",
-                             [("cycle", "event"), ("event", "cycle")])
-    def test_frontier_resumes_across_loops(self, tmp_path, published_by,
-                                           resumed_by):
-        with temporary_cache_dir(tmp_path / "off", enabled=False):
-            continuous = _execute_single(self._config(resumed_by), "eon",
-                                         30_000)
-            clear_process_caches()
-            _execute_single(self._config(published_by), "eon", 15_000)
-            hits = DEFAULT_STORE.counts[FRONTIER, "hit"]
-            resumed = _execute_single(self._config(resumed_by), "eon",
-                                      30_000)
-        assert DEFAULT_STORE.counts[FRONTIER, "hit"] == hits + 1
-        assert resumed == continuous
-
-
 class TestFrontierPickling:
     def test_frontier_taken_mid_wrong_path_survives_pickling(self):
         """A frontier taken while a misprediction is pending, with
@@ -193,23 +163,15 @@ class TestFrontierPickling:
 
 class TestBusInFlight:
     """A run can end with a request queued on the L2 bus: this one ends
-    with a prefetch waiting for its grant.  The grant callback is a
-    closure over the live machine, so a copy of that machine would leave
-    the grant updating the original, and a pickle fails outright.  No
-    frontier is published from such a machine, and ``snapshot`` refuses
-    it."""
+    with a prefetch waiting for its grant.  A queued request is plain
+    data whose grant is a partial over the machine's own bound methods,
+    so the end state is published as a frontier like any other, and a
+    larger budget resumes from it with the grant still to come."""
 
     @staticmethod
     def _config():
         return paper_config("CLGP+L0+PB16", l1_size_bytes=256,
                             technology="0.045um", max_instructions=1000)
-
-    def test_snapshot_refuses_a_machine_with_a_bus_request(self):
-        sim = Simulator(self._config(), get_workload("vortex"))
-        sim.run(1000)
-        assert sim.bus_busy
-        with pytest.raises(RuntimeError, match="in flight"):
-            sim.snapshot()
 
     @pytest.mark.parametrize("store_on", [True, False],
                              ids=["store-on", "store-off"])
@@ -217,11 +179,71 @@ class TestBusInFlight:
         config = self._config()
         with temporary_cache_dir(tmp_path / "fresh", enabled=False):
             fresh = _execute_single(config, "vortex", 2000)
+        clear_process_caches()
         sim = Simulator(config, get_workload("vortex"))
         sim.run(1000)
         assert sim.hierarchy.bus.pending   # the 1,000 run ends mid-grant
+        counts = DEFAULT_STORE.counts
         with temporary_cache_dir(tmp_path / "store", enabled=store_on):
+            publishes = counts[FRONTIER, "publish"]
             first = _execute_single(config, "vortex", 1000)
+            assert counts[FRONTIER, "publish"] == publishes + 1
+            hits = counts[FRONTIER, "hit"]
             resumed = _execute_single(config, "vortex", 2000)
+            assert counts[FRONTIER, "hit"] == hits + 1
         assert first.committed_instructions >= 1000
         assert resumed == fresh
+
+
+class TestSnapshotOfABusyMachine:
+    """A snapshot copies the requests waiting on the L2 bus along with
+    the machine, whatever their priority.  A data miss is granted in the
+    cycle it is issued unless several arrive together, so the stock
+    benchmarks almost never leave all three classes waiting at a cycle
+    boundary.  This machine runs a variant of vortex whose loads nearly
+    all miss the L1-D: its own back-end and engine keep data,
+    instruction-demand and prefetch requests queued together."""
+
+    @staticmethod
+    def _busy_machine():
+        profile = profile_for("vortex").scaled(load_fraction=0.8,
+                                               dl1_miss_rate=0.9)
+        config = paper_config("FDP+L0+PB16", l1_size_bytes=256,
+                              technology="0.045um", max_instructions=1500,
+                              warmup_instructions=2000)
+        sim = Simulator(config, build_workload(profile))
+        sim.run(1)
+        while len({request[0] for request in sim.hierarchy.bus._queue}) < 3:
+            assert sim.backend.stats.committed_instructions < 1000, \
+                "no cycle with a request of each priority queued"
+            sim.step()
+        return sim
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_copy_continues_like_the_uninterrupted_machine(self):
+        """Run under ``filterwarnings("error")``: a machine object whose
+        copying is deprecated (as ``itertools.count``'s is from Python
+        3.12) fails this test instead of breaking on a later Python."""
+        sim = self._busy_machine()
+        workload = sim.workload
+        snapshot = sim.snapshot()
+        data = dumps_with_workload(snapshot._state, workload)
+        # Restored twice, unpickled, and unpickled into a freshly built
+        # workload as another process would.
+        fresh = build_workload(workload.profile)
+        clones = []
+        for state, target in ((snapshot._state, workload),
+                              (snapshot._state, workload),
+                              (loads_with_workload(data, workload), workload),
+                              (loads_with_workload(data, fresh), fresh)):
+            clone = Simulator(sim.config, target)
+            clone.restore(SimulatorCheckpoint(state))
+            clones.append(clone)
+
+        # The clones run first: a grant that reached back into the
+        # original machine would make it diverge from them.
+        results = [clone.run() for clone in clones]
+        expected = sim.run()
+        assert expected.committed_instructions >= 1500
+        for result in results:
+            assert result == expected

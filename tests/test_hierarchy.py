@@ -131,17 +131,6 @@ class TestDataPath:
 
 
 class TestFillHelpers:
-    def test_fill_emergency_prefers_l0(self):
-        h = MemoryHierarchy(HierarchyConfig(l0_size_bytes=256))
-        h.fill_emergency(0x3000)
-        assert h.l0.contains(0x3000)
-        assert not h.l1.contains(0x3000)
-
-    def test_fill_emergency_without_l0_uses_l1(self):
-        h = MemoryHierarchy(HierarchyConfig())
-        h.fill_emergency(0x3000)
-        assert h.l1.contains(0x3000)
-
     def test_line_address_helper(self):
         h = MemoryHierarchy(HierarchyConfig())
         assert h.line_address(0x1234) == 0x1200 + 0x0  # 64-byte aligned

@@ -177,8 +177,7 @@ class TestTraceSharing:
         shared = self._trace(base, medium_workload)
         for overrides in (dict(engine="clgp"), dict(engine="baseline"),
                           dict(l1_size_bytes=1024), dict(l0_enabled=True),
-                          dict(ruu_size=32), dict(fetch_width=2),
-                          dict(sim_loop="cycle")):
+                          dict(ruu_size=32), dict(fetch_width=2)):
             assert self._trace(base.with_overrides(**overrides),
                                medium_workload) is shared, overrides
         for scheme in ("base-pipelined", "FDP+L0", "CLGP+L0"):

@@ -201,8 +201,7 @@ class TestBudgetEditPrefixRestore:
         base = make_sim_config(max_instructions=6000,
                                warmup_instructions=4000)
         assert position_key(base) == position_key(
-            base.with_overrides(max_instructions=9000, max_cycles=10**9,
-                                sim_loop="cycle"))
+            base.with_overrides(max_instructions=9000, max_cycles=10**9))
         # Anything that shapes warm-up or skip state must split the key.
         assert position_key(base) != position_key(
             base.with_overrides(warmup_instructions=2000))
