@@ -4,8 +4,8 @@ Measures the requests-per-second a client sees for a spec whose job has
 already completed: the server replays the canonical result bytes from
 memory (zero simulation, backed by the content-addressed result cache),
 so this number is the service overhead floor -- HTTP parse, dedup-key
-computation, canonical-bytes write.  Recorded into the top-level
-``BENCH_throughput.json`` under the ``service`` entry.
+computation, canonical-bytes write.  Written to
+``benchmarks/results/service_throughput.txt``.
 """
 
 import tempfile
@@ -18,7 +18,7 @@ from repro.service import ServerThread, ServiceClient
 WARM_REQUESTS = 40
 
 
-def test_warm_dedup_requests_per_second(benchmark, bench_metrics, report):
+def test_warm_dedup_requests_per_second(benchmark, report):
     with tempfile.TemporaryDirectory() as cache_dir:
         with Session(jobs=1, cache_dir=cache_dir) as session:
             with ServerThread(session, parallel=2) as thread:
@@ -47,11 +47,6 @@ def test_warm_dedup_requests_per_second(benchmark, bench_metrics, report):
     assert stats["runs_started"] == 1
     assert stats["deduplicated"] >= WARM_REQUESTS
     rps = WARM_REQUESTS / seconds if seconds else 0.0
-    bench_metrics["service"] = {
-        "warm_requests_per_second": round(rps, 1),
-        "requests": WARM_REQUESTS,
-        "dedup_hits": stats["deduplicated"],
-    }
     report("service_throughput",
            "\n".join([
                "Experiment service: warm dedup-hit throughput",

@@ -9,7 +9,9 @@ form.
 Each builder declares its simulations as a flat
 :class:`~repro.simulator.plan.ExperimentPlan`, runs it through
 ``session.run`` (inheriting the session's jobs/cache policy, with
-per-call :class:`~repro.api.spec.ExecutionOptions` overrides), and
+per-call :class:`~repro.api.spec.ExecutionOptions` overrides), requires
+every task to succeed
+(:meth:`~repro.simulator.plan.PlanResults.require_success`), and
 regroups the results into plain dictionaries shaped like the figure:
 
 * Figures 1, 2(b), 4(b), 5(a), 5(b): ``{scheme: {l1_size: hmean_ipc}}``
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from ..simulator.plan import ExperimentPlan, TaskFailureError
+from ..simulator.plan import ExperimentPlan
 from ..simulator.presets import (
     FIGURE1_SCHEMES,
     FIGURE5_SCHEMES,
@@ -39,21 +41,6 @@ from .spec import ExecutionOptions, ExperimentSpec
 #: Default (reduced) L1 size sweep used when the caller does not override
 #: it; the paper sweeps nine sizes from 256 B to 64 KB.
 DEFAULT_SWEEP_SIZES: Sequence[int] = (256, 1024, 4096, 16384, 65536)
-
-
-def _run_complete(session, work, options):
-    """Run a spec/plan and insist on a complete result set.
-
-    Figure series and speedup tables are aggregates (harmonic means,
-    source-fraction averages): a silently missing task would not make
-    them partial, it would make them *wrong*.  Unlike ``session.run``'s
-    partial-result contract, builders therefore raise
-    :class:`TaskFailureError` when any task exhausted its retry budget.
-    """
-    result = session.run(work, options=options)
-    if result.failures:
-        raise TaskFailureError(result.failures)
-    return result
 
 
 def _sweep_spec(
@@ -88,8 +75,8 @@ def _scheme_sweep(
     spec = _sweep_spec(name, schemes, technology, l1_sizes, benchmarks,
                        max_instructions)
     series: Dict[str, Dict[int, float]] = {s: {} for s in spec.schemes}
-    for (scheme, size), hmean in _run_complete(
-            session, spec, options).hmean_by_key().items():
+    for (scheme, size), hmean in session.run(
+            spec, options=options).require_success().hmean_by_key().items():
         series[scheme][size] = hmean
     return series
 
@@ -176,8 +163,8 @@ def figure6_series(
     )
     out: Dict[str, Dict[str, float]] = {name: {} for name in names}
     hmean: Dict[str, float] = {}
-    for (scheme,), results in _run_complete(
-            session, spec, options).by_key().items():
+    for (scheme,), results in session.run(
+            spec, options=options).require_success().by_key().items():
         for result in results:
             out[result.workload][scheme] = result.ipc
         hmean[scheme] = harmonic_mean_ipc(results)
@@ -201,8 +188,8 @@ def figure7_series(
     spec = _sweep_spec("figure7", schemes, technology, l1_sizes, benchmarks,
                        max_instructions)
     out: Dict[str, Dict[int, Dict[str, float]]] = {s: {} for s in schemes}
-    for (scheme, size), results in _run_complete(
-            session, spec, options).by_key().items():
+    for (scheme, size), results in session.run(
+            spec, options=options).require_success().by_key().items():
         out[scheme][size] = aggregate_fetch_sources(results)
     return out
 
@@ -222,8 +209,8 @@ def figure8_series(
     spec = _sweep_spec("figure8", schemes, technology, l1_sizes, benchmarks,
                        max_instructions)
     out: Dict[str, Dict[int, Dict[str, float]]] = {s: {} for s in schemes}
-    for (scheme, size), results in _run_complete(
-            session, spec, options).by_key().items():
+    for (scheme, size), results in session.run(
+            spec, options=options).require_success().by_key().items():
         out[scheme][size] = aggregate_prefetch_sources(results)
     return out
 
@@ -258,7 +245,8 @@ def headline_speedups(
                 plan.add(config, benchmark, max_instructions,
                          key=(technology, scheme),
                          sampled=sampled, sampling=sampling)
-    ipc_by_key = _run_complete(session, plan, options).hmean_by_key()
+    ipc_by_key = session.run(
+        plan, options=options).require_success().hmean_by_key()
     out: Dict[str, Dict[str, float]] = {}
     for technology in ("0.09um", "0.045um"):
         ipc = {scheme: ipc_by_key[(technology, scheme)] for scheme in schemes}
@@ -309,6 +297,6 @@ def ablation_series(
             plan.add(config, benchmark, max_instructions, key=(label,))
     return {
         key[0]: hmean
-        for key, hmean in _run_complete(
-            session, plan, options).hmean_by_key().items()
+        for key, hmean in session.run(
+            plan, options=options).require_success().hmean_by_key().items()
     }

@@ -91,7 +91,7 @@ class DataCacheModel:
         if misses_l2:
             stats.l2_data_misses += 1
         self.hierarchy.demand_data_access(
-            cycle, misses_l2, partial(self._served, cycle, segment))
+            misses_l2, partial(self._served, cycle, segment))
 
     def _served(self, cycle: int, segment: List[int], arrival_cycle: int,
                 _source: str) -> None:

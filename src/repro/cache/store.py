@@ -115,7 +115,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: ``(priority, sequence, submit cycle, on_grant)`` tuples with an int
 #: sequence, and frontiers may hold requests in flight; a v11 bus holds
 #: request objects, a live-request count and an ``itertools.count``.
-SCHEMA_VERSION = 12
+#: v13: checkpoints drop the counters nothing read: queued bus requests
+#: are ``(priority, sequence, on_grant)``, the bus keeps only its grants,
+#: and the hierarchy and fetch engine lost their unread traffic counts;
+#: a queued v12 bus request would fail to unpack at its grant.
+SCHEMA_VERSION = 13
 
 #: Default store root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -820,8 +824,7 @@ def cached(workload, kind: str, key: Tuple, expected_type: type, compute):
 
 @contextlib.contextmanager
 def temporary_cache_dir(path, enabled: bool = True):
-    """Run the block against the store at ``path`` (tests and the
-    cold-vs-warm benchmarks)."""
+    """Run the block against the store at ``path`` (tests)."""
     with use_context(current_context().override(cache_dir=path,
                                                 cache=enabled)):
         yield get_store()

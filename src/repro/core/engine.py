@@ -72,7 +72,6 @@ class FetchStats:
     """Counters kept by the fetch engine."""
 
     lines_fetched: int = 0
-    instructions_delivered: int = 0
     wrong_path_instructions: int = 0
     fetch_source_lines: Dict[str, int] = field(
         default_factory=lambda: {s: 0 for s in FETCH_SOURCES}
@@ -84,7 +83,6 @@ class FetchStats:
         default_factory=lambda: {s: 0 for s in FETCH_SOURCES}
     )
     prefetches_issued: int = 0
-    prefetches_completed: int = 0
     prefetch_buffer_stalls: int = 0      #: prefetches delayed: no free entry
     flushes: int = 0
     #: Cycles in which the fetch stage delivered nothing, keyed by cause:
@@ -95,22 +93,6 @@ class FetchStats:
 
     def record_stall(self, cause: str) -> None:
         self.stall_cycles[cause] = self.stall_cycles.get(cause, 0) + 1
-
-    def fetch_source_fractions(self, per_instruction: bool = True) -> Dict[str, float]:
-        counts = (
-            self.fetch_source_instructions if per_instruction
-            else self.fetch_source_lines
-        )
-        total = sum(counts.values())
-        if not total:
-            return {s: 0.0 for s in counts}
-        return {s: c / total for s, c in counts.items()}
-
-    def prefetch_source_fractions(self) -> Dict[str, float]:
-        total = sum(self.prefetch_source.values())
-        if not total:
-            return {s: 0.0 for s in self.prefetch_source}
-        return {s: c / total for s, c in self.prefetch_source.items()}
 
 
 @dataclass(slots=True)
@@ -314,7 +296,7 @@ class FetchEngine:
         # Demand miss: nothing on the fast path has the line.
         hierarchy.l1.lookup(line)  # counts the miss in the L1 statistics
         hierarchy.demand_instruction_access(
-            line, cycle, partial(self._demand_arrived, infl))
+            line, partial(self._demand_arrived, infl))
         return infl
 
     # -- bus completions (bound methods: a snapshot copies them) ----------
@@ -330,7 +312,6 @@ class FetchEngine:
         """A prefetched line arrives in its pre-buffer ``entry``."""
         entry.mark_arrived(arrival_cycle, source)
         self.stats.prefetch_source[source] += 1
-        self.stats.prefetches_completed += 1
 
     # -- pre-buffer port helpers (subclasses with a buffer override) -------
     def _prebuffer_port_completion(self, start_cycle: int) -> int:
@@ -361,7 +342,7 @@ class FetchEngine:
             line = infl.request.line_addr
             self.hierarchy.l1.lookup(line)
             self.hierarchy.demand_instruction_access(
-                line, cycle, partial(self._demand_arrived, infl))
+                line, partial(self._demand_arrived, infl))
 
     # ------------------------------------------------------------------
     def _deliver(self, infl: _InflightLine, cycle: int, backend) -> int:
@@ -389,7 +370,6 @@ class FetchEngine:
         stats.wrong_path_instructions += backend.dispatch_run(
             request.block, request.first_instr_index + delivered, count,
             cycle)
-        stats.instructions_delivered += count
         stats.fetch_source_instructions[source] += count
 
         delivered += count

@@ -13,9 +13,9 @@ invoked with the grant cycle so the producer can compute when its data
 arrives.  A request is never cancelled: once queued it is granted.
 
 A queued request is plain data -- the tuple ``(priority, sequence,
-submit cycle, on_grant)``, ordered by priority and then by submission --
-so a snapshot of the machine (deepcopy or pickle) carries its in-flight
-requests along with everything else.
+on_grant)``, ordered by priority and then by submission -- so a snapshot
+of the machine (deepcopy or pickle) carries its in-flight requests along
+with everything else.
 """
 
 from __future__ import annotations
@@ -36,24 +36,9 @@ class BusPriority(IntEnum):
 
 @dataclass
 class BusStats:
-    """Counters for bus behaviour, split by requester class."""
+    """Grants, split by requester class."""
 
-    requests: List[int] = field(default_factory=lambda: [0, 0, 0])
     grants: List[int] = field(default_factory=lambda: [0, 0, 0])
-    total_wait_cycles: List[int] = field(default_factory=lambda: [0, 0, 0])
-    busy_cycles: int = 0
-
-    def record_request(self, priority: BusPriority) -> None:
-        self.requests[priority] += 1
-
-    def record_grant(self, priority: BusPriority, waited: int) -> None:
-        self.grants[priority] += 1
-        self.total_wait_cycles[priority] += waited
-        self.busy_cycles += 1
-
-    def average_wait(self, priority: BusPriority) -> float:
-        g = self.grants[priority]
-        return self.total_wait_cycles[priority] / g if g else 0.0
 
 
 class L2Bus:
@@ -62,7 +47,7 @@ class L2Bus:
     cycle).  ``_queue`` is a heap of requests; empty means idle."""
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[int, int, int, Callable[[int], None]]] = []
+        self._queue: List[Tuple[int, int, Callable[[int], None]]] = []
         self._sequence = 0
         self.stats = BusStats()
 
@@ -70,12 +55,11 @@ class L2Bus:
     def submit(
         self,
         priority: BusPriority,
-        cycle: int,
         on_grant: Callable[[int], None],
     ) -> None:
         """Queue a request.  ``on_grant(grant_cycle)`` is called when the bus
-        serves it (possibly in the same cycle if nothing of higher priority
-        is waiting).
+        serves it (possibly in the cycle it was queued in, if nothing of
+        higher priority is waiting).
 
         ``on_grant`` is a bound method or a :func:`functools.partial` over
         machine objects, never a closure: a snapshot copies the queue with
@@ -84,16 +68,15 @@ class L2Bus:
         """
         sequence = self._sequence
         self._sequence = sequence + 1
-        heapq.heappush(self._queue, (priority, sequence, cycle, on_grant))
-        self.stats.record_request(priority)
+        heapq.heappush(self._queue, (priority, sequence, on_grant))
 
     def tick(self, cycle: int) -> int:
         """Grant the oldest request of the highest priority, if any.
         Returns the number of grants issued this cycle (0 or 1)."""
         if not self._queue:
             return 0
-        priority, _, submitted, on_grant = heapq.heappop(self._queue)
-        self.stats.record_grant(priority, max(0, cycle - submitted))
+        priority, _, on_grant = heapq.heappop(self._queue)
+        self.stats.grants[priority] += 1
         on_grant(cycle)
         return 1
 

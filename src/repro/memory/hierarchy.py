@@ -107,12 +107,6 @@ class MemoryHierarchy:
         )
         self.bus = L2Bus()
 
-        # Simple counters for the instruction/prefetch traffic beyond L1.
-        self.demand_l2_hits = 0
-        self.demand_memory_accesses = 0
-        self.prefetch_l2_hits = 0
-        self.prefetch_memory_accesses = 0
-
     # ------------------------------------------------------------------
     # address helpers
     # ------------------------------------------------------------------
@@ -144,7 +138,6 @@ class MemoryHierarchy:
     def demand_instruction_access(
         self,
         line_addr: int,
-        cycle: int,
         on_complete: Callable[[int, str], None],
     ) -> None:
         """Fetch ``line_addr`` from L2/memory for a demand miss.
@@ -154,9 +147,8 @@ class MemoryHierarchy:
         line fills the L2 on a memory access; filling L0/L1 is the caller's
         decision.
         """
-        self.bus.submit(BusPriority.INSTRUCTION_DEMAND, cycle,
-                        partial(self._line_granted, line_addr, on_complete,
-                                True))
+        self.bus.submit(BusPriority.INSTRUCTION_DEMAND,
+                        partial(self._line_granted, line_addr, on_complete))
 
     # ------------------------------------------------------------------
     # prefetch path
@@ -178,31 +170,21 @@ class MemoryHierarchy:
         if probe_l1 and self.l1.contains(line_addr):
             on_complete(cycle + self.l1_latency, SOURCE_L1)
             return
-        self.bus.submit(BusPriority.PREFETCH, cycle,
-                        partial(self._line_granted, line_addr, on_complete,
-                                False))
+        self.bus.submit(BusPriority.PREFETCH,
+                        partial(self._line_granted, line_addr, on_complete))
 
     def _line_granted(
         self,
         line_addr: int,
         on_complete: Callable[[int, str], None],
-        demand: bool,
         grant_cycle: int,
     ) -> None:
-        """The bus granted an instruction line, for a demand miss
-        (``demand``) or a prefetch: L2 serves it, or memory does and the
-        line fills the L2."""
+        """The bus granted an instruction line, for a demand miss or a
+        prefetch: L2 serves it, or memory does and the line fills the
+        L2."""
         if self.l2.lookup(line_addr):
-            if demand:
-                self.demand_l2_hits += 1
-            else:
-                self.prefetch_l2_hits += 1
             on_complete(grant_cycle + self.l2_latency, SOURCE_L2)
         else:
-            if demand:
-                self.demand_memory_accesses += 1
-            else:
-                self.prefetch_memory_accesses += 1
             self.l2.fill(line_addr)
             on_complete(grant_cycle + self.l2_latency + self.memory_latency,
                         SOURCE_MEMORY)
@@ -212,13 +194,12 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def demand_data_access(
         self,
-        cycle: int,
         misses_l2: bool,
         on_complete: Callable[[int, str], None],
     ) -> None:
         """A load that missed the L1 data cache contends for the bus with
         the highest priority; ``misses_l2`` selects L2 vs memory service."""
-        self.bus.submit(BusPriority.DATA_DEMAND, cycle,
+        self.bus.submit(BusPriority.DATA_DEMAND,
                         partial(self._data_granted, misses_l2, on_complete))
 
     def _data_granted(

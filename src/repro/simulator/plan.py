@@ -111,7 +111,12 @@ class PlanResults:
         return [r for r in self.results if not isinstance(r, TaskFailure)]
 
     def require_success(self) -> "PlanResults":
-        """Return self, raising :class:`TaskFailureError` on any failure."""
+        """Return self, raising :class:`TaskFailureError` on any failure.
+
+        The figure and speedup builders call this: their series are
+        aggregates (harmonic means, source-fraction averages), and an
+        aggregate with a missing task is not partial but wrong.
+        """
         failures = self.failures
         if failures:
             raise TaskFailureError(failures)

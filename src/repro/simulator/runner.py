@@ -87,8 +87,7 @@ def clear_process_caches() -> None:
 
     Leaves the persistent artifact store untouched: afterwards the
     process behaves like a fresh CLI invocation, which is exactly what
-    the cold-vs-warm cache benchmarks and tests need to isolate the
-    on-disk tier.
+    the cold-vs-warm cache tests need to isolate the on-disk tier.
     """
     _WORKLOAD_CACHE.clear()
 
@@ -594,10 +593,10 @@ def _plan_prefers_inline(
     from the throughput EWMA, scaled by the parallelism actually
     available) exceeds dispatch overhead plus -- when no workers exist
     yet -- the spawn cost.  Small sweeps at small budgets therefore run
-    inline even with ``jobs>1``, which is also the only way ``jobs=2``
-    can avoid losing to ``jobs=1`` on a single-CPU host.  Disabled
-    whenever a fault plan is active: chaos must exercise the real
-    supervised worker path it is designed to test.
+    inline even with ``jobs>1`` and start no worker, so ``jobs=2``
+    cannot lose to ``jobs=1`` on them, nor on a single-CPU host.
+    Disabled whenever a fault plan is active: chaos must exercise the
+    real supervised worker path it is designed to test.
     """
     if faults.active_plan() is not faults.NO_FAULTS:
         return False

@@ -408,9 +408,17 @@ class TestResultCacheReporting:
             cold = session.run(spec, options=options)
             clear_process_caches()
             warm = session.run(spec, options=options)
+            # Replay off: the tasks simulate again, from the traces,
+            # warm-ups, profiles, selections and checkpoints in the store.
+            clear_process_caches()
+            reused = session.run(spec, options=ExecutionOptions(
+                sampled=True, result_cache=False))
         assert cold.result_cache_hits == 0
         assert warm.result_cache_hits == len(warm.tasks) == 2
         assert warm.results == cold.results
+        assert reused.result_cache_hits == 0
+        assert reused.cache_hits >= 1
+        assert reused.results == cold.results
 
     def test_result_cache_override_is_scoped_to_the_submission(self,
                                                                tmp_path):

@@ -31,11 +31,6 @@ class TestFetchStats:
         stats.record_stall("empty")
         assert stats.stall_cycles == {"il1": 2, "empty": 1}
 
-    def test_fraction_helpers_empty(self):
-        stats = FetchStats()
-        assert sum(stats.fetch_source_fractions().values()) == 0.0
-        assert sum(stats.prefetch_source_fractions().values()) == 0.0
-
 
 class TestFastPathClassification:
     def test_line_on_fast_path_variants(self, tiny_workload):

@@ -50,27 +50,25 @@ class TestDemandPath:
         h = MemoryHierarchy(HierarchyConfig(technology="0.09um"))
         h.l2.fill(0x4000)
         results = []
-        h.demand_instruction_access(0x4000, 0, lambda c, s: results.append((c, s)))
+        h.demand_instruction_access(0x4000, lambda c, s: results.append((c, s)))
         drive(h, 1)
         assert results == [(0 + 17, SOURCE_L2)]
-        assert h.demand_l2_hits == 1
 
     def test_l2_miss_goes_to_memory_and_fills_l2(self):
         h = MemoryHierarchy(HierarchyConfig(technology="0.09um"))
         results = []
-        h.demand_instruction_access(0x8000, 0, lambda c, s: results.append((c, s)))
+        h.demand_instruction_access(0x8000, lambda c, s: results.append((c, s)))
         drive(h, 1)
         assert results == [(17 + 200, SOURCE_MEMORY)]
         assert h.l2.contains(0x8000)
-        assert h.demand_memory_accesses == 1
 
     def test_bus_serialisation_delays_second_request(self):
         h = MemoryHierarchy(HierarchyConfig(technology="0.09um"))
         h.l2.fill(0x4000)
         h.l2.fill(0x8000)
         results = []
-        h.demand_instruction_access(0x4000, 0, lambda c, s: results.append(c))
-        h.demand_instruction_access(0x8000, 0, lambda c, s: results.append(c))
+        h.demand_instruction_access(0x4000, lambda c, s: results.append(c))
+        h.demand_instruction_access(0x8000, lambda c, s: results.append(c))
         drive(h, 2)
         assert results == [17, 1 + 17]
 
@@ -100,7 +98,6 @@ class TestPrefetchPath:
         h.prefetch_access(0x6000, 0, lambda c, s: results.append((c, s)))
         drive(h, 1)
         assert results == [(24 + 200, SOURCE_MEMORY)]
-        assert h.prefetch_memory_accesses == 1
 
     def test_prefetch_loses_arbitration_to_demand(self):
         h = MemoryHierarchy(HierarchyConfig(technology="0.09um"))
@@ -109,7 +106,7 @@ class TestPrefetchPath:
         order = []
         h.prefetch_access(0x4000, 0, lambda c, s: order.append("prefetch"),
                           probe_l1=False)
-        h.demand_instruction_access(0x8000, 0, lambda c, s: order.append("demand"))
+        h.demand_instruction_access(0x8000, lambda c, s: order.append("demand"))
         drive(h, 2)
         assert order == ["demand", "prefetch"]
 
@@ -118,14 +115,14 @@ class TestDataPath:
     def test_data_l2_hit_latency(self):
         h = MemoryHierarchy(HierarchyConfig(technology="0.09um"))
         results = []
-        h.demand_data_access(0, misses_l2=False, on_complete=lambda c, s: results.append(c))
+        h.demand_data_access(misses_l2=False, on_complete=lambda c, s: results.append(c))
         drive(h, 1)
         assert results == [17]
 
     def test_data_memory_latency(self):
         h = MemoryHierarchy(HierarchyConfig(technology="0.09um"))
         results = []
-        h.demand_data_access(0, misses_l2=True, on_complete=lambda c, s: results.append(c))
+        h.demand_data_access(misses_l2=True, on_complete=lambda c, s: results.append(c))
         drive(h, 1)
         assert results == [217]
 

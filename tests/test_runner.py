@@ -177,6 +177,38 @@ class TestParallelOrdering:
         assert [r.workload for r in results] == ["mcf", "gzip", "eon"]
 
 
+class TestInlinePlanner:
+    def test_small_parallel_sweep_starts_no_worker(self, monkeypatch):
+        """A jobs=2 sweep too small to repay starting workers runs inline,
+        so it cannot cost throughput against jobs=1, and returns jobs=1's
+        results."""
+        from repro.context import current_context, use_context
+        from repro.simulator import runner
+        from repro.simulator.presets import paper_config
+
+        runner.shutdown_pool()
+        monkeypatch.setattr(runner, "_task_rate_ewma",
+                            runner._DEFAULT_TASK_RATE)
+        config = paper_config("CLGP+L0", l1_size_bytes=4096,
+                              technology="0.045um", max_instructions=2000,
+                              warmup_instructions=20_000)
+        plan = ExperimentPlan("sweep")
+        for name in ("gzip", "gcc", "eon", "mcf"):
+            plan.add(config, name, 2000)
+
+        def sweep(jobs):
+            completions = runner.iter_task_results(plan.tasks, jobs=jobs)
+            return [c.result for c in sorted(completions,
+                                             key=lambda c: c.index)]
+
+        # Replay off, so both sweeps simulate.
+        with use_context(current_context().override(result_cache=False)):
+            parallel = sweep(2)
+            assert not runner._WORKERS._drivers
+            serial = sweep(1)
+        assert parallel == serial
+
+
 class TestSharedWorkers:
     def test_a_wider_run_adds_a_worker_beside_a_busy_one(self, monkeypatch):
         """A run asking for more workers than exist gets them at once,
