@@ -378,10 +378,3 @@ class FetchEngine:
             self._on_line_consumed(request, source, infl.pb_entry, cycle)
             self._inflight.popleft()
         return count
-
-    # ==================================================================
-    # reporting helpers
-    # ==================================================================
-    def describe(self) -> str:
-        """One-line description used in reports."""
-        return self.name

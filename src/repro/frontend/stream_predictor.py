@@ -24,6 +24,13 @@ trace-driven front-end when the prediction is made) which models an ideal,
 immediate update -- the standard simplification in trace-driven fetch
 studies.  Mispredictions still occur whenever the tables lack the entry,
 the stream's behaviour changed, or the branch is not strongly biased.
+
+Table entries are immutable tuples ``(tag, length, next_addr, kind,
+confidence)``: training puts a new tuple into the set instead of mutating
+an entry, so a copy of the predictor (:meth:`StreamPredictor.clone`) is one
+list copy per set and shares every entry with its source.  Each
+simulation, checkpoint and restore copies the warmed predictor, so those
+copies stay cheap; pickles flatten the entries into int columns.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import List, Optional
 
 from ..workloads.isa import BranchKind
@@ -50,20 +56,14 @@ class StreamPrediction:
     uses_ras: bool = False      #: True when next_addr should come from RAS
 
 
-@dataclass(slots=True)
-class _Entry:
-    tag: int
-    length: int
-    next_addr: int
-    terminator_kind: BranchKind
-    confidence: int = 1         #: 2-bit hysteresis counter (0..3)
-
-
-#: An entry's fields in the order :meth:`_StreamTable.__getstate__`
-#: flattens them.
-_ENTRY_FIELDS = attrgetter("tag", "length", "next_addr", "terminator_kind",
-                           "confidence")
 _KINDS = {kind.value: kind for kind in BranchKind}
+
+
+def _hit(entry: tuple, source: str) -> StreamPrediction:
+    """The prediction a table entry supplies."""
+    _, length, next_addr, kind, _ = entry
+    return StreamPrediction(length, next_addr, kind, True, source,
+                            kind is BranchKind.RETURN)
 
 
 class _StreamTable:
@@ -71,7 +71,9 @@ class _StreamTable:
 
     The original next-stream predictor is a set-associative structure; the
     associativity mainly avoids conflict misses between unrelated streams
-    that happen to share an index.
+    that happen to share an index.  Each set is a list, most recently used
+    first, of immutable entries ``(tag, length, next_addr, kind,
+    confidence)``; ``confidence`` is a 2-bit hysteresis counter (0..3).
     """
 
     def __init__(self, entries: int, associativity: int = 4):
@@ -80,15 +82,12 @@ class _StreamTable:
         self.entries = entries
         self.associativity = associativity
         self.num_sets = max(1, entries // associativity)
-        self._sets: List[List[_Entry]] = [[] for _ in range(self.num_sets)]
+        self._sets: List[List[tuple]] = [[] for _ in range(self.num_sets)]
 
-    def _set_for(self, key: int) -> List[_Entry]:
-        return self._sets[key % self.num_sets]
-
-    def lookup(self, key: int) -> Optional[_Entry]:
-        bucket = self._set_for(key)
+    def lookup(self, key: int) -> Optional[tuple]:
+        bucket = self._sets[key % self.num_sets]
         for i, entry in enumerate(bucket):
-            if entry.tag == key:
+            if entry[0] == key:
                 if i:  # move to MRU position
                     bucket.insert(0, bucket.pop(i))
                 return entry
@@ -96,52 +95,53 @@ class _StreamTable:
 
     def update(self, key: int, length: int, next_addr: int,
                kind: BranchKind) -> None:
-        bucket = self._set_for(key)
+        # Entries are shared between clones, so training replaces an
+        # entry with a new tuple and never mutates one.
+        bucket = self._sets[key % self.num_sets]
         for i, entry in enumerate(bucket):
-            if entry.tag == key:
-                if (entry.length == length and entry.next_addr == next_addr
-                        and entry.terminator_kind == kind):
-                    entry.confidence = min(3, entry.confidence + 1)
+            if entry[0] == key:
+                _, old_length, old_next, old_kind, confidence = entry
+                if (old_length == length and old_next == next_addr
+                        and old_kind == kind):
+                    if confidence < 3:
+                        entry = (key, old_length, old_next, old_kind,
+                                 confidence + 1)
+                elif confidence:
+                    entry = (key, old_length, old_next, old_kind,
+                             confidence - 1)
                 else:
-                    if entry.confidence > 0:
-                        entry.confidence -= 1
-                    else:
-                        entry.length = length
-                        entry.next_addr = next_addr
-                        entry.terminator_kind = kind
-                        entry.confidence = 1
+                    entry = (key, length, next_addr, kind, 1)
                 if i:
-                    bucket.insert(0, bucket.pop(i))
+                    del bucket[i]
+                    bucket.insert(0, entry)
+                else:
+                    bucket[0] = entry
                 return
-        new_entry = _Entry(key, length, next_addr, kind)
         if len(bucket) >= self.associativity:
             # Replace the LRU entry, honouring hysteresis: a confident LRU
             # victim loses one confidence level instead of being evicted.
-            victim = bucket[-1]
-            if victim.confidence > 0:
-                victim.confidence -= 1
+            tag, old_length, old_next, old_kind, confidence = bucket[-1]
+            if confidence:
+                bucket[-1] = (tag, old_length, old_next, old_kind,
+                              confidence - 1)
                 return
             bucket.pop()
-        bucket.insert(0, new_entry)
+        bucket.insert(0, (key, length, next_addr, kind, 1))
 
     def occupancy(self) -> int:
         return sum(len(bucket) for bucket in self._sets)
 
-    # -- pickling: flat int columns, not thousands of entry objects -----
+    # -- pickling: flat int columns, not thousands of entry tuples -------
     def __getstate__(self) -> tuple:
         counts = array("B", map(len, self._sets))
-        flat = array("q", chain.from_iterable(
-            map(_ENTRY_FIELDS, chain.from_iterable(self._sets))))
+        flat = array("q", chain.from_iterable(chain.from_iterable(self._sets)))
         return (self.entries, self.associativity, self.num_sets, counts,
                 flat)
 
     def __setstate__(self, state: tuple) -> None:
         self.entries, self.associativity, self.num_sets, counts, flat = state
-        entries = [
-            _Entry(tag, length, next_addr, _KINDS[kind], confidence)
-            for tag, length, next_addr, kind, confidence
-            in zip(*(flat[i::5] for i in range(5)))
-        ]
+        entries = list(zip(flat[0::5], flat[1::5], flat[2::5],
+                           map(_KINDS.__getitem__, flat[3::5]), flat[4::5]))
         self._sets = []
         start = 0
         for count in counts:
@@ -151,21 +151,15 @@ class _StreamTable:
     def clone(self) -> "_StreamTable":
         """Independent copy of contents and recency order.
 
-        Orders of magnitude cheaper than ``copy.deepcopy``; used to hand
-        each simulation a private copy of the warmed predictor prototype.
+        One list copy per set: the entries are immutable, so the copy
+        shares them.  Used to hand each simulation a private copy of the
+        warmed predictor prototype.
         """
         new = _StreamTable.__new__(_StreamTable)
         new.entries = self.entries
         new.associativity = self.associativity
         new.num_sets = self.num_sets
-        new._sets = [
-            [
-                _Entry(e.tag, e.length, e.next_addr, e.terminator_kind,
-                       e.confidence)
-                for e in bucket
-            ]
-            for bucket in self._sets
-        ]
+        new._sets = list(map(list.copy, self._sets))
         return new
 
 
@@ -199,37 +193,16 @@ class StreamPredictor:
         """Predict the stream starting at ``addr`` given ``history``."""
         self.lookups += 1
         hist_entry = self.history_table.lookup(self._history_key(addr, history))
-        if hist_entry is not None and hist_entry.confidence >= 2:
+        if hist_entry is not None and hist_entry[4] >= 2:
             self.history_hits += 1
-            return StreamPrediction(
-                length=hist_entry.length,
-                next_addr=hist_entry.next_addr,
-                terminator_kind=hist_entry.terminator_kind,
-                hit=True,
-                source="l2",
-                uses_ras=hist_entry.terminator_kind is BranchKind.RETURN,
-            )
+            return _hit(hist_entry, "l2")
         base_entry = self.base_table.lookup(addr >> 2)
         if base_entry is not None:
             self.base_hits += 1
-            return StreamPrediction(
-                length=base_entry.length,
-                next_addr=base_entry.next_addr,
-                terminator_kind=base_entry.terminator_kind,
-                hit=True,
-                source="l1",
-                uses_ras=base_entry.terminator_kind is BranchKind.RETURN,
-            )
+            return _hit(base_entry, "l1")
         if hist_entry is not None:
             self.history_hits += 1
-            return StreamPrediction(
-                length=hist_entry.length,
-                next_addr=hist_entry.next_addr,
-                terminator_kind=hist_entry.terminator_kind,
-                hit=True,
-                source="l2",
-                uses_ras=hist_entry.terminator_kind is BranchKind.RETURN,
-            )
+            return _hit(hist_entry, "l2")
         self.table_misses += 1
         # No information: predict a maximal sequential stream.
         return StreamPrediction(
@@ -249,13 +222,13 @@ class StreamPredictor:
         whose counters are never read.
         """
         hist_entry = self.history_table.lookup(self._history_key(addr, history))
-        if hist_entry is not None and hist_entry.confidence >= 2:
-            return hist_entry.length, hist_entry.next_addr
+        if hist_entry is not None and hist_entry[4] >= 2:
+            return hist_entry[1], hist_entry[2]
         base_entry = self.base_table.lookup(addr >> 2)
         if base_entry is not None:
-            return base_entry.length, base_entry.next_addr
+            return base_entry[1], base_entry[2]
         if hist_entry is not None:
-            return hist_entry.length, hist_entry.next_addr
+            return hist_entry[1], hist_entry[2]
         return self.default_length, addr + 4 * self.default_length
 
     def train(self, addr: int, history: int, actual: ActualStream) -> None:
@@ -291,8 +264,8 @@ class StreamPredictor:
 
     def __deepcopy__(self, memo: dict) -> "StreamPredictor":
         """Simulator checkpoints deep-copy the machine; route the predictor
-        (thousands of table entries) through :meth:`clone` instead of the
-        generic -- much slower -- ``copy.deepcopy`` walk."""
+        through :meth:`clone`, which shares the immutable table entries,
+        instead of the generic -- much slower -- ``copy.deepcopy`` walk."""
         new = self.clone()
         memo[id(self)] = new
         return new

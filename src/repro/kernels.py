@@ -108,10 +108,13 @@ class TwoLevelLRUReplay:
         self.l1 = Cache("il1", l1_size, l1_line, l1_assoc)
         self.l2 = Cache("ul2", l2_size, l2_line, l2_assoc)
 
-    def warm(self, lines: Sequence[int]) -> None:
-        """Replay a warmup line trace (l1-line-aligned) into both levels."""
-        self.l2.fill_span(lines)
-        self.l1.fill_span(lines)
+    def warm(self, artifacts) -> None:
+        """Warm both levels from a
+        :class:`~repro.simulator.warming.WarmupArtifacts`, restoring the
+        snapshots the timed runs of the same geometry use (or recording
+        them for those runs)."""
+        artifacts.warm(self.l2)
+        artifacts.warm(self.l1)
 
     def replay(self, lines: Iterable[int]) -> Tuple[int, int]:
         """Replay fetch lines; returns ``(l1_misses, l2_misses)``."""

@@ -203,8 +203,9 @@ def functional_profile(
     (:func:`_base_pass`, kept on the workload), so an L1-size sweep
     re-walks nothing; this function only replays the recorded spans into
     caches of this configuration's geometry to count per-interval
-    instruction misses.  Both start from the same warmed state a timed
-    run starts from.
+    instruction misses.  The caches start from the warm state a timed
+    run of the same geometry starts from, and share its snapshots
+    (:meth:`~repro.simulator.warming.WarmupArtifacts.warm`).
     """
     if interval_length <= 0:
         raise ValueError("interval_length must be positive")
@@ -226,7 +227,7 @@ def functional_profile(
         config.l1_size_bytes, config.line_size, config.l1_associativity,
         config.l2_size_bytes, config.l2_line_size, config.l2_associativity,
     )
-    replay.warm(artifacts.line_trace)
+    replay.warm(artifacts)
 
     line_size = config.line_size
     span_cache: dict = {}    # (addr, take) -> touched cache lines

@@ -19,10 +19,12 @@ equivalent to measuring a later, warmed slice).
 Because many experiment sweeps run the same benchmark under dozens of
 configurations, the expensive part of the warm-up (walking the correct
 path and training a predictor) is computed once per (workload, predictor
-geometry, budget) and kept on the workload; each simulation then
-receives a copy of the trained predictor, and each of its caches the
-warm state replayed once per cache geometry (so the L2 of a sweep over
-L1 sizes warms once).
+geometry, budget) and kept on the workload.  Each simulation then
+receives a copy of the trained predictor (one list copy per table set,
+the immutable entries shared), and every cache warmed from the walk --
+a timed run's and the proxy feature pass's alike -- restores the warm
+state replayed once per cache geometry (:meth:`WarmupArtifacts.warm`),
+so the L2 of a sweep over L1 sizes warms once.
 """
 
 from __future__ import annotations
@@ -46,15 +48,38 @@ class WarmupArtifacts:
     line_trace: List[int]               #: cache-line addresses in first-touch order
     instructions: int                   #: correct-path instructions replayed
     #: Warmed-cache snapshots keyed by one cache's geometry, filled
-    #: lazily by :func:`apply_warmup` so sweeps replay the line trace
-    #: once per (workload, cache) -- an L2 shared by every L1 size of a
-    #: sweep warms once -- instead of once per run.
+    #: lazily by :meth:`warm` so sweeps replay the line trace once per
+    #: (workload, cache) -- an L2 shared by every L1 size of a sweep
+    #: warms once -- instead of once per run or functional profile.
     cache_snapshots: Dict[Tuple, tuple] = field(default_factory=dict)
 
     def __getstate__(self):
         # The snapshots are per-process (cheap to rebuild, geometry-
         # dependent): a persisted artifact starts without them.
         return {**self.__dict__, "cache_snapshots": {}}
+
+    def warm(self, cache: Cache) -> None:
+        """Warm ``cache`` from the line trace; timed runs and the proxy
+        feature pass both warm their caches here.
+
+        The L2 and the L1 never interact during the replay, so a cache's
+        warm state depends only on its geometry and the line trace: a
+        fresh cache restores the snapshot recorded for its geometry
+        (identical contents, LRU order and fill statistics), or replays
+        the trace and records one.  A cache that is not fresh replays
+        the trace on top of what it holds.
+        """
+        stats = cache.stats
+        fresh = not (stats.hits or stats.misses or stats.fills
+                     or cache.occupancy())
+        key = (cache.size_bytes, cache.line_size, cache.associativity)
+        snap = self.cache_snapshots.get(key) if fresh else None
+        if snap is not None:
+            cache.restore(snap)
+            return
+        cache.fill_span(self.line_trace)
+        if fresh:
+            self.cache_snapshots[key] = cache.snapshot()
 
 
 def compute_warmup(
@@ -126,46 +151,18 @@ def get_warmup_artifacts(
     )
 
 
-def _cache_geometry(cache: Cache) -> Tuple:
-    return cache.size_bytes, cache.line_size, cache.associativity
-
-
-def _cache_is_fresh(cache: Cache) -> bool:
-    """True when the cache has never been accessed or filled, so restoring
-    a warm snapshot is equivalent to replaying the fills into it."""
-    stats = cache.stats
-    return not (stats.hits or stats.misses or stats.fills or cache.occupancy())
-
-
 def apply_warmup(
     artifacts: WarmupArtifacts,
     hierarchy: Optional[MemoryHierarchy],
     warm_caches: bool = True,
 ) -> StreamPredictor:
-    """Produce a private trained predictor and (optionally) warm the caches
-    of ``hierarchy`` by replaying the recorded line trace.
-
-    The L2 and the L1 never interact during the replay, so each cache's
-    warm state depends only on its own geometry and the line trace: it
-    is replayed once per geometry and snapshotted, and later runs
-    restore the snapshot (identical contents, LRU order and fill
-    statistics).
-    """
-    predictor = artifacts.predictor.clone()
+    """Produce a private trained predictor (a clone sharing the
+    prototype's immutable table entries) and (optionally) warm the L2 and
+    the L1 of ``hierarchy`` (:meth:`WarmupArtifacts.warm`)."""
     if warm_caches and hierarchy is not None:
-        for cache in (hierarchy.l2, hierarchy.l1):
-            key = _cache_geometry(cache)
-            fresh = _cache_is_fresh(cache)
-            snap = artifacts.cache_snapshots.get(key) if fresh else None
-            if snap is not None:
-                cache.restore(snap)
-                continue
-            cache.fill_span(artifacts.line_trace)
-            if fresh:
-                # Snapshots describe "warm state from empty"; only record
-                # them when the replay indeed started from an empty cache.
-                artifacts.cache_snapshots.setdefault(key, cache.snapshot())
-    return predictor
+        artifacts.warm(hierarchy.l2)
+        artifacts.warm(hierarchy.l1)
+    return artifacts.predictor.clone()
 
 
 def functional_advance(

@@ -20,12 +20,14 @@ import pytest
 
 from repro import kernels
 from repro.cache.traces import ensure_compiled_trace
+from repro.frontend.stream_predictor import StreamPredictor
 from repro.memory.cache import Cache
 from repro.sampling import proxy as proxy_module
 from repro.sampling.bbv import profile_workload
 from repro.simulator.config import SimulationConfig
 from repro.simulator.runner import clear_process_caches, get_workload
 from repro.simulator.simulator import Simulator
+from repro.simulator.warming import WarmupArtifacts
 
 
 def _digest(value) -> str:
@@ -74,7 +76,7 @@ def test_two_level_lru_replay_matches_cache_pair():
         l1 = Cache("il1", l1_size, line_size=l1_line, associativity=l1_assoc)
         l2 = Cache("ul2", l2_size, line_size=l2_line, associativity=l2_assoc)
         warm = [l1_line * rng.randrange(0, 512) for _ in range(300)]
-        replay.warm(warm)
+        replay.warm(WarmupArtifacts(StreamPredictor(), warm, len(warm)))
         for line in warm:
             l2.fill(line)
             l1.fill(line)
@@ -183,8 +185,9 @@ def _machine_state(sim):
         position, actual, consumed = partial
         partial = (position, dataclasses.astuple(actual), consumed)
     tables = [
-        [[(e.tag, e.length, e.next_addr, int(e.terminator_kind), e.confidence)
-          for e in bucket] for bucket in table._sets]
+        [[(tag, length, next_addr, int(kind), confidence)
+          for tag, length, next_addr, kind, confidence in bucket]
+         for bucket in table._sets]
         for table in (prediction.predictor.base_table,
                       prediction.predictor.history_table)
     ]

@@ -230,7 +230,55 @@ def test_stream_table_capacity(keys):
         assert table.occupancy() <= 32
         entry = table.lookup(key)
         if entry is not None:
-            assert entry.tag == key
+            assert entry[0] == key
+
+
+#: Streams over few start addresses, lengths and kinds, so that small
+#: tables see hits, conflicting updates, hysteresis and evictions.
+predictor_streams = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=40).map(lambda i: 0x1000 + i * 16),
+              st.sampled_from([4, 8]),
+              st.sampled_from([BranchKind.CONDITIONAL, BranchKind.RETURN]),
+              st.booleans()),
+    max_size=120)
+
+
+def _train(predictor, streams):
+    """Predict then train on each stream, as the proxy pass does."""
+    history = 0
+    for start, length, kind, taken in streams:
+        actual = ActualStream(
+            start=start, length=length, next_addr=start + length * 16,
+            ends_taken=taken, terminator_kind=kind,
+            terminator_addr=start + (length - 1) * 4,
+        )
+        predictor.predict(start, history)
+        predictor.train(start, history, actual)
+        history = StreamPredictor.fold_history(
+            history, actual.next_addr, taken, predictor.history_bits)
+    return predictor
+
+
+def _columns(predictor):
+    """Both tables' pickled ``counts`` and ``flat`` columns."""
+    return [table.__getstate__()[3:]
+            for table in (predictor.base_table, predictor.history_table)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=predictor_streams, second=predictor_streams)
+def test_predictor_clone_shares_no_mutable_state(first, second):
+    """Training a clone leaves its source as if it had never been cloned,
+    and training the source afterwards leaves the clone alone."""
+    def fresh():
+        return StreamPredictor(base_entries=16, history_entries=32)
+
+    source = _train(fresh(), first)
+    clone = source.clone()
+    _train(clone, second)
+    assert _columns(source) == _columns(_train(fresh(), first))
+    _train(source, second[::-1])
+    assert _columns(clone) == _columns(_train(_train(fresh(), first), second))
 
 
 @settings(max_examples=30, deadline=None)

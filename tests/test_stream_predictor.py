@@ -1,5 +1,6 @@
 """Tests for the two-level stream predictor."""
 
+import hashlib
 import pickle
 
 from repro.frontend.stream_predictor import StreamPredictor, _StreamTable
@@ -23,7 +24,7 @@ class TestStreamTable:
         table = _StreamTable(16, associativity=2)
         table.update(0x40, 8, 0x900, BranchKind.CONDITIONAL)
         entry = table.lookup(0x40)
-        assert entry is not None and entry.length == 8 and entry.next_addr == 0x900
+        assert entry is not None and entry[1] == 8 and entry[2] == 0x900
 
     def test_miss_returns_none(self):
         table = _StreamTable(16, associativity=2)
@@ -33,7 +34,7 @@ class TestStreamTable:
         table = _StreamTable(16, associativity=2)
         for _ in range(4):
             table.update(0x40, 8, 0x900, BranchKind.CONDITIONAL)
-        assert table.lookup(0x40).confidence == 3
+        assert table.lookup(0x40)[4] == 3
 
     def test_conflicting_update_uses_hysteresis(self):
         table = _StreamTable(16, associativity=2)
@@ -41,10 +42,10 @@ class TestStreamTable:
         # One disagreement lowers confidence but keeps the old prediction.
         table.update(0x40, 4, 0x800, BranchKind.CONDITIONAL)
         entry = table.lookup(0x40)
-        assert entry.length == 8
+        assert entry[1] == 8
         # A second disagreement replaces it.
         table.update(0x40, 4, 0x800, BranchKind.CONDITIONAL)
-        assert table.lookup(0x40).length == 4
+        assert table.lookup(0x40)[1] == 4
 
     def test_associative_sets_avoid_conflicts(self):
         table = _StreamTable(8, associativity=4)
@@ -134,8 +135,14 @@ def _table_state(table):
     """Every entry of ``table`` per set, in recency order, with its kind
     member itself (so identity is compared, not just the value)."""
     return (table.entries, table.associativity, table.num_sets,
-            [[(e.tag, e.length, e.next_addr, id(e.terminator_kind),
-               e.confidence) for e in bucket] for bucket in table._sets])
+            [[(tag, length, next_addr, id(kind), confidence)
+              for tag, length, next_addr, kind, confidence in bucket]
+             for bucket in table._sets])
+
+
+#: SHA-256 of gcc's 20,000-instruction warm-up predictor's pickled columns.
+WARMUP_PREDICTOR_SHA256 = (
+    "80dd6ed8f8106069984b6b4492b37b5eaae18852011d4bead2447a86067394c2")
 
 
 class TestPickling:
@@ -170,3 +177,15 @@ class TestPickling:
                 loaded.table_misses) == (
             original.lookups, original.base_hits, original.history_hits,
             original.table_misses)
+
+    def test_warmup_predictor_columns_match_golden(self):
+        """The int columns a pickled predictor stores -- what persisted
+        warm-up artifacts hold -- are unchanged: gcc's 20,000-instruction
+        warm-up predictor, both tables' ``counts`` then ``flat``."""
+        warm = compute_warmup(get_workload("gcc"), 20_000)
+        digest = hashlib.sha256()
+        for table in (warm.predictor.base_table,
+                      warm.predictor.history_table):
+            _, _, _, counts, flat = table.__getstate__()
+            digest.update(counts.tobytes() + flat.tobytes())
+        assert digest.hexdigest() == WARMUP_PREDICTOR_SHA256

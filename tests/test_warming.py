@@ -3,6 +3,7 @@
 from repro.frontend.stream_predictor import StreamPredictor
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.sampling.proxy import functional_profile
 from repro.simulator.simulator import Simulator
 from repro.simulator.testing import make_sim_config
 from repro.simulator.warming import (
@@ -128,3 +129,25 @@ class TestPerCacheSnapshots:
                 fresh_l1.fill(line)
             assert _cache_state(l1) == _cache_state(fresh_l1)
             assert _cache_state(l2) == _cache_state(fresh_l2)
+
+    def test_proxy_and_timed_runs_share_snapshots(self, medium_workload):
+        """Proxy features and timed results do not depend on whether the
+        proxy's replay or a timed run's warm-up recorded the snapshots
+        the other restores."""
+        config = make_sim_config(max_instructions=3000,
+                                 warmup_instructions=4000)
+        proxy_first = build_workload(medium_workload.profile)
+        profile = functional_profile(proxy_first, config, 6000, 1000)
+        artifacts = get_warmup_artifacts(
+            proxy_first, 4000,
+            base_entries=config.stream_predictor_base_entries,
+            history_entries=config.stream_predictor_history_entries,
+            max_stream_instructions=config.max_stream_instructions,
+            line_size=config.line_size,
+        )
+        assert len(artifacts.cache_snapshots) == 2
+        restored = Simulator(config, proxy_first).run()
+
+        run_first = build_workload(medium_workload.profile)
+        assert Simulator(config, run_first).run() == restored
+        assert functional_profile(run_first, config, 6000, 1000) == profile
